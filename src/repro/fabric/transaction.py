@@ -10,12 +10,31 @@ port).  It provides:
 * a server loop that hands inbound *requests* to a user handler while
   matching inbound *responses* to outstanding tags;
 * per-channel send ordering (CXL.mem requests stay ordered; different
-  channels do not block each other — they map to different VCs).
+  channels do not block each other — they map to different VCs);
+* a bounded outstanding-request (tag) window: a requester that finds
+  every tag in use queues in the port's FIFO until a response frees one.
+
+The tag-window wake order
+-------------------------
+
+A blocked requester takes a *join number* and waits on one plain event.
+Each outstanding response event gets at most two port-owned
+:class:`_TagWake` callbacks, appended lazily when a requester blocks:
+one in front of the response's own requester's resume (covering
+waiters that blocked while that requester was still emitting flits)
+and one after it (waiters that blocked after the requester started
+waiting on the response).  When the response fires, each hook wakes
+the FIFO prefix it covers, in join order.  That is exactly the order —
+and the ``(time, priority, seq)`` slots — in which one ``AnyOf`` per
+waiter over every outstanding response would fire, at O(1) amortized
+cost per blocked requester instead of O(window).  Every woken waiter
+re-checks the window; all but the first to find a free tag re-queue.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..sim import Environment, Event, SimulationError, Store, Tracer
 from ..telemetry.causal import QUEUEING
@@ -47,6 +66,30 @@ DEFAULT_VC_MAP: Dict[Channel, int] = {
 RequestHandler = Callable[[Packet], Generator[Event, None, Optional[Packet]]]
 
 
+class _TagWake:
+    """A port-owned callback on one outstanding response event.
+
+    Fires with the response and wakes the blocked requesters whose join
+    number is below ``limit``, front of the FIFO first.  ``limit`` stays
+    ``None`` while the hook is the response's newest one; it is fixed
+    when a later hook is appended to the same response, or when
+    ``_dispatch`` pops the response (requesters that block after that
+    do not wait on it).
+    """
+
+    __slots__ = ("waiters", "limit")
+
+    def __init__(self, waiters: Deque[Tuple[int, Event]]) -> None:
+        self.waiters = waiters
+        self.limit: Optional[int] = None
+
+    def __call__(self, event: Event) -> None:
+        waiters = self.waiters
+        limit = self.limit
+        while waiters and waiters[0][0] < limit:
+            waiters.popleft()[1].succeed()
+
+
 class TransactionPort:
     """Endpoint of the fabric: sends/receives packets over two links."""
 
@@ -65,6 +108,13 @@ class TransactionPort:
         self.vc_map = dict(vc_map or DEFAULT_VC_MAP)
         self.tags = TagAllocator(tag_capacity)
         self._pending: Dict[int, Event] = {}
+        # Tag-window FIFO (see the module docstring): blocked requesters
+        # as (join number, wake event), the next join number, and the
+        # responses whose requester attached after their first hook
+        # (they take their second hook at the next block).
+        self._waiters: Deque[Tuple[int, Event]] = deque()
+        self._joins = 0
+        self._rehook: List[Event] = []
         self._reassembler = Reassembler()
         self.inbound_requests: Store = Store(env)
         self._handler: Optional[RequestHandler] = None
@@ -111,8 +161,9 @@ class TransactionPort:
             tag_wait = causal.begin(packet.trace, self.env.now,
                                     QUEUEING, self._site_tags)
         while not self.tags.available:
-            # Outstanding-request window full: wait for any completion.
-            yield self.env.any_of(list(self._pending.values()))
+            # Outstanding-request window full: queue for the next
+            # completion, then re-check (another waiter may win the tag).
+            yield self._block()
         if tag_wait is not None:
             causal.end(packet.trace, self.env.now, tag_wait)
         packet.tag = self.tags.allocate()
@@ -122,6 +173,10 @@ class TransactionPort:
         self._pending[packet.tag] = done
         yield from self._emit(packet)
         self.requests_sent += 1
+        if done.callbacks:
+            # Waiters blocked while we emitted; our resume now lands
+            # behind their hook, so later waiters need one behind it.
+            self._rehook.append(done)
         response = yield done
         now = self.env.now
         if self._tel is not None:
@@ -129,6 +184,32 @@ class TransactionPort:
         if rooted:
             causal.txn_end(packet.trace, now)
         return response
+
+    def _block(self) -> Event:
+        """Join the tag-window FIFO; returns the event to wait on.
+
+        Hooks every outstanding response not yet covering this join:
+        responses issued since the previous block (the tail of the
+        insertion-ordered ``_pending``; everything older was hooked
+        then) and responses whose requester attached since their first
+        hook.  Each response is visited at most twice, so a block costs
+        O(1) amortized.
+        """
+        join = self._joins
+        self._joins = join + 1
+        waiters = self._waiters
+        for done in self._rehook:
+            if not done.triggered:
+                done.callbacks[0].limit = join
+                done.callbacks.append(_TagWake(waiters))
+        self._rehook.clear()
+        for done in reversed(self._pending.values()):
+            if done.callbacks:
+                break
+            done.callbacks.append(_TagWake(waiters))
+        wake = self.env.event()
+        waiters.append((join, wake))
+        return wake
 
     def post(self, packet: Packet) -> Generator[Event, None, None]:
         """Send a packet without expecting a response."""
@@ -192,6 +273,11 @@ class TransactionPort:
         waiter = self._pending.pop(packet.tag, None) \
             if packet.kind not in REQUEST_KINDS else None
         if waiter is not None:
+            # Seal the newest wake hook: requesters blocking from here on
+            # wait on other responses.
+            for hook in waiter.callbacks:
+                if hook.__class__ is _TagWake and hook.limit is None:
+                    hook.limit = self._joins
             self.tags.free(packet.tag)
             self.responses_received += 1
             if self._causal is not None and packet.trace is not None:

@@ -12,7 +12,7 @@ from repro.fabric import (
     format_table1,
     CATALOG,
 )
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt
 
 
 def make_pair(env, tag_capacity=256, credits=32):
@@ -154,6 +154,139 @@ class TestRequestResponse:
         env.process(seq())
         env.run(until=1_000_000)
         assert latencies["bigwrite"] > latencies["read"]
+
+
+RD = (PacketKind.MEM_RD, 64)
+WR4K = (PacketKind.MEM_WR, 4096)
+PAUSE = "pause"   # the client's continuation yields env.timeout(0)
+IO_KINDS = (PacketKind.IO_RD, PacketKind.IO_WR)
+
+
+def run_window(tag_capacity, clients, interrupts=(), **env_options):
+    """Drive ``clients`` through port A's tag window to quiescence.
+
+    ``clients`` maps a name to ``(start_ns, ops)``; an op is a
+    ``(kind, nbytes)`` request (IO kinds ride CXL.io, the rest CXL.mem)
+    or ``PAUSE``.  A's tx queue holds 4 flits, so a 4 KB write emits
+    from t=0 to t~70 and completes at t~132.  ``interrupts`` lists
+    ``(at_ns, name)``: the named client is interrupted then, logs
+    ``name!`` and retries its request.  Returns ``(port A, log,
+    events_processed)``; the log holds ``(name + op index, completion
+    time)`` per request.
+    """
+    env = Environment(**env_options)
+    lp = params.LinkParams(credits=32)
+    ab = LinkLayer(env, lp, name="a->b", tx_queue_capacity=4)
+    ba = LinkLayer(env, lp, name="b->a")
+    a = TransactionPort(env, tx_link=ab, rx_link=ba, port_id=1, name="A",
+                        tag_capacity=tag_capacity)
+    b = TransactionPort(env, tx_link=ba, rx_link=ab, port_id=2, name="B",
+                        tag_capacity=tag_capacity)
+    b.serve(echo_handler(b), concurrency=2)
+    log = []
+    procs = {}
+
+    def client(name, start, ops):
+        if start:
+            yield env.timeout(start)
+        for i, op in enumerate(ops):
+            if op == PAUSE:
+                yield env.timeout(0)
+                continue
+            kind, nbytes = op
+            channel = Channel.CXL_IO if kind in IO_KINDS else Channel.CXL_MEM
+            while True:
+                try:
+                    yield from a.request(Packet(
+                        kind=kind, channel=channel, src=1, dst=2,
+                        addr=i * 64, nbytes=nbytes))
+                    break
+                except Interrupt:
+                    log.append((f"{name}!", env.now))
+            log.append((f"{name}{i}", env.now))
+
+    def interrupter(at, name):
+        yield env.timeout(at)
+        procs[name].interrupt()
+
+    for name, (start, ops) in clients.items():
+        procs[name] = env.process(client(name, start, ops), name=name)
+    for at, name in interrupts:
+        env.process(interrupter(at, name))
+    env.run()
+    return a, log, env.stats["events_processed"]
+
+
+class TestTagWindowOrder:
+    """Exact wake order of requesters blocked on a full tag window.
+
+    The pinned logs and event counts were recorded with the earlier
+    implementation, in which every blocked requester waited on an
+    ``AnyOf`` over all outstanding responses; the FIFO wake must
+    reproduce its order and its ``(time, priority, seq)`` slots.
+    """
+
+    CASES = {
+        # B blocks while A still emits its write (woken ahead of A's
+        # resume); C blocks after A started waiting (woken behind it).
+        "pre_and_post": (1, {
+            "A": (0, [WR4K]),
+            "B": (1, [RD]),
+            "C": (100, [RD]),
+        }, ()),
+        # A's continuation pauses for zero time and requests again: B
+        # (blocked during the write) must still win the freed tag.
+        "zero_delay_continuation": (1, {
+            "A": (0, [WR4K, PAUSE, RD]),
+            "B": (1, [RD]),
+        }, ()),
+        "zero_delay_window_of_two": (2, {
+            "A": (0, [WR4K, PAUSE, RD, RD]),
+            "B": (1, [WR4K]),
+            "C": (2, [RD, PAUSE, RD]),
+            "D": (100, [RD, RD]),
+        }, ()),
+        # B is interrupted while blocked: its stale wake still fires
+        # (one event), and its retry queues behind C.
+        "interrupted_waiter": (1, {
+            "A": (0, [WR4K]),
+            "B": (1, [RD]),
+            "C": (2, [RD]),
+        }, ((5, "B"),)),
+        "interrupted_post_waiter": (2, {
+            "A": (0, [WR4K, PAUSE, RD]),
+            "B": (0, [WR4K]),
+            "C": (90, [RD]),
+            "D": (95, [RD, PAUSE, RD]),
+        }, ((110, "C"),)),
+    }
+
+    PINNED = {
+        "interrupted_post_waiter": ([
+            ("C!", 110.0), ("A0", 243.1875), ("B0", 243.71875),
+            ("D0", 264.78125), ("C0", 265.84375), ("D2", 286.375),
+            ("A2", 287.4375)], 2071),
+        "interrupted_waiter": ([
+            ("B!", 5.0), ("A0", 132.125), ("C0", 153.71875),
+            ("B0", 175.3125)], 1044),
+        "pre_and_post": ([
+            ("A0", 132.125), ("B0", 153.71875), ("C0", 175.3125)], 1039),
+        "zero_delay_continuation": ([
+            ("A0", 132.125), ("B0", 153.71875), ("A2", 175.3125)], 1036),
+        "zero_delay_window_of_two": ([
+            ("A0", 201.46875), ("B0", 243.71875), ("C0", 244.78125),
+            ("D0", 265.3125), ("C2", 266.375), ("D1", 286.90625),
+            ("A2", 287.96875), ("A3", 309.5625)], 2160),
+    }
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_pinned_order(self, case, batch):
+        capacity, clients, interrupts = self.CASES[case]
+        port, log, events = run_window(capacity, clients, interrupts,
+                                       batch=batch)
+        assert (log, events) == self.PINNED[case]
+        assert port.tags.in_use == 0 and not port._waiters
 
 
 class TestChannelSeparation:
