@@ -9,12 +9,15 @@ The model is tag-only (no data is stored — the simulator moves latency,
 not bytes) but otherwise behaves like hardware: write-back,
 write-allocate, per-set LRU, and a finite victim buffer whose overflow
 stalls the allocating access.
+
+The tag array is sparse: a set is created on its first fill, so memory
+follows the lines touched, not the geometry.  LRU order within a set is
+dict order: a hit re-inserts its line last and the victim is the first key.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from .. import params
@@ -38,8 +41,10 @@ class CacheConfig:
     write_ns: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0 or self.assoc <= 0:
-            raise ValueError("size and associativity must be positive")
+        for field in ("size_bytes", "assoc", "line_bytes"):
+            if getattr(self, field) <= 0:
+                raise ValueError(f"{self.name}: {field} must be positive, "
+                                 f"got {getattr(self, field)}")
         if self.size_bytes % (self.assoc * self.line_bytes) != 0:
             raise ValueError(
                 f"{self.name}: size {self.size_bytes} not divisible by "
@@ -52,12 +57,15 @@ class CacheConfig:
         return self.size_bytes // (self.assoc * self.line_bytes)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class AccessResult:
     """Outcome of a cache lookup-and-fill."""
 
     hit: bool
     evicted_dirty_line: Optional[int] = None   # line address written back
+
+
+_HIT, _CLEAN_MISS = AccessResult(hit=True), AccessResult(hit=False)
 
 
 class SetAssociativeCache:
@@ -71,9 +79,10 @@ class SetAssociativeCache:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        # set index -> OrderedDict {tag: (dirty, way_class)}; LRU first.
-        self._sets: List[OrderedDict] = [OrderedDict()
-                                         for _ in range(config.num_sets)]
+        self._line_bytes = config.line_bytes
+        self._num_sets = config.num_sets
+        # set index -> {tag: (dirty, way_class)}, LRU first; filled sets only.
+        self._sets: Dict[int, Dict[int, Tuple[bool, Optional[str]]]] = {}
         self._partitions: Dict[str, int] = {}
         self.hits = 0
         self.misses = 0
@@ -83,18 +92,14 @@ class SetAssociativeCache:
         """Cap ``way_class`` to ``ways`` ways of every set."""
         if not 1 <= ways <= self.config.assoc:
             raise ValueError(
-                f"ways must be in [1, {self.config.assoc}], got {ways}")
+                f"{self.config.name}: ways must be in "
+                f"[1, {self.config.assoc}], got {ways}")
         self._partitions[way_class] = ways
 
     # -- address helpers ---------------------------------------------------
 
-    def _locate(self, addr: int) -> Tuple[int, int]:
-        line = addr // self.config.line_bytes
-        return line % self.config.num_sets, line // self.config.num_sets
-
     def _line_addr(self, set_index: int, tag: int) -> int:
-        return ((tag * self.config.num_sets) + set_index) \
-            * self.config.line_bytes
+        return (tag * self._num_sets + set_index) * self._line_bytes
 
     # -- operations -----------------------------------------------------------
 
@@ -106,28 +111,27 @@ class SetAssociativeCache:
         the class is at its way quota in the set, the victim is the
         class's own LRU line instead of the global one.
         """
-        set_index, tag = self._locate(addr)
-        ways = self._sets[set_index]
-        if tag in ways:
+        tag, set_index = divmod(addr // self._line_bytes, self._num_sets)
+        ways = self._sets.get(set_index)
+        if ways is None:
+            ways = self._sets[set_index] = {}
+        elif tag in ways:
             self.hits += 1
-            dirty, existing_class = ways[tag]
-            ways.move_to_end(tag)
-            ways[tag] = (dirty or is_write, existing_class)
-            return AccessResult(hit=True)
+            entry = ways.pop(tag)            # re-insert: now MRU
+            ways[tag] = (True, entry[1]) if is_write else entry
+            return _HIT
         self.misses += 1
-        evicted = self._make_room(set_index, way_class)
+        evicted = self._make_room(ways, set_index, way_class)
         ways[tag] = (is_write, way_class)
-        return AccessResult(hit=False, evicted_dirty_line=evicted)
+        return _CLEAN_MISS if evicted is None else AccessResult(False, evicted)
 
-    def _make_room(self, set_index: int,
-                   way_class: Optional[str]) -> Optional[int]:
-        """Evict if needed; returns the dirty victim's line address."""
-        ways = self._sets[set_index]
+    def _make_room(self, ways: Dict[int, Tuple[bool, Optional[str]]],
+                   set_index: int, way_class: Optional[str]) -> Optional[int]:
+        """Evict from ``ways`` if needed; returns the dirty victim's line."""
         victim_tag = None
         quota = self._partitions.get(way_class) if way_class else None
         if quota is not None:
-            class_tags = [t for t, (_, c) in ways.items()
-                          if c == way_class]
+            class_tags = [t for t, (_, c) in ways.items() if c == way_class]
             if len(class_tags) >= quota:
                 victim_tag = class_tags[0]   # class LRU (dict order)
         if victim_tag is None and len(ways) >= self.config.assoc:
@@ -142,23 +146,22 @@ class SetAssociativeCache:
 
     def probe(self, addr: int) -> bool:
         """Non-destructive presence check (no LRU update)."""
-        set_index, tag = self._locate(addr)
-        return tag in self._sets[set_index]
+        tag, set_index = divmod(addr // self._line_bytes, self._num_sets)
+        return tag in self._sets.get(set_index, ())
 
     def invalidate(self, addr: int) -> bool:
         """Drop a line (snoop-invalidate); returns True if it was dirty."""
-        set_index, tag = self._locate(addr)
-        entry = self._sets[set_index].pop(tag, None)
+        tag, set_index = divmod(addr // self._line_bytes, self._num_sets)
+        entry = self._sets.get(set_index, {}).pop(tag, None)
         return bool(entry and entry[0])
 
     def flush_all(self) -> List[int]:
         """Drop everything; returns the dirty line addresses."""
-        dirty = []
-        for set_index, ways in enumerate(self._sets):
-            for tag, (is_dirty, _) in ways.items():
-                if is_dirty:
-                    dirty.append(self._line_addr(set_index, tag))
-            ways.clear()
+        dirty = [self._line_addr(set_index, tag)
+                 for set_index in sorted(self._sets)
+                 for tag, (is_dirty, _) in self._sets[set_index].items()
+                 if is_dirty]
+        self._sets.clear()
         self.writebacks += len(dirty)
         return dirty
 
@@ -168,7 +171,7 @@ class SetAssociativeCache:
         return self.hits / total if total else 0.0
 
     def occupancy(self) -> int:
-        return sum(len(ways) for ways in self._sets)
+        return sum(map(len, self._sets.values()))
 
 
 class VictimBuffer:
@@ -186,13 +189,11 @@ class VictimBuffer:
         self.overflows = 0
 
     def push(self, line_addr: int) -> Optional[int]:
-        if len(self._lines) >= self.entries:
-            self.overflows += 1
-            drained = self._lines.pop(0)
-            self._lines.append(line_addr)
-            return drained
         self._lines.append(line_addr)
-        return None
+        if len(self._lines) <= self.entries:
+            return None
+        self.overflows += 1
+        return self._lines.pop(0)
 
     def drain_one(self) -> Optional[int]:
         return self._lines.pop(0) if self._lines else None

@@ -151,7 +151,6 @@ class HostMemorySystem:
                 config = cache.config
                 yield self.env.timeout(
                     config.write_ns if is_write else config.read_ns)
-                self._handle_eviction(result.evicted_dirty_line)
                 return config.name
             self._handle_eviction(result.evicted_dirty_line)
         # Miss everywhere: go to the backend region.

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.mem import CacheConfig, SetAssociativeCache, VictimBuffer
+from repro.mem import (AddressMap, CacheConfig, HostMemorySystem, Region,
+                       SetAssociativeCache, VictimBuffer)
+from repro.sim import Environment
 
 
 def small_cache(assoc=2, sets=4, line=64):
@@ -23,6 +25,17 @@ class TestConfig:
             CacheConfig(name="c", size_bytes=0, assoc=1)
         with pytest.raises(ValueError):
             CacheConfig(name="c", size_bytes=3 * 64 * 3, assoc=3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("line_bytes", 0), ("line_bytes", -64),
+        ("size_bytes", 0), ("assoc", -2)])
+    def test_non_positive_field_named(self, field, value):
+        kwargs = dict(name="l9", size_bytes=1024, assoc=2, line_bytes=64)
+        kwargs[field] = value
+        with pytest.raises(ValueError,
+                           match=f"^l9: {field} must be positive, got "
+                                 f"{value}$"):
+            CacheConfig(**kwargs)
 
 
 class TestLookup:
@@ -176,9 +189,10 @@ class TestWayPartitioning:
 
     def test_partition_validation(self):
         cache = small_cache(assoc=2, sets=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^test: ways must be in \[1, 2\], got 0$"):
             cache.set_partition("s", 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^test: .*got 3$"):
             cache.set_partition("s", 3)
 
     def test_dirty_partition_victim_reports_writeback(self):
@@ -187,3 +201,48 @@ class TestWayPartitioning:
         cache.access(0x000, True, way_class="s")
         result = cache.access(0x040, False, way_class="s")
         assert result.evicted_dirty_line == 0x000
+
+
+class TestLazySets:
+    """The tag array allocates a set on its first fill, never before."""
+
+    @staticmethod
+    def allocated(cache):
+        return len(cache._sets)
+
+    def default_host(self):
+        env = Environment()
+
+        def backend(addr, nbytes, is_write):
+            yield env.timeout(1)
+
+        amap = AddressMap()
+        amap.add(Region(start=0, size=1 << 30, name="dram", backend=backend))
+        return HostMemorySystem(env, amap)
+
+    def test_fresh_default_hierarchy_allocates_no_sets(self):
+        mem = self.default_host()
+        assert [c.config.num_sets for c in mem.levels] == [64, 1024, 32768]
+        assert [self.allocated(c) for c in mem.levels] == [0, 0, 0]
+
+    def test_read_only_operations_allocate_nothing(self):
+        mem = self.default_host()
+        for addr in range(0, 1 << 22, 4096 + 64):
+            assert mem.invalidate(addr) is False
+            for cache in mem.levels:
+                assert not cache.probe(addr)
+        assert mem.flush() == []
+        for cache in mem.levels:
+            assert self.allocated(cache) == 0
+            assert cache.occupancy() == 0
+            assert cache.hits == cache.misses == 0
+
+    @pytest.mark.parametrize("stride", [64, 64 * 64, 64 * 1024 + 64])
+    def test_fills_allocate_at_most_one_set_each(self, stride):
+        cache = small_cache(assoc=4, sets=1024)
+        for n in range(1, 300):
+            cache.access(n * stride, n % 3 == 0)
+            assert self.allocated(cache) <= n
+        assert cache.occupancy() <= self.allocated(cache) * 4
+        cache.flush_all()
+        assert self.allocated(cache) == 0

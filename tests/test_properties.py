@@ -1,10 +1,13 @@
 """Hypothesis property tests across the stack.
 
 Complements the per-module suites with randomized invariants:
-scheduler conservation and ordering, cache bounds, tag-space safety,
+scheduler conservation and ordering, cache bounds, the sparse tag array
+against an eager reference model, tag-space safety,
 tag-window backpressure draining, routing reachability on random
 topologies, and scatter/gather extent pairing.
 """
+
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +124,116 @@ def test_property_flush_empties_and_reports_only_writes(trace):
             written.discard(result.evicted_dirty_line)
     dirty = set(cache.flush_all())
     assert dirty == written
+    assert cache.occupancy() == 0
+
+
+class EagerLruCache:
+    """Reference tag model: one ``OrderedDict`` per set, all built up front.
+
+    The straightforward shape the sparse ``SetAssociativeCache`` must
+    match access for access: ``move_to_end`` LRU, the class's own LRU
+    line as victim when its way quota is full, else the set's LRU line.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.sets = [OrderedDict() for _ in range(config.num_sets)]
+        self.partitions = {}
+        self.hits = self.misses = self.writebacks = 0
+
+    def locate(self, addr):
+        line = addr // self.config.line_bytes
+        return line % self.config.num_sets, line // self.config.num_sets
+
+    def line_addr(self, set_index, tag):
+        return (tag * self.config.num_sets + set_index) \
+            * self.config.line_bytes
+
+    def access(self, addr, is_write, way_class=None):
+        set_index, tag = self.locate(addr)
+        ways = self.sets[set_index]
+        if tag in ways:
+            self.hits += 1
+            dirty, owner = ways[tag]
+            ways.move_to_end(tag)
+            ways[tag] = (dirty or is_write, owner)
+            return True, None
+        self.misses += 1
+        victim = None
+        quota = self.partitions.get(way_class) if way_class else None
+        if quota is not None:
+            own = [t for t, (_, c) in ways.items() if c == way_class]
+            if len(own) >= quota:
+                victim = own[0]
+        if victim is None and len(ways) >= self.config.assoc:
+            victim = next(iter(ways))
+        evicted = None
+        if victim is not None and ways.pop(victim)[0]:
+            self.writebacks += 1
+            evicted = self.line_addr(set_index, victim)
+        ways[tag] = (is_write, way_class)
+        return False, evicted
+
+    def probe(self, addr):
+        set_index, tag = self.locate(addr)
+        return tag in self.sets[set_index]
+
+    def invalidate(self, addr):
+        set_index, tag = self.locate(addr)
+        entry = self.sets[set_index].pop(tag, None)
+        return bool(entry and entry[0])
+
+    def occupancy(self):
+        return sum(len(ways) for ways in self.sets)
+
+    def flush_all(self):
+        dirty = [self.line_addr(set_index, tag)
+                 for set_index, ways in enumerate(self.sets)
+                 for tag, (is_dirty, _) in ways.items() if is_dirty]
+        for ways in self.sets:
+            ways.clear()
+        self.writebacks += len(dirty)
+        return dirty
+
+
+READ, WRITE, INVALIDATE, FLUSH = range(4)
+
+differential_plans = st.tuples(
+    st.sampled_from([1, 2, 4]),                             # assoc
+    st.sampled_from([1, 2, 8]),                             # sets
+    st.dictionaries(st.sampled_from(["a", "b"]),            # way quotas
+                    st.integers(min_value=1, max_value=4), max_size=2),
+    st.lists(st.tuples(
+        st.sampled_from([READ] * 5 + [WRITE] * 4 + [INVALIDATE, FLUSH]),
+        st.integers(min_value=0, max_value=64 * 64 - 1),    # byte address
+        st.sampled_from([None, "a", "b"])),                 # way class
+        max_size=200))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(differential_plans)
+def test_property_sparse_cache_matches_eager_reference(plan):
+    assoc, sets, quotas, ops = plan
+    config = CacheConfig(name="d", size_bytes=assoc * sets * 64, assoc=assoc)
+    cache, reference = SetAssociativeCache(config), EagerLruCache(config)
+    for way_class, ways in quotas.items():
+        cache.set_partition(way_class, min(ways, assoc))
+        reference.partitions[way_class] = min(ways, assoc)
+    for kind, addr, way_class in ops:
+        if kind == FLUSH:
+            assert cache.flush_all() == reference.flush_all()
+        elif kind == INVALIDATE:
+            assert cache.invalidate(addr) == reference.invalidate(addr)
+        else:
+            result = cache.access(addr, kind == WRITE, way_class=way_class)
+            assert (result.hit, result.evicted_dirty_line) \
+                == reference.access(addr, kind == WRITE, way_class)
+        assert cache.probe(addr) == reference.probe(addr)
+        assert cache.occupancy() == reference.occupancy()
+    assert (cache.hits, cache.misses, cache.writebacks) \
+        == (reference.hits, reference.misses, reference.writebacks)
+    assert cache.flush_all() == reference.flush_all()      # same order
+    assert cache.writebacks == reference.writebacks
     assert cache.occupancy() == 0
 
 
