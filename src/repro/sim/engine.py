@@ -46,10 +46,16 @@ optimised:
   Callback lists are never compacted before they fire, so indexes stay
   valid and callback order — and therefore scheduling order — is
   exactly what it would have been without the tombstone.
-* ``Process._resume`` takes a monomorphic shortcut when the yielded
-  event is a pending ``Timeout`` (the overwhelmingly common case),
-  skipping the ``isinstance``/cross-environment checks of the general
-  path.
+* ``Process._resume`` and the batched drain's inlined resume attach
+  the process directly to any yielded event that has not been
+  processed yet: a ``Timeout`` is recognised by its class alone, any
+  other ``Event`` after an ``isinstance`` and same-environment check.
+  Resource requests are usually granted on arrival (see
+  ``repro.sim.resources``), so a yielded ``StoreGet``, ``Request`` or
+  ``ContainerGet`` is typically triggered but not yet processed, and
+  attaches here too.  Only non-events, events of another environment
+  (an error) and already-processed events (re-fired through a pooled
+  hook) take ``Process._wait_slow``.
 * ``Environment.run`` inlines the dispatch loop with bound locals.
 
 None of this changes observable scheduling: pooled events consume the
@@ -370,23 +376,25 @@ class Process(Event):
             return
         env._active_process = None
 
-        if next_event.__class__ is Timeout:
-            # Fast path: a pending Timeout from this environment (the
-            # common `yield env.timeout(...)` case) — attach directly,
-            # skipping the isinstance / cross-env checks.
-            cbs = next_event.callbacks
-            if cbs is not None:
-                if next_event._waiter is None and not cbs:
-                    next_event._waiter = self._resume_cb
-                else:
-                    self._cb_index = len(cbs)
-                    cbs.append(self._resume_cb)
-                self._target = next_event
-                return
+        if (next_event.__class__ is Timeout or (
+                isinstance(next_event, Event) and next_event.env is env
+                and not next_event._processed)) \
+                and (cbs := next_event.callbacks) is not None:
+            # Fast path: attach directly to a pending event of this
+            # environment — a Timeout (checked by class alone, the
+            # common `yield env.timeout(...)` case), or a resource
+            # request, process or condition.
+            if next_event._waiter is None and not cbs:
+                next_event._waiter = self._resume_cb
+            else:
+                self._cb_index = len(cbs)
+                cbs.append(self._resume_cb)
+            self._target = next_event
+            return
         self._wait_slow(next_event)
 
     def _wait_slow(self, next_event: Any) -> None:
-        """General wait path: validation, non-events, processed events."""
+        """Rare wait path: non-events, foreign and processed events."""
         if not isinstance(next_event, Event):
             error = SimulationError(
                 f"process {self.name!r} yielded a non-event: {next_event!r}")
@@ -408,20 +416,12 @@ class Process(Event):
             return
         if next_event.env is not self.env:
             raise SimulationError("event belongs to a different environment")
-        cbs = next_event.callbacks
-        if cbs is None or next_event._processed:
-            # Already processed (in sanitized runs dead events carry a
-            # callback guard instead of None): resume immediately with
-            # the stored value.
-            self._target = self.env._schedule_hook(
-                self._resume_cb, URGENT, next_event._ok, next_event._value)
-        else:
-            if next_event._waiter is None and not cbs:
-                next_event._waiter = self._resume_cb
-            else:
-                self._cb_index = len(cbs)
-                cbs.append(self._resume_cb)
-            self._target = next_event
+        # Processed, or firing right now (its callbacks are taken; in
+        # sanitized runs dead events carry a callback guard instead of
+        # None): every pending event attached in _resume, so resume
+        # immediately with the stored value.
+        self._target = self.env._schedule_hook(
+            self._resume_cb, URGENT, next_event._ok, next_event._value)
 
 
 class _Condition(Event):
@@ -957,6 +957,7 @@ class Environment:
         timeout_pool = self._timeout_pool
         hook_pool = self._hook_pool
         timeout_cls = Timeout
+        event_cls = Event
         hook_cls = _Hook
         process_cls = Process
         method_type = MethodType
@@ -1074,8 +1075,15 @@ class Environment:
                                                         self._schedule(
                                                             proc, NORMAL)
                                                 else:
-                                                    if nxt.__class__ \
-                                                            is timeout_cls \
+                                                    if (nxt.__class__
+                                                            is timeout_cls
+                                                            or (isinstance(
+                                                                nxt,
+                                                                event_cls)
+                                                                and nxt.env
+                                                                is self
+                                                                and not
+                                                                nxt._processed)) \
                                                             and (cbs2 :=
                                                                  nxt.callbacks) \
                                                             is not None:

@@ -9,6 +9,35 @@ These are the queueing building blocks the fabric models are made of:
   buffer at a switch port).
 * :class:`PriorityStore` — items leave lowest-priority-value first.
 * :class:`Container` — a continuous quantity (e.g. a credit pool).
+
+Handoffs
+--------
+
+A request is granted *on arrival*, in O(1), whenever nobody is queued
+ahead of it: a ``Store`` put with no blocked put and room inserts its
+item and then hands it to the first matching waiting getter; an
+unfiltered ``Store`` get takes the head item; a ``Container`` get/put
+adjusts ``level`` and then serves the other side's queue head-first; a
+``Request`` joins ``users``.  Only the blocked cases — filtered gets
+facing a non-empty store, bounded stores with blocked puts, queued
+waiters — take the round-based ``Store._trigger`` loop, and a
+``Resource`` release re-runs its grant loop.
+
+This is exact, not an approximation: nothing outside this module adds
+to ``items``, ``users`` or ``level``, so after every handoff the same
+invariant holds as after a full round loop — no pending unfiltered
+getter coexists with a queued item, the first pending ``Container``
+waiter on each side does not fit, and queued ``Request`` waiters imply
+a full resource.  An on-arrival grant therefore calls ``succeed()`` on
+the same events in the same order as the round loop would have, so
+every ``(time, priority, seq)`` slot is unchanged.  (External code may
+*remove* store items — the vectorized link and switch sweeps do — which
+cannot create a grantable waiter, only room for blocked puts; those are
+served by the next trigger, exactly as before.)
+
+Capacities are whole numbers (``Store`` also takes ``float("inf")``),
+and a ``Container`` request larger than the capacity is rejected at the
+call instead of blocking forever.
 """
 
 from __future__ import annotations
@@ -16,7 +45,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, List, Optional
 
-from .engine import Environment, Event
+from .engine import NORMAL, _PENDING, Environment, Event
 
 __all__ = [
     "Resource",
@@ -25,6 +54,17 @@ __all__ = [
     "PriorityStore",
     "Container",
 ]
+
+
+def _check_whole_capacity(owner: str, capacity: Any) -> None:
+    """Reject capacities that are not whole numbers (1.5 would round up)."""
+    try:
+        whole = capacity == int(capacity)
+    except (OverflowError, TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise ValueError(
+            f"{owner} capacity must be a whole number, got {capacity!r}")
 
 
 class Request(Event):
@@ -45,8 +85,13 @@ class Request(Event):
         self.priority = priority
         resource._seq += 1
         self.key = (priority, resource._seq)
-        resource._queue_request(self)
-        resource._trigger()
+        users = resource.users
+        if not resource._waiters and len(users) < resource.capacity:
+            users.append(self)
+            self._value = None
+            resource.env._schedule(self, NORMAL)
+        else:
+            resource._queue_request(self)
 
     def __enter__(self) -> "Request":
         return self
@@ -67,6 +112,7 @@ class Resource:
     def __init__(self, env: Environment, capacity: int = 1) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
+        _check_whole_capacity(type(self).__name__, capacity)
         self.env = env
         self.capacity = capacity
         self.users: List[Request] = []
@@ -95,7 +141,8 @@ class Resource:
         san = self.env._sanitizer
         if san is not None:
             san.on_write(self, "release")
-        self._trigger()
+        if self._waiters:
+            self._trigger()
 
     # -- internals -------------------------------------------------------
 
@@ -112,13 +159,14 @@ class Resource:
             pass
 
     def _trigger(self) -> None:
-        while len(self.users) < self.capacity:
+        users = self.users
+        while len(users) < self.capacity:
             waiter = self._next_waiter()
             if waiter is None:
                 return
-            if waiter.triggered:
+            if waiter._value is not _PENDING:
                 continue
-            self.users.append(waiter)
+            users.append(waiter)
             waiter.succeed()
 
 
@@ -128,16 +176,13 @@ class PriorityResource(Resource):
     __slots__ = ()
 
     def _queue_request(self, request: Request) -> None:
-        heapq.heappush(self._heap(), (request.key, request))
-
-    def _heap(self) -> list:
         # self._waiters doubles as the heap storage.
-        return self._waiters
+        heapq.heappush(self._waiters, (request.key, request))
 
     def _next_waiter(self) -> Optional[Request]:
         while self._waiters:
             _, request = heapq.heappop(self._waiters)
-            if not request.triggered:
+            if request._value is _PENDING:
                 return request
         return None
 
@@ -157,8 +202,34 @@ class StorePut(Event):
         super().__init__(store.env)
         self.item = item
         self.store = store
-        store._put_waiters.append(self)
-        store._trigger()
+        items = store.items
+        if store._put_waiters or len(items) >= store.capacity or (
+                items and store._get_waiters):
+            # Blocked, or filtered getters face a non-empty store: the
+            # round loop decides who goes first.
+            store._put_waiters.append(self)
+            store._trigger()
+            return
+        env = store.env
+        san = env._sanitizer
+        if san is not None:
+            san.on_write(store, "put")
+        self._value = None
+        env._schedule(self, NORMAL)
+        getters = store._get_waiters
+        if not getters:
+            store._insert(item)
+            return
+        # The store was empty, so this item is the only one: a pending
+        # unfiltered head getter takes it straight away.
+        head = getters[0]
+        if head.filter is None and head._value is _PENDING:
+            del getters[0]
+            head._value = item
+            env._schedule(head, NORMAL)
+        else:
+            store._insert(item)
+            store._serve_gets()
 
 
 class StoreGet(Event):
@@ -169,8 +240,16 @@ class StoreGet(Event):
         super().__init__(store.env)
         self.filter = filter
         self.store = store
+        items = store.items
+        if items and filter is None and not store._get_waiters:
+            self._value = store._take(None)
+            store.env._schedule(self, NORMAL)
+            if store._put_waiters:
+                store._trigger()
+            return
         store._get_waiters.append(self)
-        store._trigger()
+        if items or store._put_waiters:
+            store._trigger()
 
 
 class Store:
@@ -186,6 +265,8 @@ class Store:
     def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
+        if capacity != float("inf"):
+            _check_whole_capacity(type(self).__name__, capacity)
         self.env = env
         self.capacity = capacity
         self.items: List[Any] = []
@@ -233,19 +314,22 @@ class Store:
             return True
         return False
 
+    def _serve_gets(self) -> bool:
+        """One pass over the getters in FIFO order; True if any served."""
+        get_waiters = self._get_waiters
+        keep = [event for event in get_waiters
+                if event._value is _PENDING and not self._do_get(event)]
+        if len(keep) != len(get_waiters):
+            get_waiters[:] = keep
+            return True
+        return False
+
     def _trigger(self) -> None:
         # Single pass per round, rebuilding the waiter lists in place
         # (preserves FIFO order) instead of copy + O(n) removes.
         progressed = True
         while progressed:
-            progressed = False
-            get_waiters = self._get_waiters
-            if get_waiters:
-                keep = [event for event in get_waiters
-                        if not event.triggered and not self._do_get(event)]
-                if len(keep) != len(get_waiters):
-                    progressed = True
-                    get_waiters[:] = keep
+            progressed = bool(self._get_waiters) and self._serve_gets()
             put_waiters = self._put_waiters
             if put_waiters:
                 # Puts are unconditional appends, so the first one that
@@ -254,7 +338,7 @@ class Store:
                 # probing all N blocked writers on every trigger.
                 served = 0
                 for event in put_waiters:
-                    if not event.triggered and not self._do_put(event):
+                    if event._value is _PENDING and not self._do_put(event):
                         break
                     served += 1
                 if served:
@@ -288,34 +372,60 @@ class PriorityStore(Store):
         return _NOTHING
 
 
+def _check_amount(container: "Container", op: str, amount: float) -> None:
+    if amount <= 0:
+        raise ValueError(f"amount must be > 0, got {amount}")
+    if amount > container.capacity:
+        raise ValueError(
+            f"Container.{op}({amount}) exceeds capacity "
+            f"{container.capacity}: it could never be granted")
+
+
 class ContainerPut(Event):
     __slots__ = ("amount", "container")
 
     def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"amount must be > 0, got {amount}")
+        _check_amount(container, "put", amount)
         super().__init__(container.env)
         self.amount = amount
         self.container = container
-        container._put_waiters.append(self)
-        container._trigger()
+        if not container._put_waiters \
+                and container.level + amount <= container.capacity:
+            container.level += amount
+            self._value = None
+            container.env._schedule(self, NORMAL)
+            if container._get_waiters:
+                container._serve_gets()
+        else:
+            container._put_waiters.append(self)
 
 
 class ContainerGet(Event):
     __slots__ = ("amount", "container")
 
     def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"amount must be > 0, got {amount}")
+        _check_amount(container, "get", amount)
         super().__init__(container.env)
         self.amount = amount
         self.container = container
-        container._get_waiters.append(self)
-        container._trigger()
+        if not container._get_waiters and amount <= container.level:
+            container.level -= amount
+            self._value = None
+            container.env._schedule(self, NORMAL)
+            if container._put_waiters:
+                container._serve_puts()
+        else:
+            container._get_waiters.append(self)
 
 
 class Container:
-    """A continuous quantity with blocking put/get (credit pools, bytes)."""
+    """A continuous quantity with blocking put/get (credit pools, bytes).
+
+    Both queues are served head-first, so a blocked head is never
+    starved by later, smaller requests.  A get only ever makes room for
+    puts and a put only ever adds level for gets, so each grant serves
+    the opposite queue once and no round loop is needed.
+    """
 
     __slots__ = ("env", "capacity", "level", "_put_waiters", "_get_waiters")
 
@@ -337,48 +447,30 @@ class Container:
     def get(self, amount: float) -> ContainerGet:
         return ContainerGet(self, amount)
 
-    def _serve_gets(self) -> bool:
-        """Serve get waiters head-first; stop at the first blocked one.
-
-        FIFO: a blocked head must not be starved by later, smaller gets,
-        so everything from the first blocked waiter on is kept as-is.
-        """
+    def _serve_gets(self) -> None:
+        """Serve get waiters head-first; stop at the first blocked one."""
         waiters = self._get_waiters
-        progressed = False
         for i, event in enumerate(waiters):
-            if event.triggered:
+            if event._value is not _PENDING:
                 continue
             if event.amount <= self.level:
                 self.level -= event.amount
                 event.succeed()
-                progressed = True
             else:
-                waiters[:] = waiters[i:]
-                return progressed
+                del waiters[:i]
+                return
         waiters.clear()
-        return progressed
 
-    def _serve_puts(self) -> bool:
+    def _serve_puts(self) -> None:
+        """Serve put waiters head-first; stop at the first blocked one."""
         waiters = self._put_waiters
-        progressed = False
         for i, event in enumerate(waiters):
-            if event.triggered:
+            if event._value is not _PENDING:
                 continue
             if self.level + event.amount <= self.capacity:
                 self.level += event.amount
                 event.succeed()
-                progressed = True
             else:
-                waiters[:] = waiters[i:]
-                return progressed
+                del waiters[:i]
+                return
         waiters.clear()
-        return progressed
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._get_waiters and self._serve_gets():
-                progressed = True
-            if self._put_waiters and self._serve_puts():
-                progressed = True

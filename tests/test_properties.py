@@ -2,11 +2,13 @@
 
 Complements the per-module suites with randomized invariants:
 scheduler conservation and ordering, cache bounds, the sparse tag array
-against an eager reference model, tag-space safety,
+against an eager reference model, resource handoffs against the
+round-based reference model, tag-space safety,
 tag-window backpressure draining, routing reachability on random
 topologies, and scatter/gather extent pairing.
 """
 
+import heapq
 from collections import OrderedDict
 
 import pytest
@@ -17,7 +19,9 @@ from repro.fabric import Channel, Packet, PacketKind, TagAllocator
 from repro.fabric.flit import Flit
 from repro.mem import CacheConfig, SetAssociativeCache
 from repro.pcie import FabricManager, FairVcScheduler, FifoScheduler, Topology
-from repro.sim import Environment
+from repro.sim import (Container, Environment, PriorityResource,
+                       PriorityStore, Resource, Store)
+from repro.sim.engine import Event
 from tests.test_fabric_transaction import PAUSE, run_window
 
 
@@ -349,3 +353,402 @@ def test_property_tag_window_drains_and_is_deterministic(plan):
     assert (log2, events2) == (log, events)
     assert not [f for f in rerun.env.sanitizer.findings
                 if f.kind != "write-race"]
+
+
+# -- resource handoffs against the round-based reference --------------------
+
+class RefRequest(Event):
+    """Reference ``Request``: always queued, then granted by the loop."""
+
+    def __init__(self, resource, priority=0):
+        super().__init__(resource.env)
+        self.resource = resource
+        self.priority = priority
+        resource._seq += 1
+        self.key = (priority, resource._seq)
+        resource._queue_request(self)
+        resource._trigger()
+
+    def cancel(self):
+        self.resource._cancel(self)
+
+
+class RefResource:
+    """The round-based ``Resource`` every handoff used to go through."""
+
+    def __init__(self, env, capacity=1):
+        self.env = env
+        self.capacity = capacity
+        self.users = []
+        self._waiters = []
+        self._seq = 0
+
+    @property
+    def queue_len(self):
+        return len(self._waiters)
+
+    def request(self, priority=0):
+        return RefRequest(self, priority)
+
+    def release(self, request):
+        try:
+            self.users.remove(request)
+        except ValueError:
+            self._cancel(request)
+            return
+        san = self.env._sanitizer
+        if san is not None:
+            san.on_write(self, "release")
+        self._trigger()
+
+    def _queue_request(self, request):
+        self._waiters.append(request)
+
+    def _next_waiter(self):
+        return self._waiters.pop(0) if self._waiters else None
+
+    def _cancel(self, request):
+        try:
+            self._waiters.remove(request)
+        except ValueError:
+            pass
+
+    def _trigger(self):
+        while len(self.users) < self.capacity:
+            waiter = self._next_waiter()
+            if waiter is None:
+                return
+            if waiter.triggered:
+                continue
+            self.users.append(waiter)
+            waiter.succeed()
+
+
+class RefPriorityResource(RefResource):
+    def _queue_request(self, request):
+        heapq.heappush(self._waiters, (request.key, request))
+
+    def _next_waiter(self):
+        while self._waiters:
+            _, request = heapq.heappop(self._waiters)
+            if not request.triggered:
+                return request
+        return None
+
+    def _cancel(self, request):
+        remaining = [(k, r) for (k, r) in self._waiters if r is not request]
+        if len(remaining) != len(self._waiters):
+            self._waiters[:] = remaining
+            heapq.heapify(self._waiters)
+
+
+class RefStorePut(Event):
+    def __init__(self, store, item):
+        super().__init__(store.env)
+        self.item = item
+        self.store = store
+        store._put_waiters.append(self)
+        store._trigger()
+
+
+class RefStoreGet(Event):
+    def __init__(self, store, filter=None):
+        super().__init__(store.env)
+        self.filter = filter
+        self.store = store
+        store._get_waiters.append(self)
+        store._trigger()
+
+
+_REF_NOTHING = object()
+
+
+class RefStore:
+    """The round-based ``Store``: every put and get runs full rounds."""
+
+    def __init__(self, env, capacity=float("inf")):
+        self.env = env
+        self.capacity = capacity
+        self.items = []
+        self._put_waiters = []
+        self._get_waiters = []
+
+    def put(self, item):
+        return RefStorePut(self, item)
+
+    def get(self, filter=None):
+        return RefStoreGet(self, filter)
+
+    def _do_put(self, event):
+        if len(self.items) < self.capacity:
+            self._insert(event.item)
+            san = self.env._sanitizer
+            if san is not None:
+                san.on_write(self, "put")
+            event.succeed()
+            return True
+        return False
+
+    def _insert(self, item):
+        self.items.append(item)
+
+    def _take(self, filter):
+        if filter is None:
+            if self.items:
+                return self.items.pop(0)
+            return _REF_NOTHING
+        for i, item in enumerate(self.items):
+            if filter(item):
+                return self.items.pop(i)
+        return _REF_NOTHING
+
+    def _do_get(self, event):
+        item = self._take(event.filter)
+        if item is not _REF_NOTHING:
+            event.succeed(item)
+            return True
+        return False
+
+    def _trigger(self):
+        progressed = True
+        while progressed:
+            progressed = False
+            get_waiters = self._get_waiters
+            if get_waiters:
+                keep = [event for event in get_waiters
+                        if not event.triggered and not self._do_get(event)]
+                if len(keep) != len(get_waiters):
+                    progressed = True
+                    get_waiters[:] = keep
+            put_waiters = self._put_waiters
+            if put_waiters:
+                served = 0
+                for event in put_waiters:
+                    if not event.triggered and not self._do_put(event):
+                        break
+                    served += 1
+                if served:
+                    progressed = True
+                    del put_waiters[:served]
+
+
+class RefPriorityStore(RefStore):
+    def _insert(self, item):
+        heapq.heappush(self.items, item)
+
+    def _take(self, filter):
+        if filter is None:
+            if self.items:
+                return heapq.heappop(self.items)
+            return _REF_NOTHING
+        for i, item in enumerate(self.items):
+            if filter(item):
+                self.items.pop(i)
+                heapq.heapify(self.items)
+                return item
+        return _REF_NOTHING
+
+
+class RefContainerPut(Event):
+    def __init__(self, container, amount):
+        super().__init__(container.env)
+        self.amount = amount
+        self.container = container
+        container._put_waiters.append(self)
+        container._trigger()
+
+
+class RefContainerGet(Event):
+    def __init__(self, container, amount):
+        super().__init__(container.env)
+        self.amount = amount
+        self.container = container
+        container._get_waiters.append(self)
+        container._trigger()
+
+
+class RefContainer:
+    """The round-based ``Container``: serve gets, then puts, until idle."""
+
+    def __init__(self, env, capacity=float("inf"), init=0.0):
+        self.env = env
+        self.capacity = capacity
+        self.level = float(init)
+        self._put_waiters = []
+        self._get_waiters = []
+
+    def put(self, amount):
+        return RefContainerPut(self, amount)
+
+    def get(self, amount):
+        return RefContainerGet(self, amount)
+
+    def _serve_gets(self):
+        waiters = self._get_waiters
+        progressed = False
+        for i, event in enumerate(waiters):
+            if event.triggered:
+                continue
+            if event.amount <= self.level:
+                self.level -= event.amount
+                event.succeed()
+                progressed = True
+            else:
+                waiters[:] = waiters[i:]
+                return progressed
+        waiters.clear()
+        return progressed
+
+    def _serve_puts(self):
+        waiters = self._put_waiters
+        progressed = False
+        for i, event in enumerate(waiters):
+            if event.triggered:
+                continue
+            if self.level + event.amount <= self.capacity:
+                self.level += event.amount
+                event.succeed()
+                progressed = True
+            else:
+                waiters[:] = waiters[i:]
+                return progressed
+        waiters.clear()
+        return progressed
+
+    def _trigger(self):
+        progressed = True
+        while progressed:
+            progressed = False
+            if self._get_waiters and self._serve_gets():
+                progressed = True
+            if self._put_waiters and self._serve_puts():
+                progressed = True
+
+
+NEW_KIT = (Store, PriorityStore, Container, Resource, PriorityResource)
+REF_KIT = (RefStore, RefPriorityStore, RefContainer, RefResource,
+           RefPriorityResource)
+# Stores: 0 unbounded, 1 bounded at 1, 2 priority-ordered and bounded at 2.
+# Resources: 0 capacity 2 FIFO, 1 capacity 1 by priority.  Store ops are
+# listed twice so blocked puts and queued getters are common.
+store_ops = st.one_of(
+    st.tuples(st.just("put"), st.integers(0, 2), st.integers(0, 9),
+              st.booleans()),                              # store, item, wait
+    st.tuples(st.just("get"), st.integers(0, 2), st.integers(0, 3)),
+    st.tuples(st.just("steal"), st.integers(0, 2)))  # external head removal
+handoff_ops = st.one_of(
+    store_ops, store_ops,
+    st.tuples(st.just("cput"), st.integers(1, 6), st.booleans()),
+    st.tuples(st.just("cget"), st.integers(1, 6), st.booleans()),
+    st.tuples(st.just("req"), st.integers(0, 1), st.integers(0, 2)),
+    st.tuples(st.just("rel"),),                  # release the oldest held
+    st.tuples(st.just("cancel"), st.integers(0, 1), st.integers(0, 2)),
+    st.tuples(st.just("relnever"), st.integers(0, 1)),
+    st.tuples(st.just("wait"), st.sampled_from([0, 0, 1, 3])))
+
+handoff_plans = st.lists(
+    st.tuples(st.integers(0, 2),                             # start time
+              st.lists(handoff_ops, min_size=1, max_size=8)),
+    min_size=2, max_size=5)
+
+
+def run_handoffs(kit, plan, sanitize=False):
+    """Drive one resource kit with ``plan``; return log, events, state."""
+    store_cls, pstore_cls, container_cls, res_cls, pres_cls = kit
+    env = Environment(sanitize=sanitize)
+    stores = [store_cls(env), store_cls(env, capacity=1),
+              pstore_cls(env, capacity=2)]
+    container = container_cls(env, capacity=6, init=3)
+    resources = [res_cls(env, capacity=2), pres_cls(env, capacity=1)]
+    log, labels = [], {}
+    # The last filter is impure: it depends on the clock, so a getter it
+    # rejected may match the same item at a later trigger.
+    filters = (None, lambda item: item % 2 == 0, lambda item: item >= 5,
+               lambda item: env.now >= 2)
+
+    def note(label):
+        return lambda event: log.append((env.now, label, event._value))
+
+    def client(pid, start, ops):
+        held = []
+        yield env.timeout(start)
+        for i, op in enumerate(ops):
+            kind = op[0]
+            label = (pid, i, kind)
+            if kind in ("put", "cput", "cget"):
+                if kind == "put":
+                    event = stores[op[1]].put(op[2])
+                else:
+                    event = getattr(container, kind[1:])(op[1])
+                if not op[-1]:
+                    event.callbacks.append(note(label))
+                    continue
+            elif kind == "get":
+                event = stores[op[1]].get(filters[op[2]])
+            elif kind in ("req", "cancel"):
+                event = resources[op[1]].request(priority=op[2])
+                labels[event] = label
+                if kind == "cancel":
+                    yield env.timeout(0)
+                    if event.triggered:
+                        held.append(event)
+                    else:
+                        event.cancel()
+                    log.append((env.now, label, event.triggered))
+                    continue
+                held.append(event)
+            elif kind == "steal":
+                # Like the vectorized link and switch sweeps: take the
+                # head item without a trigger.
+                items = stores[op[1]].items
+                log.append((env.now, label, items.pop(0) if items else None))
+                continue
+            elif kind == "rel":
+                if held:
+                    request = held.pop(0)
+                    request.resource.release(request)
+                log.append((env.now, label, None))
+                continue
+            elif kind == "relnever":
+                request = resources[op[1]].request()
+                labels[request] = label
+                resources[op[1]].release(request)
+                log.append((env.now, label, request.triggered))
+                continue
+            else:
+                event = env.timeout(op[1])
+            value = yield event
+            log.append((env.now, label, value))
+
+    for pid, (start, ops) in enumerate(plan):
+        env.process(client(pid, start, ops), name=f"client{pid}")
+    env.run()
+    state = ([(list(s.items), len(s._put_waiters), len(s._get_waiters))
+              for s in stores],
+             (container.level, len(container._put_waiters),
+              len(container._get_waiters)),
+             [([labels[u] for u in r.users], r.queue_len)
+              for r in resources])
+    return env, log, env.stats["events_processed"], state
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(handoff_plans)
+def test_property_resource_handoffs_match_round_reference(plan):
+    _, log, events, state = run_handoffs(NEW_KIT, plan)
+    _, ref_log, ref_events, ref_state = run_handoffs(REF_KIT, plan)
+    assert log == ref_log
+    assert events == ref_events
+    assert state == ref_state
+    # The scalar loop under the sanitizers takes the same grant path:
+    # same trigger order, and every finding is one the reference reports
+    # at the same time.  Random scripts do race clients on one store,
+    # leave clients blocked at drain and leave logged un-yielded requests
+    # ungranted; no other kind of finding may appear.
+    env, log2, events2, state2 = run_handoffs(NEW_KIT, plan, sanitize=True)
+    ref_env, *_ = run_handoffs(REF_KIT, plan, sanitize=True)
+    assert (log2, events2, state2) == (log, events, state)
+    findings = [(f.kind, f.time) for f in env.sanitizer.findings]
+    assert findings == [(f.kind, f.time) for f in ref_env.sanitizer.findings]
+    assert {kind for kind, _ in findings} \
+        <= {"write-race", "deadlock", "stale-event"}

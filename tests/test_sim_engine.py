@@ -3,10 +3,14 @@
 import pytest
 
 from repro.sim import (
+    Container,
     Environment,
     Event,
     Interrupt,
+    PriorityStore,
+    Resource,
     SimulationError,
+    Store,
 )
 
 
@@ -552,3 +556,120 @@ def test_run_proc_horizon_raises():
 
     with pytest.raises(RuntimeError):
         run_proc(env, forever(), horizon=100)
+
+
+# -- attaching to resource events ---------------------------------------------
+
+def _pending_store_get(env):
+    return Store(env).get()
+
+
+def _pending_request(env):
+    resource = Resource(env, capacity=1)
+    resource.request()
+    return resource.request()
+
+
+def _pending_container_get(env):
+    return Container(env, capacity=5).get(1)
+
+
+PENDING_RESOURCE_EVENTS = [_pending_store_get, _pending_request,
+                           _pending_container_get]
+
+
+@pytest.mark.parametrize("batch", [True, False])
+@pytest.mark.parametrize("make", PENDING_RESOURCE_EVENTS)
+def test_yield_pending_resource_event_of_other_env_raises(make, batch):
+    env, other = Environment(batch=batch), Environment()
+
+    def proc():
+        yield env.timeout(1)
+        yield make(other)
+
+    # Five resumes at one timestamp: the batched drain's inlined resume
+    # attaches them when batching is on, Process._resume when it is off.
+    for _ in range(5):
+        env.process(proc())
+    with pytest.raises(SimulationError, match="different environment"):
+        env.run()
+
+
+def _granted_store_get(env):
+    store = Store(env)
+    store.put("item")
+    return store.get(), "item"
+
+
+def _granted_request(env):
+    return Resource(env, capacity=1).request(), None
+
+
+def _granted_container_get(env):
+    return Container(env, capacity=5, init=2).get(2), None
+
+
+@pytest.mark.parametrize("sanitize,batch",
+                         [(False, True), (False, False), (True, False)])
+@pytest.mark.parametrize("make", [_granted_store_get, _granted_request,
+                                  _granted_container_get])
+def test_yield_processed_resource_event_resumes_with_its_value(
+        make, sanitize, batch):
+    env = Environment(sanitize=sanitize, batch=batch)
+    log = []
+
+    def proc():
+        event, expected = make(env)
+        yield env.timeout(3)
+        assert event.processed
+        log.append((env.now, (yield event), expected))
+
+    for _ in range(5):
+        env.process(proc())
+    env.run()
+    assert log == [(3, expected, expected) for *_, expected in log]
+    assert len(log) == 5
+
+
+def test_sanitized_run_sees_on_write_for_every_store_put():
+    env = Environment(sanitize=True)
+    unbounded, bounded, ordered = Store(env), Store(env, capacity=1), \
+        PriorityStore(env, capacity=1)
+    names = {id(unbounded): "unbounded", id(bounded): "bounded",
+             id(ordered): "ordered"}
+    writes, got = [], []
+    on_write = env.sanitizer.on_write
+
+    def record(obj, opname):
+        writes.append((env.now, names[id(obj)], opname))
+        on_write(obj, opname)
+
+    env.sanitizer.on_write = record
+
+    def producer():
+        unbounded.put(1)                  # handed to the waiting consumer
+        yield unbounded.put(2)            # inserted into an empty store
+        yield env.timeout(2)
+        yield unbounded.put(3)            # inserted behind nobody
+        yield bounded.put(4)
+        yield bounded.put(5)              # blocks until 4 is taken
+        yield ordered.put(6)
+
+    def consumer():
+        got.append((yield unbounded.get()))
+        yield env.timeout(1)
+        got.append((yield unbounded.get()))      # takes the head on arrival
+        yield env.timeout(2)
+        got.append((yield unbounded.get()))
+        got.append((yield bounded.get(lambda item: item == 4)))
+        got.append((yield bounded.get()))
+        got.append((yield ordered.get()))
+
+    env.process(consumer())
+    env.process(producer())
+    env.run()
+    assert got == [1, 2, 3, 4, 5, 6]
+    assert writes == [(0, "unbounded", "put"), (0, "unbounded", "put"),
+                      (2, "unbounded", "put"), (2, "bounded", "put"),
+                      (3, "bounded", "put"), (3, "ordered", "put")]
+    assert env.sanitizer.findings == []

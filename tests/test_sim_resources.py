@@ -337,3 +337,108 @@ def test_resource_queue_len_tracks_waiters():
     assert res.count == 1
     env.run()
     assert res.queue_len == 0
+
+
+@pytest.mark.parametrize("cls", [Resource, PriorityResource, Store,
+                                 PriorityStore])
+def test_fractional_capacity_rejected(cls):
+    env = Environment()
+    with pytest.raises(ValueError, match=rf"{cls.__name__} .*1\.5"):
+        cls(env, capacity=1.5)
+
+
+def test_whole_and_infinite_capacities_accepted():
+    env = Environment()
+    assert Store(env, capacity=float("inf")).capacity == float("inf")
+    assert Store(env, capacity=2.0).capacity == 2
+    assert Resource(env, capacity=3).capacity == 3
+
+
+def test_fractional_capacity_does_not_round_up():
+    env = Environment()
+    with pytest.raises(ValueError):
+        Resource(env, capacity=1.5)
+    res = Resource(env, capacity=1)
+    res.request()
+    res.request()
+    env.run()
+    assert res.count == 1 and res.queue_len == 1
+
+
+@pytest.mark.parametrize("op", ["get", "put"])
+def test_container_request_above_capacity_rejected(op):
+    env = Environment()
+    pool = Container(env, capacity=5, init=2)
+    with pytest.raises(ValueError, match=rf"Container\.{op}\(6\) .*5"):
+        getattr(pool, op)(6)
+    assert not pool._get_waiters and not pool._put_waiters
+    getattr(pool, op)(3)              # a fitting request still queues
+    env.run()
+
+
+def test_get_after_external_removal_serves_the_blocked_put():
+    # The vectorized link and switch sweeps remove items without a
+    # trigger; the next get must still admit the put they unblocked.
+    env = Environment()
+    store = Store(env, capacity=1)
+    log = []
+
+    def producer():
+        yield store.put("x")
+        yield store.put("y")              # blocks: the store is full
+        log.append(("put y", env.now))
+
+    def consumer():
+        yield env.timeout(1)
+        store.items.pop(0)                # "x" leaves without a trigger
+        log.append(("got", (yield store.get()), env.now))
+
+    env.process(producer())
+    env.process(consumer())
+    env.run()
+    assert log == [("put y", 1), ("got", "y", 1)]
+
+
+def _clock_filter(env):
+    return lambda item: env.now >= 2
+
+
+def test_clock_dependent_filter_is_served_before_a_new_put():
+    env = Environment()
+    store = Store(env)
+    log = []
+
+    def consumer():
+        log.append(("got", (yield store.get(_clock_filter(env))), env.now))
+
+    def producer():
+        store.put("x")                    # rejected by the filter at t=0
+        yield env.timeout(2)
+        yield store.put("y")
+        log.append(("put y", env.now))
+
+    env.process(producer())
+    env.process(consumer())
+    env.run()
+    assert log == [("got", "x", 2), ("put y", 2)]
+    assert store.items == ["y"]
+
+
+def test_waiting_filtered_getter_keeps_its_turn_over_a_new_get():
+    env = Environment()
+    store = Store(env)
+    log = []
+
+    def filtered():
+        log.append(("filtered", (yield store.get(_clock_filter(env)))))
+
+    def plain():
+        yield env.timeout(2)
+        log.append(("plain", (yield store.get())))
+
+    store.put("x")
+    env.process(filtered())
+    env.process(plain())
+    env.run(until=10)
+    assert log == [("filtered", "x")]
+    assert len(store._get_waiters) == 1
