@@ -35,10 +35,8 @@ _HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(_HERE))
 sys.path.insert(0, str(_HERE.parent / "src"))
 
-from repro.experiments import (ExperimentSpec, run_experiment,  # noqa: E402
-                               run_summary)
+from repro.experiments import run_summary  # noqa: E402
 from repro.sim import Environment, total_events_processed  # noqa: E402
-from repro.sim.engine import batch_default, set_batch_default  # noqa: E402
 
 #: Seed-engine events/sec on this microbenchmark (200 procs x 2000
 #: steps), recorded when the fast path landed.  Machine-dependent, so
@@ -107,13 +105,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "metadata (the harness itself is serial; "
                              "pass the value used for any companion "
                              "`repro sweep` runs)")
-    parser.add_argument("--no-batch", action="store_true",
-                        help="run the whole suite with batched "
-                             "dispatch (and the vectorized fabric "
-                             "paths) disabled")
     args = parser.parse_args(argv)
-    if args.no_batch:
-        set_batch_default(False)
 
     experiments = []
     failures: List[str] = []
@@ -154,67 +146,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "best_of": rounds,
         "peak_queue_depth": stats["peak_queue_depth"],
         "pooled_timeouts": stats["pooled_timeouts"],
-        "batch": stats["batch"],
         "events_elided": stats["events_elided"],
-        "pool_limit": stats["pool_limit"],
         "pool_hits": stats["pool_hits"],
         "pool_misses": stats["pool_misses"],
         "seed_events_per_sec_recorded": SEED_KERNEL_EVENTS_PER_SEC,
         "speedup_vs_seed": round(speedup, 2),
     })
     check("kernel_pool_filled", stats["pooled_timeouts"] > 0)
-
-    # -- batched dispatch: bit-identity + no-regression gate --------------
-    # The same kernel microbench and one fabric-heavy experiment, run
-    # with batching off and on.  Event counts and the experiment's full
-    # result document must be identical (the documents carry no wall
-    # clocks, so byte-comparison is exact); the batched kernel must not
-    # be slower than scalar dispatch.
-    identity_name = "pcie_interleave"
-    identity_params = ({"reads": 6, "bulk_writes": 10} if args.smoke
-                       else {})
-    identity_spec = ExperimentSpec(experiment=identity_name,
-                                   params=identity_params)
-    prev_batch = batch_default()
-    try:
-        # Interleave scalar/batched rounds back-to-back so CPU
-        # frequency drift hits both modes equally, then keep the best
-        # round per mode.
-        kernel_best = {False: None, True: None}
-        for _ in range(max(rounds, 3)):
-            for mode in (False, True):
-                set_batch_default(mode)
-                _, k_wall, k_events = _timed(
-                    lambda: kernel_microbench(procs, steps))
-                k_rate = k_events / k_wall if k_wall > 0 else 0.0
-                if (kernel_best[mode] is None
-                        or k_rate > kernel_best[mode][0]):
-                    kernel_best[mode] = (k_rate, k_wall, k_events)
-        docs = {}
-        for mode in (False, True):
-            set_batch_default(mode)
-            docs[mode] = _timed(lambda: run_experiment(identity_spec))
-    finally:
-        set_batch_default(prev_batch)
-    rate_off, _, events_off = kernel_best[False]
-    rate_on, wall_on, events_on = kernel_best[True]
-    doc_off, wall_off, dev_off = docs[False]
-    doc_on, _, dev_on = docs[True]
-    record("batch_dispatch_smoke", wall_on, events_on, {
-        "kernel_events_per_sec_scalar": round(rate_off, 1),
-        "kernel_events_per_sec_batched": round(rate_on, 1),
-        "kernel_batched_vs_scalar":
-            round(rate_on / rate_off, 3) if rate_off else 0.0,
-        "identity_experiment": identity_name,
-        "identity_model_events_scalar": dev_off,
-        "identity_model_events_batched": dev_on,
-    })
-    check("batch_kernel_events_identical", events_on == events_off)
-    check("batch_model_events_identical", dev_on == dev_off)
-    check("batch_experiment_doc_identical",
-          json.dumps(doc_on, sort_keys=True)
-          == json.dumps(doc_off, sort_keys=True))
-    check("batch_not_slower_than_scalar", rate_on >= rate_off)
 
     # -- T2: memory-hierarchy latency matrix -----------------------------
     rows, wall, events = _timed(
@@ -368,7 +306,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "workers": args.workers,
-        "batch": batch_default(),
         "git_sha": git_sha(_HERE.parent),
         "smoke": args.smoke,
         "experiments": experiments,

@@ -148,14 +148,14 @@ class Flit:
         return self.index == self.total - 1
 
     def transport_key(self) -> tuple:
-        """The (size, VC) signature the batched fast paths key on.
+        """The (size, VC) signature the switch's egress sweep keys on.
 
         Flits sharing a transport key serialize at the same per-flit
         rate and draw credits from the same pool, so a queued run of
-        them has a closed-form schedule.  The link sender's vectorized
-        transport and the switch's batched egress sweep batch exactly
-        such homogeneous head runs and fall back to the scalar per-flit
-        path on the first mismatch (see ARCHITECTURE.md section 13).
+        them has a closed-form schedule.  The switch's batched egress
+        sweep retires exactly such homogeneous head runs and falls back
+        to the scalar per-flit path on the first mismatch (see
+        ARCHITECTURE.md section 13).
         """
         return (self.size_bytes, self.vc)
 

@@ -18,12 +18,7 @@ Implements what section 2.1 describes for the Flex Bus link layer:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
-
-try:
-    import numpy as _np
-except ImportError:      # pragma: no cover - numpy ships with the toolchain
-    _np = None
+from typing import Generator, List, Optional
 
 from .. import params
 from ..sim import Container, Environment, Event, SimRng, Store, Tracer
@@ -32,20 +27,6 @@ from .flit import Channel, Flit
 from .phys import PhysicalLayer
 
 __all__ = ["LinkLayer"]
-
-#: Events the scalar sender spends per flit beyond the rx StorePut
-#: (which both paths pay): the tx-queue StoreGet, the credit
-#: ContainerGet, the wire Request grant, the serialization Timeout,
-#: the ``_propagate`` start hook, the propagation Timeout, and the
-#: propagation process completion.  The vector path spends one initial
-#: StoreGet + one bulk credit get + one wire grant + k delivery hooks
-#: + one completion Timeout, so a k-flit batch elides
-#: ``7k - (k + 4) = 6k - 4`` events; crediting them via
-#: ``Environment.credit_elided`` keeps ``events_processed``
-#: bit-identical to the scalar path (pinned by the batch-identity
-#: tests).
-_SCALAR_EVENTS_PER_FLIT = 7
-
 
 class LinkLayer:
     """One unidirectional fabric link with CFC.
@@ -125,30 +106,15 @@ class LinkLayer:
                               lambda q=queue: len(q),
                               track=f"link.{name}")
 
-        # Vectorized transport: legal only when nothing can observe the
-        # per-flit intermediate events.  The static part of the predicate
-        # is evaluated once; `_managed` / `_direct_used` flip to True the
-        # first time an allocator or a switch egress touches the credit
-        # pools, which permanently routes this link back to the scalar
-        # path (those callers share the pools / the wire and must see
-        # per-flit interleaving).
+        # `_managed` flips to True the first time an allocator touches
+        # the credit pools; the switch's egress sweep then leaves this
+        # link to its scalar path (allocators must see per-flit
+        # interleaving).
         self._managed = False
-        self._direct_used = False
-        self._vector_ok = (
-            _np is not None
-            and env._batch
-            and env._sanitizer is None
-            and self._tel is None
-            and tracer is None
-            and error_rate == 0.0
-            and vcs == 1
-            and not control_lane
-            and tx_queue_capacity == float("inf"))
-        # Credit returns only need the event chain to be unobservable —
-        # the wire and tx queues are not involved, so multi-VC and
-        # bounded-queue links still qualify.
-        self._fast_credit = (env._batch and env._sanitizer is None
-                             and self._tel is None)
+        # Credit returns take a callback fast path whenever the event
+        # chain is unobservable; sanitized and observed runs keep the
+        # scalar credit-return process.
+        self._fast_credit = env._sanitizer is None and self._tel is None
 
         self.control_lane_enabled = control_lane
         if control_lane:
@@ -191,7 +157,6 @@ class LinkLayer:
         until the flit has been serialized (and so observes link-level
         backpressure directly); propagation overlaps with the next flit.
         """
-        self._direct_used = True
         if self.control_lane_enabled and flit.packet.channel is Channel.CONTROL:
             yield from self._transmit_reliably(self._control_phys, flit)
             self.env.process(self._propagate(flit))
@@ -274,77 +239,12 @@ class LinkLayer:
         yield self.env.timeout(self.credit_update_ns)
         yield self._credit_pools[vc].put(1)
 
-    def _gather_run(self, queue: Store, pool: Container,
-                    first: Flit) -> Optional[List[Flit]]:
-        """Pull the homogeneous same-size prefix of the tx backlog.
-
-        Returns ``None`` unless at least one more flit of ``first``'s
-        size is queued and a credit is available for every flit taken —
-        the scalar path must not have been able to block on credits
-        anywhere inside the run, or timings would differ.
-        """
-        items = queue.items
-        key = first.transport_key()
-        limit = min(len(items), int(pool.level) - 1)
-        n = 0
-        while n < limit and items[n].transport_key() == key:
-            n += 1
-        if n == 0:
-            return None
-        run = [first]
-        run.extend(items[:n])
-        del items[:n]
-        return run
-
-    def _transmit_vector(self, pool: Container,
-                         run: List[Flit]) -> Generator[Event, None, None]:
-        """Serialize a homogeneous run with one closed-form schedule.
-
-        The scalar path's per-flit chain is deterministic here (no
-        credit stalls, no wire contention, no retries), so serialization
-        boundaries are the running sum ``now + i*ser_ns`` — computed
-        with ``cumsum``, which accumulates sequentially and therefore
-        reproduces the scalar path's chained additions bit-for-bit.
-        Each delivery lands on its exact scalar timestamp via an
-        absolute-time hook; one Timeout resumes the sender where the
-        scalar loop would have finished the last serialization.
-        """
-        env = self.env
-        phys = self.phys
-        k = len(run)
-        yield pool.get(float(k))
-        wire = phys._wire.request()
-        yield wire
-        ser_ns = phys.serialization_ns(run[0])
-        ends = _np.cumsum([env.now] + [ser_ns] * k)
-        prop = self.params.propagation_ns
-        deliver = self._deliver
-        hook = env._schedule_hook_at
-        for i, flit in enumerate(run):
-            hook(float(ends[i + 1]) + prop,
-                 lambda event, flit=flit: deliver(flit), True, None)
-        phys.flits_sent += k
-        phys.bytes_sent += k * run[0].size_bytes
-        env.credit_elided(_SCALAR_EVENTS_PER_FLIT * k - (k + 4))
-        yield env.timeout_at(float(ends[k]))
-        phys._wire.release(wire)
-
     def _sender(self, vc: int) -> Generator[Event, None, None]:
         queue = self._tx_queues[vc]
         pool = self._credit_pools[vc]
         causal = self._causal
-        wire = self.phys._wire
         while True:
             flit = yield queue.get()
-            if (self._vector_ok and not self._managed
-                    and not self._direct_used
-                    and queue.items and pool.level >= 2.0
-                    and not pool._get_waiters and not pool._put_waiters
-                    and not wire.users and not wire._waiters):
-                run = self._gather_run(queue, pool, flit)
-                if run is not None:
-                    yield from self._transmit_vector(pool, run)
-                    continue
             if causal is not None and flit.cspan is not None:
                 causal.end(flit.packet.trace, self.env.now, flit.cspan)
                 flit.cspan = None

@@ -322,7 +322,8 @@ class CreditDomain:
         at the instant the scalar path would have released it (the end
         of its serialization) — later acquires may be blocked on it.
         Costs one pooled hook per flit; the acquire path, where the
-        credit constraint actually bites, is untouched.
+        credit constraint actually bites, is untouched.  A ``time``
+        before ``now`` raises ``ValueError``.
         """
         self.env._schedule_hook_at(
             time, lambda event: self.release(flow), True, None)

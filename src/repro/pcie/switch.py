@@ -126,7 +126,6 @@ class FabricSwitch:
         # must be immune to pushes landing mid-batch.
         port.sweep_ok = (
             _np is not None
-            and self.env._batch
             and self.env._sanitizer is None
             and self._tel is None
             and self.tracer is None
@@ -316,7 +315,6 @@ class FabricSwitch:
         """
         env = self.env
         out = port.out_link
-        out._direct_used = True
         phys = out.phys
         scheduler = port.scheduler
         k = len(run)

@@ -19,20 +19,6 @@ steady-state step — pop an event, run its single ``Process._resume``
 callback, let the process yield the next ``Timeout`` — is aggressively
 optimised:
 
-* When a timestamp bucket holds several NORMAL events and no pending
-  URGENT work, :meth:`Environment.run` drains the whole
-  ``(time, priority)`` run in one *batch*: a snapshot of the bucket is
-  dispatched through a tight loop with bound locals, and the ubiquitous
-  single-``Process._resume``-waiter shape is inlined (no callback
-  frame, cached ``generator.send``).  Batch order is exactly the
-  bucket's append order — i.e. seq order — URGENT arrivals are still
-  re-checked between events, and every identity-relevant side effect
-  (tombstone handling, pooling guards, failure surfacing) is the same
-  code path semantics as the scalar loop, so scheduling stays
-  bit-identical with batching on or off.  ``Environment(batch=False)``
-  (or ``REPRO_BATCH=0``) forces the scalar reference loop; sanitized
-  runs always use it.
-
 * ``Timeout`` objects (and the internal ``_Hook`` events used to start
   processes, deliver interrupts and re-fire already-processed events)
   are recycled through per-environment free lists, together with their
@@ -46,17 +32,18 @@ optimised:
   Callback lists are never compacted before they fire, so indexes stay
   valid and callback order — and therefore scheduling order — is
   exactly what it would have been without the tombstone.
-* ``Process._resume`` and the batched drain's inlined resume attach
-  the process directly to any yielded event that has not been
-  processed yet: a ``Timeout`` is recognised by its class alone, any
-  other ``Event`` after an ``isinstance`` and same-environment check.
+* ``Process._resume`` attaches the process directly to any yielded
+  event that has not been processed yet: a ``Timeout`` is recognised
+  by its class alone, any other ``Event`` after an ``isinstance`` and
+  same-environment check.
   Resource requests are usually granted on arrival (see
   ``repro.sim.resources``), so a yielded ``StoreGet``, ``Request`` or
   ``ContainerGet`` is typically triggered but not yet processed, and
   attaches here too.  Only non-events, events of another environment
   (an error) and already-processed events (re-fired through a pooled
   hook) take ``Process._wait_slow``.
-* ``Environment.run`` inlines the dispatch loop with bound locals.
+* ``Environment.run`` is the one dispatch loop, inlined with bound
+  locals; :meth:`Environment.step` is one iteration of it.
 
 None of this changes observable scheduling: pooled events consume the
 same sequence numbers as freshly allocated ones, so the
@@ -69,12 +56,10 @@ perf-regression harness in ``benchmarks/run_all.py``.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from os import environ
 from sys import getrefcount
 # Wall-clock is only read for Environment.stats busy-time counters; it
 # never feeds back into scheduling.
 from time import perf_counter   # fcc: allow[wall-clock]
-from types import MethodType
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -88,8 +73,6 @@ __all__ = [
     "SimulationError",
     "run_proc",
     "total_events_processed",
-    "batch_default",
-    "set_batch_default",
 ]
 
 # Scheduling priorities: URGENT fires before NORMAL at the same time.
@@ -99,24 +82,7 @@ NORMAL = 1
 _INF = float("inf")
 
 #: Upper bound on each free list; beyond this, events are left to the GC.
-#: The per-environment default; override with Environment(pool_limit=...).
 _POOL_LIMIT = 512
-
-#: Process-wide default for Environment(batch=...): batched dispatch is
-#: on unless REPRO_BATCH=0/off/false/no (the scalar reference loop).
-_BATCH_DEFAULT = environ.get("REPRO_BATCH", "1").strip().lower() \
-    not in ("0", "off", "false", "no")
-
-
-def batch_default() -> bool:
-    """The process-wide default for ``Environment(batch=...)``."""
-    return _BATCH_DEFAULT
-
-
-def set_batch_default(enabled: bool) -> None:
-    """Set the process-wide batching default (existing envs unaffected)."""
-    global _BATCH_DEFAULT
-    _BATCH_DEFAULT = bool(enabled)
 
 #: Process-wide count of events dispatched by every Environment, used by
 #: the perf harness to attribute events/sec to experiments that build
@@ -520,14 +486,11 @@ class Environment:
                  "_last_time", "_last_normal",
                  "_pending", "_events_processed", "_peak_queue",
                  "_busy_seconds", "_sanitizer", "_telemetry",
-                 "_batch", "_pool_limit", "_pool_hits", "_pool_misses",
-                 "_elided", "_drain_batch", "_drain_iter", "_drain_until")
+                 "_pool_hits", "_pool_misses", "_elided")
 
     def __init__(self, initial_time: float = 0.0, *,
                  sanitize: bool = False,
-                 telemetry: Any = None,
-                 batch: Optional[bool] = None,
-                 pool_limit: Optional[int] = None) -> None:
+                 telemetry: Any = None) -> None:
         self._now = float(initial_time)
         self._times: List[float] = []
         self._buckets: Dict[float, tuple] = {}
@@ -544,25 +507,9 @@ class Environment:
         self._events_processed = 0
         self._peak_queue = 0
         self._busy_seconds = 0.0
-        # Batched dispatch (None: the process-wide default, see
-        # set_batch_default / REPRO_BATCH).  Bit-identical to the
-        # scalar loop; sanitized runs ignore it and stay scalar.
-        self._batch = _BATCH_DEFAULT if batch is None else bool(batch)
-        # Live batched-dispatch snapshot (run() only).  Scheduling an
-        # URGENT wakeup — or triggering the run's until_event — while a
-        # batch drains truncates the snapshot at the current position,
-        # so preemption points are honoured without a per-event check.
-        self._drain_batch: Optional[list] = None
-        self._drain_iter: Any = None
-        self._drain_until: Optional[Event] = None
-        if pool_limit is None:
-            pool_limit = _POOL_LIMIT
-        elif pool_limit < 0:
-            raise ValueError(f"pool_limit must be >= 0, got {pool_limit}")
-        self._pool_limit = int(pool_limit)
         self._pool_hits = 0
         self._pool_misses = 0
-        # Events a vectorized fabric fast path elided but credited (see
+        # Events a fabric fast path elided but credited (see
         # credit_elided): counted into events_processed for bit-identity.
         self._elided = 0
         # Opt-in runtime sanitizers (credit conservation, event
@@ -611,11 +558,6 @@ class Environment:
         return self._telemetry
 
     @property
-    def batch(self) -> bool:
-        """Whether batched dispatch (and vectorized fabric paths) is on."""
-        return self._batch
-
-    @property
     def stats(self) -> Dict[str, Any]:
         """Kernel counters: work done and how fast it was dispatched.
 
@@ -623,8 +565,9 @@ class Environment:
         inside :meth:`run`/:meth:`step` (simulated time never touches a
         wall clock); it is the perf-harness headline number.
         ``events_processed`` includes elided-but-credited events (see
-        :meth:`credit_elided`) so it is bit-identical with batching on
-        or off; ``events_elided`` says how many were credited.
+        :meth:`credit_elided`) so it is bit-identical to a sanitized
+        run of the same model, which takes no fast path;
+        ``events_elided`` says how many were credited.
         """
         busy = self._busy_seconds
         return {
@@ -634,9 +577,7 @@ class Environment:
             "peak_queue_depth": self._peak_queue,
             "pooled_timeouts": len(self._timeout_pool),
             "pooled_hooks": len(self._hook_pool),
-            "batch": self._batch,
             "events_elided": self._elided,
-            "pool_limit": self._pool_limit,
             "pool_hits": self._pool_hits,
             "pool_misses": self._pool_misses,
         }
@@ -659,25 +600,6 @@ class Environment:
         event._scheduled = True
         self._bucket(self._now + delay)[priority].append(event)
         self._pending += 1
-        batch = self._drain_batch
-        if batch is not None and (
-                priority == URGENT or
-                ((u := self._drain_until) is not None
-                 and u._value is not _PENDING)):
-            self._truncate_drain(batch)
-
-    def _truncate_drain(self, batch: list) -> None:
-        """Cut the live batched-dispatch snapshot at the current event.
-
-        Called when an URGENT wakeup lands (or the run's until_event
-        triggers) mid-batch: everything after the event currently being
-        dispatched is dropped from the snapshot, so the batch loop
-        exits after finishing it — exactly where the scalar loop's
-        per-event preemption checks would have stopped.  Spurious cuts
-        are harmless: the remaining events re-dispatch through the
-        scalar loop in identical order.
-        """
-        del batch[len(batch) - self._drain_iter.__length_hint__():]
 
     def _schedule_hook(self, callback: Callable[[Event], None],
                        priority: int, ok: bool, value: Any) -> "_Hook":
@@ -707,12 +629,6 @@ class Environment:
             self._pool_misses += 1
         self._bucket(self._now)[priority].append(hook)
         self._pending += 1
-        batch = self._drain_batch
-        if batch is not None and (
-                priority == URGENT or
-                ((u := self._drain_until) is not None
-                 and u._value is not _PENDING)):
-            self._truncate_drain(batch)
         return hook
 
     def _schedule_hook_at(self, time: float,
@@ -720,12 +636,17 @@ class Environment:
                           ok: bool, value: Any) -> "_Hook":
         """A pooled single-callback wakeup at an absolute future time.
 
-        The vectorized fabric paths use this to land completion sweeps
-        on exact precomputed timestamps (``now + (t - now)`` does not
-        round-trip under IEEE arithmetic, so a delay-based wakeup could
-        miss the bucket the scalar path used).  Fires at NORMAL
-        priority, exactly where the scalar path's Timeout would have.
+        The fabric fast paths (the switch's egress sweep, the link's
+        credit return) use this to land wakeups on exact precomputed
+        timestamps (``now + (t - now)`` does not round-trip under IEEE
+        arithmetic, so a delay-based wakeup could miss the bucket the
+        scalar path used).  Fires at NORMAL priority, exactly where the
+        scalar path's Timeout would have.  A time before ``now`` is
+        rejected: the queue cannot hold an event in the past.
         """
+        if time < self._now:
+            raise ValueError(f"hook time {time} is in the past "
+                             f"(now={self._now})")
         pool = self._hook_pool
         if pool:
             hook = pool.pop()
@@ -749,14 +670,15 @@ class Environment:
         return hook
 
     def credit_elided(self, n: int) -> None:
-        """Account ``n`` scalar-path events a vectorized path elided.
+        """Account ``n`` scalar-path events a fabric fast path elided.
 
-        The batched fabric paths collapse deterministic event chains
-        (serialize → propagate → deliver per flit) into closed-form
-        schedules; the chain length is known exactly, so crediting it
-        keeps ``events_processed`` (and the process-wide total) bit-
-        identical between batched and scalar runs while the wall clock
-        drops.
+        The switch's egress sweep and the link's credit return collapse
+        deterministic event chains (serialize → propagate → deliver per
+        flit, wait → put per credit) into closed-form schedules; the
+        chain length is known exactly, so crediting it keeps
+        ``events_processed`` (and the process-wide total) bit-identical
+        to a sanitized run, which takes the scalar paths, while the
+        wall clock drops.
         """
         self._elided += n
         self._events_processed += n
@@ -814,7 +736,7 @@ class Environment:
 
         ``timeout(time - now)`` schedules at ``now + (time - now)``,
         which under IEEE rounding is not always ``time``; this lands on
-        the exact float, which the vectorized fabric paths need to
+        the exact float, which the switch's egress sweep needs to
         resume precisely where the scalar event chain would have.
         """
         now = self._now
@@ -957,19 +879,12 @@ class Environment:
         timeout_pool = self._timeout_pool
         hook_pool = self._hook_pool
         timeout_cls = Timeout
-        event_cls = Event
         hook_cls = _Hook
-        process_cls = Process
-        method_type = MethodType
-        resume_fn = Process._resume
         refcount = getrefcount
-        pool_limit = self._pool_limit
+        max_pooled = _POOL_LIMIT
         pending_sentinel = _PENDING
         san = self._sanitizer
-        use_batch = self._batch and san is None
-        use_pool = pool_limit > 0
         check_event = until_event is not None
-        self._drain_until = until_event
         processed = 0
         done = False
         t0 = perf_counter()
@@ -992,204 +907,6 @@ class Environment:
                 nlen = len(normal)
                 try:
                     while True:
-                        if use_batch and not urgent and \
-                                (nlen := len(normal)) - ni >= 4:
-                            # Batched dispatch: drain this whole
-                            # (time, NORMAL) run through a snapshot
-                            # loop.  Iteration order is the bucket's
-                            # append order — exactly seq order.  The
-                            # scalar loop's per-event preemption
-                            # checks (URGENT arrivals, until_event
-                            # triggering) are enforced by the
-                            # scheduler instead: _schedule /
-                            # _schedule_hook truncate the registered
-                            # snapshot at the current position, which
-                            # ends this loop after the in-flight
-                            # event — the same place the scalar loop
-                            # would stop — at zero per-event cost.
-                            # The cursor and the processed counter
-                            # advance once per exit (the consumed
-                            # count falls out of len(batch) and the
-                            # iterator's remaining length).
-                            batch = normal[ni:nlen]
-                            batch_iter = iter(batch)
-                            self._drain_batch = batch
-                            self._drain_iter = batch_iter
-                            try:
-                                for event in batch_iter:
-                                    callbacks = event.callbacks
-                                    event.callbacks = None
-                                    waiter = event._waiter
-                                    if waiter is not None:
-                                        event._waiter = None
-                                        if waiter.__class__ \
-                                                is method_type \
-                                                and waiter.__func__ \
-                                                is resume_fn:
-                                            # Inlined Process._resume
-                                            # for the single-waiter
-                                            # shape: no callback frame,
-                                            # cached generator
-                                            # send/throw.
-                                            proc = waiter.__self__
-                                            if proc._value \
-                                                    is pending_sentinel:
-                                                target = proc._target
-                                                if target is not event \
-                                                        and target \
-                                                        is not None \
-                                                        and target.callbacks \
-                                                        is not None:
-                                                    proc._detach(target)
-                                                proc._target = None
-                                                # Drop the local ref so
-                                                # the pooling refcount
-                                                # guard below sees only
-                                                # the kernel's
-                                                # references.
-                                                target = None
-                                                self._active_process = \
-                                                    proc
-                                                try:
-                                                    if event._ok:
-                                                        nxt = proc._send(
-                                                            event._value)
-                                                    else:
-                                                        nxt = proc._throw(
-                                                            event._value)
-                                                except StopIteration \
-                                                        as stop_:
-                                                    if proc._value is \
-                                                            pending_sentinel:
-                                                        proc._ok = True
-                                                        proc._value = \
-                                                            stop_.value
-                                                        self._schedule(
-                                                            proc, NORMAL)
-                                                except BaseException \
-                                                        as exc:
-                                                    if proc._value is \
-                                                            pending_sentinel:
-                                                        proc._ok = False
-                                                        proc._value = exc
-                                                        self._schedule(
-                                                            proc, NORMAL)
-                                                else:
-                                                    if (nxt.__class__
-                                                            is timeout_cls
-                                                            or (isinstance(
-                                                                nxt,
-                                                                event_cls)
-                                                                and nxt.env
-                                                                is self
-                                                                and not
-                                                                nxt._processed)) \
-                                                            and (cbs2 :=
-                                                                 nxt.callbacks) \
-                                                            is not None:
-                                                        if nxt._waiter \
-                                                                is None \
-                                                                and not cbs2:
-                                                            nxt._waiter = \
-                                                                waiter
-                                                        else:
-                                                            proc._cb_index = \
-                                                                len(cbs2)
-                                                            cbs2.append(
-                                                                waiter)
-                                                        proc._target = nxt
-                                                    else:
-                                                        proc._wait_slow(nxt)
-                                        else:
-                                            # Plain-callable waiter: it
-                                            # must observe the same
-                                            # active_process the scalar
-                                            # loop would give it (None
-                                            # — no resume in flight).
-                                            self._active_process = None
-                                            waiter(event)
-                                        if callbacks:
-                                            self._active_process = None
-                                            for callback in callbacks:
-                                                if callback is not None:
-                                                    callback(event)
-                                    else:
-                                        self._active_process = None
-                                        fired = False
-                                        for callback in callbacks:
-                                            if callback is not None:
-                                                callback(event)
-                                                fired = True
-                                        if not fired and not event._ok \
-                                                and not isinstance(
-                                                    event, process_cls):
-                                            event._processed = True
-                                            raise event._value
-                                    # Recycle when the kernel holds the
-                                    # last references: the bucket slot,
-                                    # the batch snapshot slot, local
-                                    # `event`, and getrefcount's
-                                    # argument.  The pool cap is
-                                    # enforced by a single trim after
-                                    # the batch (pool membership is
-                                    # never model-visible), and the
-                                    # processed flag is only written
-                                    # when the event survives — a
-                                    # recycled event has provably no
-                                    # model references left to observe
-                                    # it, and the next pool pop resets
-                                    # the flag anyway.
-                                    if event.__class__ is timeout_cls:
-                                        if use_pool \
-                                                and refcount(event) == 4:
-                                            if callbacks:
-                                                callbacks.clear()
-                                            event.callbacks = callbacks
-                                            timeout_pool.append(event)
-                                        else:
-                                            event._processed = True
-                                    elif event.__class__ is hook_cls:
-                                        if use_pool \
-                                                and refcount(event) == 4:
-                                            if callbacks:
-                                                callbacks.clear()
-                                            event.callbacks = callbacks
-                                            hook_pool.append(event)
-                                        else:
-                                            event._processed = True
-                                    else:
-                                        event._processed = True
-                            except BaseException:
-                                # The raising event counts as consumed
-                                # (the scalar loop advances its cursor
-                                # before dispatching) so the cleanup
-                                # below drops it and a re-entered run
-                                # cannot re-fire it.
-                                k = len(batch) \
-                                    - batch_iter.__length_hint__()
-                                ni += k
-                                processed += k
-                                self._drain_batch = None
-                                self._drain_iter = None
-                                self._active_process = None
-                                if len(timeout_pool) > pool_limit:
-                                    del timeout_pool[pool_limit:]
-                                if len(hook_pool) > pool_limit:
-                                    del hook_pool[pool_limit:]
-                                raise
-                            # Exhausted (possibly truncated): every
-                            # event still in the snapshot was consumed.
-                            k = len(batch)
-                            ni += k
-                            processed += k
-                            self._drain_batch = None
-                            self._drain_iter = None
-                            self._active_process = None
-                            if len(timeout_pool) > pool_limit:
-                                del timeout_pool[pool_limit:]
-                            if len(hook_pool) > pool_limit:
-                                del hook_pool[pool_limit:]
-                            continue
                         if check_event and \
                                 until_event._value is not pending_sentinel:
                             done = True
@@ -1250,14 +967,14 @@ class Environment:
                         # and getrefcount's argument).
                         cls = event.__class__
                         if cls is timeout_cls:
-                            if len(timeout_pool) < pool_limit and \
+                            if len(timeout_pool) < max_pooled and \
                                     refcount(event) == 3:
                                 if callbacks:
                                     callbacks.clear()
                                 event.callbacks = callbacks
                                 timeout_pool.append(event)
                         elif cls is hook_cls:
-                            if len(hook_pool) < pool_limit and \
+                            if len(hook_pool) < max_pooled and \
                                     refcount(event) == 3:
                                 if callbacks:
                                     callbacks.clear()
@@ -1276,7 +993,6 @@ class Environment:
                 if done:
                     break
         finally:
-            self._drain_until = None
             self._busy_seconds += perf_counter() - t0
             self._events_processed += processed
             self._pending -= processed

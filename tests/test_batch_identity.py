@@ -1,14 +1,13 @@
-"""Bit-identity pins for batched dispatch and the vectorized fast paths.
+"""Bit-identity pins for the fabric fast paths.
 
-Batched same-timestamp dispatch (``Environment(batch=True)``), the
-link layer's vectorized flit transport, the credit-return fast path,
-and the switch's batched egress sweep all promise the same thing: the
-observable simulation — every timestamp, every counter, and
-``events_processed`` itself (elided events are credited in the time
-bucket where the scalar path would have dispatched them) — is
-bit-identical to the scalar reference loop.  These tests run the same
-models both ways and compare, including runs truncated mid-batch by a
-``run(until=...)`` horizon.
+The link's credit-return callback and the switch's batched egress
+sweep promise the same thing: the observable simulation — every
+timestamp, every counter, and ``events_processed`` itself (elided
+events are credited in the time bucket where the scalar path would
+have dispatched them) — is bit-identical to the scalar paths.  A
+sanitized run takes every scalar path, so it is the reference: these
+tests run each model plain and sanitized and compare, including runs
+truncated mid-sweep by a ``run(until=...)`` horizon.
 """
 
 from __future__ import annotations
@@ -19,96 +18,45 @@ from pathlib import Path
 import pytest
 
 from repro import params
-from repro.fabric import Channel, Flit, LinkLayer, Packet, PacketKind
+from repro.fabric import Channel, Flit, Packet, PacketKind
 from repro.pcie import FabricManager, PortRole, Topology
 from repro.pcie.arbitration import (EgressScheduler, FairVcScheduler,
                                     FifoScheduler, PriorityScheduler)
 from repro.sim import Environment
-from repro.sim.engine import batch_default, set_batch_default
+from repro.sim.engine import _POOL_LIMIT
 from repro.telemetry.scenarios import (TELEMETRY_SCENARIOS,
                                        run_scenario_build)
 
 np = pytest.importorskip("numpy")
 
 
-@pytest.fixture(autouse=True)
-def _restore_batch_default():
-    prev = batch_default()
-    yield
-    set_batch_default(prev)
-
-
 # -- telemetry scenarios: summaries and event counts ---------------------
 
 
 @pytest.mark.parametrize("name", sorted(TELEMETRY_SCENARIOS))
-def test_scenario_bit_identical_batch_on_off(name):
+def test_scenario_bit_identical_to_sanitized(name):
     build = TELEMETRY_SCENARIOS[name]
     results = {}
-    for batch in (False, True):
-        set_batch_default(batch)
-        res = run_scenario_build(name, build, telemetry=False)
-        results[batch] = (res.summary, res.env._events_processed,
-                          res.env.now, res.env.stats["events_elided"])
-    assert results[True][:3] == results[False][:3]
-    assert results[False][3] == 0   # scalar loop never elides
+    for sanitize in (False, True):
+        env = Environment(sanitize=sanitize)
+        summary = build(env)
+        results[sanitize] = (summary, env._events_processed, env.now,
+                             env.stats["events_elided"])
+    assert results[False][:3] == results[True][:3]
+    assert results[True][3] == 0    # sanitized runs never elide
 
 
 def test_interleave_fast_paths_actually_engage():
     # The identity guarantee is vacuous if the fast paths never fire:
     # the interleave scenario must take both the credit-return fast
     # path and the egress sweep (a sizeable slice of all its events).
-    set_batch_default(True)
     res = run_scenario_build("interleave", TELEMETRY_SCENARIOS["interleave"],
                              telemetry=False)
     stats = res.env.stats
     assert stats["events_elided"] > stats["events_processed"] * 0.1
 
 
-# -- link layer: vectorized transport ------------------------------------
-
-
-def _run_link(batch, sizes):
-    env = Environment(batch=batch)
-    link = LinkLayer(env, vcs=1, name="l0")
-    packet = Packet(kind=PacketKind.MEM_WR, channel=Channel.CXL_MEM,
-                    src=0, dst=1, nbytes=64)
-    deliveries = []
-
-    def rx():
-        for _ in range(len(sizes)):
-            flit = yield link.rx.get()
-            deliveries.append((env.now, flit.size_bytes))
-            link.consume(flit)
-
-    for i, size in enumerate(sizes):
-        link.send(Flit(packet=packet, index=i, total=len(sizes),
-                       size_bytes=size))
-    env.process(rx())
-    env.run()
-    return deliveries, env._events_processed, env.now, \
-        env.stats["events_elided"]
-
-
-def test_link_homogeneous_run_vectorizes_bit_identically():
-    sizes = [256] * 24
-    scalar = _run_link(False, sizes)
-    batched = _run_link(True, sizes)
-    assert batched[:3] == scalar[:3]
-    assert scalar[3] == 0
-    assert batched[3] > 0           # the vector path engaged
-
-
-def test_link_heterogeneous_flits_fall_back_to_scalar_path():
-    # Alternating 64B/256B flits never form a homogeneous run, so the
-    # sender must take the per-flit path — with the identical schedule.
-    sizes = [64, 256] * 12
-    scalar = _run_link(False, sizes)
-    batched = _run_link(True, sizes)
-    assert batched[:3] == scalar[:3]
-    # Only the credit-return fast path elides here (2 events per
-    # consume); the 6k-4 transport elisions must be absent.
-    assert batched[3] == 2 * len(sizes)
+# -- flits: the transport key the egress sweep batches on ---------------
 
 
 def test_link_transport_key_is_size_and_vc():
@@ -123,8 +71,8 @@ def test_link_transport_key_is_size_and_vc():
 # -- switch: batched egress sweep ----------------------------------------
 
 
-def _run_switch(batch, until=None, scheduler="fifo", writes=12):
-    env = Environment(batch=batch)
+def _run_switch(sanitize, until=None, scheduler="fifo", writes=12):
+    env = Environment(sanitize=sanitize)
     topo = Topology(env, scheduler=scheduler)
     topo.add_switch("sw0")
     topo.add_endpoint("src")
@@ -160,32 +108,32 @@ def _run_switch(batch, until=None, scheduler="fifo", writes=12):
 
 
 def test_switch_fifo_sweep_bit_identical_and_engages():
-    scalar = _run_switch(False)
-    batched = _run_switch(True)
-    assert batched[:5] == scalar[:5]
-    assert scalar[5] == 0
+    reference = _run_switch(True)
+    swept = _run_switch(False)
+    assert swept[:5] == reference[:5]
+    assert reference[5] == 0
     # 8KB posted writes stage long homogeneous runs at the FIFO
     # egress; the sweep must elide a large share of their events.
-    assert batched[5] > batched[1] * 0.1
+    assert swept[5] > swept[1] * 0.1
 
 
 @pytest.mark.parametrize("until", [1_000.0, 2_500.0, 5_000.0, 9_999.5])
 def test_switch_sweep_truncated_run_bit_identical(until):
-    # A horizon landing mid-batch must leave counters, port state and
-    # the event count exactly where the scalar loop leaves them:
+    # A horizon landing mid-sweep must leave counters, port state and
+    # the event count exactly where the scalar path leaves them:
     # elisions are credited per time bucket, never up front.
-    scalar = _run_switch(False, until=until)
-    batched = _run_switch(True, until=until)
-    assert batched[:5] == scalar[:5]
+    reference = _run_switch(True, until=until)
+    swept = _run_switch(False, until=until)
+    assert swept[:5] == reference[:5]
 
 
 def test_switch_fair_scheduler_bit_identical_without_sweep():
     # FairVc service order can be preempted by later pushes, so it is
     # not batchable: the egress loop must stay scalar (only the
     # credit-return fast path elides) and stay bit-identical.
-    scalar = _run_switch(False, scheduler="fair")
-    batched = _run_switch(True, scheduler="fair")
-    assert batched[:5] == scalar[:5]
+    reference = _run_switch(True, scheduler="fair")
+    plain = _run_switch(False, scheduler="fair")
+    assert plain[:5] == reference[:5]
 
 
 def test_only_fifo_scheduler_is_batchable():
@@ -249,7 +197,7 @@ def test_timeout_at_lands_on_exact_float():
 
 
 def test_cumsum_reproduces_chained_additions():
-    # The vectorized schedules rely on numpy's cumsum accumulating
+    # The egress sweep's schedule relies on numpy's cumsum accumulating
     # strictly sequentially, exactly like the scalar loop's repeated
     # `now += ser_ns` — pin that (awkward floats on purpose).
     for start, step in [(0.30000000000000004, 0.1),
@@ -263,20 +211,22 @@ def test_cumsum_reproduces_chained_additions():
 
 
 def test_event_pool_counters_exposed_and_bounded():
-    env = Environment(pool_limit=4)
+    env = Environment()
+    procs = _POOL_LIMIT + 64
 
     def looper():
-        for _ in range(50):
+        for _ in range(5):
             yield env.timeout(1.0)
 
-    for _ in range(8):
+    for _ in range(procs):
         env.process(looper())
     env.run()
     stats = env.stats
-    assert stats["pool_limit"] == 4
     assert stats["pool_hits"] > 0
-    assert stats["pool_misses"] > 0     # 8 concurrent > pool of 4
-    assert stats["pooled_timeouts"] <= 4
+    # More concurrent timeouts than the pool holds: some must allocate.
+    assert stats["pool_misses"] > 0
+    assert stats["pooled_timeouts"] <= _POOL_LIMIT
+    assert stats["pooled_hooks"] <= _POOL_LIMIT
 
 
 # -- benchmark harness: BENCH numbering tolerates gaps -------------------

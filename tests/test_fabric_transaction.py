@@ -279,12 +279,12 @@ class TestTagWindowOrder:
             ("A2", 287.96875), ("A3", 309.5625)], 2160),
     }
 
-    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("sanitize", [False, True])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_pinned_order(self, case, batch):
+    def test_matches_pinned_order(self, case, sanitize):
         capacity, clients, interrupts = self.CASES[case]
         port, log, events = run_window(capacity, clients, interrupts,
-                                       batch=batch)
+                                       sanitize=sanitize)
         assert (log, events) == self.PINNED[case]
         assert port.tags.in_use == 0 and not port._waiters
 

@@ -344,12 +344,11 @@ def test_property_tag_window_drains_and_is_deterministic(plan):
     assert len(log) == sum(op != PAUSE for _, ops in plans for op in ops)
     assert port.tags.in_use == 0
     assert not port._waiters          # nobody left blocked at quiescence
-    # The rerun takes the scalar loop under the sanitizers: same log and
+    # The rerun takes every scalar path under the sanitizers: same log and
     # events, and no process or event left waiting at drain.  (Clients
     # that start together race on the link's tx queue by design, so
     # write-race findings are expected.)
-    rerun, log2, events2 = run_window(capacity, clients, batch=False,
-                                      sanitize=True)
+    rerun, log2, events2 = run_window(capacity, clients, sanitize=True)
     assert (log2, events2) == (log, events)
     assert not [f for f in rerun.env.sanitizer.findings
                 if f.kind != "write-race"]

@@ -256,6 +256,19 @@ def test_run_until_past_time_rejected():
         env.run(until=5)
 
 
+def test_absolute_time_hook_in_the_past_rejected():
+    env = Environment()
+    env.process(iter_timeout(env, 10))
+    env.run()
+    fired = []
+    with pytest.raises(ValueError, match=r"5\.0.*now=10\.0"):
+        env._schedule_hook_at(5.0, fired.append, True, None)
+    # The rejected hook never reached the queue; a valid one still fires.
+    env._schedule_hook_at(12.0, fired.append, True, None)
+    env.run()
+    assert env.now == 12.0 and len(fired) == 1
+
+
 def iter_timeout(env, delay):
     yield env.timeout(delay)
 
@@ -578,17 +591,16 @@ PENDING_RESOURCE_EVENTS = [_pending_store_get, _pending_request,
                            _pending_container_get]
 
 
-@pytest.mark.parametrize("batch", [True, False])
+@pytest.mark.parametrize("sanitize", [True, False])
 @pytest.mark.parametrize("make", PENDING_RESOURCE_EVENTS)
-def test_yield_pending_resource_event_of_other_env_raises(make, batch):
-    env, other = Environment(batch=batch), Environment()
+def test_yield_pending_resource_event_of_other_env_raises(make, sanitize):
+    env, other = Environment(sanitize=sanitize), Environment()
 
     def proc():
         yield env.timeout(1)
         yield make(other)
 
-    # Five resumes at one timestamp: the batched drain's inlined resume
-    # attaches them when batching is on, Process._resume when it is off.
+    # Five resumes at one timestamp, each yielding a foreign event.
     for _ in range(5):
         env.process(proc())
     with pytest.raises(SimulationError, match="different environment"):
@@ -609,13 +621,12 @@ def _granted_container_get(env):
     return Container(env, capacity=5, init=2).get(2), None
 
 
-@pytest.mark.parametrize("sanitize,batch",
-                         [(False, True), (False, False), (True, False)])
+@pytest.mark.parametrize("sanitize", [False, True])
 @pytest.mark.parametrize("make", [_granted_store_get, _granted_request,
                                   _granted_container_get])
 def test_yield_processed_resource_event_resumes_with_its_value(
-        make, sanitize, batch):
-    env = Environment(sanitize=sanitize, batch=batch)
+        make, sanitize):
+    env = Environment(sanitize=sanitize)
     log = []
 
     def proc():
