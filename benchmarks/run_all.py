@@ -2,9 +2,9 @@
 """Perf-regression harness: run the experiment suite and record it.
 
 Runs the kernel microbenchmark plus the headline experiments (Table 2
-hierarchy, C2 PCIe interference, A1 movement ablation), checks that the
-paper-shape invariants still hold (remote/local latency ~10x, PCIe
-contention grows with hosts, managed movement beats naive sync), and
+hierarchy, C2 PCIe interference, A1 movement ablation), reports the
+verdict of every paper-shape invariant the experiment registry judges
+on those runs, checks the telemetry, causal and health overheads, and
 writes ``BENCH_<n>.json`` in the repository root with wall-clock,
 events and events/sec per experiment — the perf trajectory later PRs
 append to.
@@ -14,9 +14,9 @@ Usage::
     PYTHONPATH=src python benchmarks/run_all.py           # full + BENCH_<n>.json
     PYTHONPATH=src python benchmarks/run_all.py --smoke   # quick CI pass, no file
 
-The harness intentionally asserts only *shape* invariants (ordering and
-coarse magnitude), not exact latencies: exact bit-identity for fixed
-seeds is covered by ``tests/test_determinism.py``.
+The harness checks only *shape* invariants (ordering and coarse
+magnitude), not exact latencies: exact bit-identity for fixed seeds is
+covered by ``tests/test_determinism.py``.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from time import perf_counter
 from typing import Callable, List, Optional, Tuple
 
 _HERE = Path(__file__).resolve().parent
-sys.path.insert(0, str(_HERE))
 sys.path.insert(0, str(_HERE.parent / "src"))
 
-from repro.experiments import run_summary  # noqa: E402
+from repro.experiments import ExperimentSpec, run_experiment  # noqa: E402
 from repro.sim import Environment, total_events_processed  # noqa: E402
 
 #: Seed-engine events/sec on this microbenchmark (200 procs x 2000
@@ -154,38 +153,29 @@ def main(argv: Optional[List[str]] = None) -> int:
     })
     check("kernel_pool_filled", stats["pooled_timeouts"] > 0)
 
-    # -- T2: memory-hierarchy latency matrix -----------------------------
-    rows, wall, events = _timed(
-        lambda: run_summary("table2_hierarchy")["rows"])
-    by_key = {(r["level"], r["op"]): r["latency_ns"] for r in rows}
-    ratio = by_key[("remote", "read")] / by_key[("local", "read")]
-    record("t2_hierarchy", wall, events, {
-        "remote_read_ns": by_key[("remote", "read")],
-        "local_read_ns": by_key[("local", "read")],
-        "remote_local_ratio": round(ratio, 2),
-    })
-    check("t2_remote_local_ratio_about_10x", 5.0 <= ratio <= 30.0)
-    check("t2_l1_fastest", by_key[("l1", "read")] < by_key[("local", "read")])
+    # -- T2 / C2 / A1: the headline experiments --------------------------
+    # Their paper-shape checks are the registry's invariants, judged on
+    # every run; the harness times the run and reports each verdict.
+    def headline(label: str, experiment: str, detail: Callable) -> None:
+        result, wall, events = _timed(lambda: run_experiment(
+            ExperimentSpec(experiment=experiment)))
+        record(label, wall, events, detail(result["outputs"]["summary"]))
+        for invariant, holds in result["invariants"].items():
+            check(f"{experiment}.{invariant}", holds)
 
-    # -- C2: PCIe interference sweep -------------------------------------
-    rows, wall, events = _timed(
-        lambda: run_summary("pcie_interference")["rows"])
-    added = {r["hosts"]: r["added_ns"] for r in rows}
-    record("c2_pcie_interference", wall, events,
-           {"added_ns_by_hosts": {str(k): v for k, v in added.items()}})
-    check("c2_no_interference_alone", added[1] == 0.0)
-    check("c2_contention_monotonic",
-          all(added[a] <= added[b]
-              for a, b in zip(sorted(added), sorted(added)[1:])))
-    check("c2_added_at_16_hosts_in_range", 300.0 <= added[16] <= 3000.0)
+    def t2_detail(summary: dict) -> dict:
+        by_key = {(r["level"], r["op"]): r["latency_ns"]
+                  for r in summary["rows"]}
+        remote, local = by_key[("remote", "read")], by_key[("local", "read")]
+        return {"remote_read_ns": remote, "local_read_ns": local,
+                "remote_local_ratio": round(remote / local, 2)}
 
-    # -- A1: data-movement ablation --------------------------------------
-    results, wall, events = _timed(
-        lambda: run_summary("dp1_movement")["modes"])
-    record("a1_movement_ablation", wall, events, results)
-    check("a1_managed_beats_naive", results["managed"] < results["naive-sync"])
-    check("a1_prefetch_beats_naive",
-          results["prefetch"] < results["naive-sync"])
+    headline("t2_hierarchy", "table2_hierarchy", t2_detail)
+    headline("c2_pcie_interference", "pcie_interference",
+             lambda summary: {"added_ns_by_hosts": {
+                 str(r["hosts"]): r["added_ns"] for r in summary["rows"]}})
+    headline("a1_movement_ablation", "dp1_movement",
+             lambda summary: summary["modes"])
 
     # -- telemetry: off-path overhead ------------------------------------
     # The same instrumented scenario, telemetry absent vs. attached.
@@ -297,7 +287,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     check("health_overhead_bounded", health_ratio <= 1.05)
     check("health_model_events_identical",
           health_events == base_events)
-    check("health_alert_fired", health_alerts >= 1)
 
     # -- report ----------------------------------------------------------
     payload = {

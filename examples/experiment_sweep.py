@@ -2,7 +2,7 @@
 
 Run:  python examples/experiment_sweep.py
 
-Every table in ``benchmarks/`` and every telemetry scenario is a named
+Every paper table and every telemetry scenario is a named
 experiment in :mod:`repro.experiments` — a typed parameter schema plus
 a run function returning a JSON-able summary.  This example:
 

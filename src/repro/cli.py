@@ -26,6 +26,7 @@ Commands:
 * ``bench``   — run one registered experiment (``repro list`` names)
   and print its paper-format table; ``--set name=value`` overrides a
   typed parameter, ``--json`` emits the schema-stable result document;
+  exits 1 when the run breaks a registered paper-shape invariant;
 * ``sweep``   — run a declarative parameter sweep (JSON spec: one
   experiment, axes of parameter values) across worker processes into a
   resumable output directory with a merged, byte-stable report;
@@ -582,7 +583,10 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run one registered experiment; print its table (or --json)."""
+    """Run one registered experiment; print its table (or --json).
+
+    Exits 1, naming each on stderr, when the run breaks one of the
+    experiment's registered paper-shape invariants."""
     from .experiments import (ExperimentError, ExperimentSpec, get,
                               render, run_experiment)
     try:
@@ -617,10 +621,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 2
     if args.json:
         print(json.dumps(result, indent=2))
-        return 0
-    render(args.experiment, summary=result["outputs"]["summary"],
-           **overrides)
-    return 0
+    else:
+        render(args.experiment, summary=result["outputs"]["summary"],
+               **overrides)
+    broken = [name for name, holds in result["invariants"].items()
+              if not holds]
+    for name in broken:
+        print(f"invariant broken: {defn.name}.{name}", file=sys.stderr)
+    return 1 if broken else 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -1,9 +1,4 @@
-"""CFC pathology experiments: C5/C6/C7 and the DP#4 arbiter ablation.
-
-Builder logic absorbed from ``bench_cfc_allocation.py``,
-``bench_cfc_hol.py``, ``bench_cfc_starvation.py`` and
-``bench_dp4_arbiter.py``.
-"""
+"""CFC pathology experiments: C5/C6/C7 and the DP#4 arbiter ablation."""
 
 from __future__ import annotations
 
@@ -92,7 +87,15 @@ def render_cfc_allocation(summary: Dict[str, Any],
             "service_ns": Param(float, 10.0, "credit hold per flit"),
             "warmup_ns": Param(float, 5_000.0,
                                "idle time before the burst")},
-    render=render_cfc_allocation)
+    render=render_cfc_allocation,
+    invariants=(
+        ("c5_rampup_starves_bursty_flow",
+         lambda s, _p: s["policies"]["ramp-up"]
+         > 2.0 * s["policies"]["static"]),
+        ("c5_reservation_beats_static_for_reserved_flow",
+         lambda s, _p: s["policies"]["reservation"]
+         <= s["policies"]["static"] * 1.1),
+    ))
 def run_cfc_allocation(ctx) -> Dict[str, Any]:
     policies = {name: burst_completion(name, ctx.budget, ctx.burst,
                                        ctx.service_ns, ctx.warmup_ns)
@@ -172,7 +175,17 @@ def render_cfc_hol(summary: Dict[str, Any],
     "C6: head-of-line blocking, FIFO vs priority egress discipline",
     params={"critical_reads": Param(int, 40, "reserved-flow reads"),
             "flood_writes": Param(int, 400, "best-effort flood writes")},
-    render=render_cfc_hol)
+    render=render_cfc_hol,
+    invariants=(
+        ("c6_priority_discipline_rescues_reserved_flow",
+         lambda s, _p: s["cases"]["priority (arbiter)"]["mean_ns"]
+         < s["cases"]["fifo (credit-agnostic)"]["mean_ns"] / 1.5),
+        # The blocked flow's tail is dominated by queueing behind the
+        # flood; priority scheduling flattens it.
+        ("c6_hol_blocking_visible_in_tail",
+         lambda s, _p: s["cases"]["fifo (credit-agnostic)"]["p99_ns"]
+         > 1.5 * s["cases"]["priority (arbiter)"]["p99_ns"]),
+    ))
 def run_cfc_hol(ctx) -> Dict[str, Any]:
     cases = {}
     for case, scheduler, prio in (
@@ -252,6 +265,28 @@ def run_starvation_case(scheduler: str, with_flood: bool,
     return stats
 
 
+def starvation_means(summary: Dict[str, Any]):
+    """Victim mean ns: (fifo quiet, fifo congested, fair congested)."""
+    cases = summary["cases"]
+    return (cases["fifo quiet"]["mean_ns"],
+            cases["fifo congested"]["mean_ns"],
+            cases["fair congested"]["mean_ns"])
+
+
+def spread_to_victim(summary: Dict[str, Any], factor: float) -> bool:
+    """FIFO: the victim shares no endpoint with the flood, yet its
+    congested mean exceeds ``factor`` x its quiet mean."""
+    quiet, fifo, _fair = starvation_means(summary)
+    return fifo > factor * quiet
+
+
+def fair_contains_spread(summary: Dict[str, Any], factor: float) -> bool:
+    """Fair queueing: under half the FIFO congested mean and within
+    ``factor`` x the quiet mean."""
+    quiet, fifo, fair = starvation_means(summary)
+    return fair < fifo / 2 and fair < factor * quiet
+
+
 def render_cfc_starvation(summary: Dict[str, Any],
                           _params: Dict[str, Any]) -> None:
     cases = summary["cases"]
@@ -268,7 +303,13 @@ def render_cfc_starvation(summary: Dict[str, Any],
     "C7: congestion backpropagation to a victim flow, FIFO vs fair",
     params={"victim_reads": Param(int, 40, "victim-flow reads"),
             "flood_writes": Param(int, 600, "flood writes at hot dev")},
-    render=render_cfc_starvation)
+    render=render_cfc_starvation,
+    invariants=(
+        ("c7_congestion_spreads_to_victim_under_fifo",
+         lambda s, _p: spread_to_victim(s, 3.0)),
+        ("c7_per_class_queueing_contains_the_spread",
+         lambda s, _p: fair_contains_spread(s, 3.0)),
+    ))
 def run_cfc_starvation(ctx) -> Dict[str, Any]:
     cases = {}
     for case, scheduler, with_flood in (
@@ -391,7 +432,15 @@ def render_dp4_arbiter(summary: Dict[str, Any],
             "flood_workers": Param(int, 48, "concurrent flood workers"),
             "egress_credit_budget": Param(int, 48,
                                           "credits at the egress")},
-    render=render_dp4_arbiter)
+    render=render_dp4_arbiter,
+    invariants=(
+        ("a4_arbiter_protects_reserved_flow",
+         lambda s, _p: s["modes"]["arbiter"]["mean_ns"]
+         < s["modes"]["vanilla-cfc"]["mean_ns"]),
+        ("a4_arbiter_tail_is_tighter",
+         lambda s, _p: s["modes"]["arbiter"]["p99_ns"]
+         <= s["modes"]["vanilla-cfc"]["p99_ns"]),
+    ))
 def run_dp4_arbiter(ctx) -> Dict[str, Any]:
     modes = {}
     for label, mode in (("vanilla-cfc", "vanilla"),

@@ -61,6 +61,32 @@ def _case(window_ns: float, interval_ns: float,
             "events_processed": result.env.stats["events_processed"]}
 
 
+#: The golden-pinned actuation edge: the window whose close fires the
+#: fast-burn alert is the window whose close applies the rescue.
+ACTION_LANDS_AT_NS = 14_000.0
+
+
+def rescue_lands_on_alert_edge(summary: Dict[str, Any],
+                               _params: Dict[str, Any]) -> bool:
+    closed = summary["cases"]["closed-loop"]
+    return (closed["fired_at"] == [ACTION_LANDS_AT_NS]
+            and [a["t"] for a in closed["actions"]]
+            == [ACTION_LANDS_AT_NS]
+            and closed["actions"][0]["granted_after"]
+            == {"hot": 16, "quiet": 16})
+
+
+def feedback_beats_static(summary: Dict[str, Any],
+                          _params: Dict[str, Any]) -> bool:
+    static = summary["cases"]["static"]
+    closed = summary["cases"]["closed-loop"]
+    return (static["actions"] == []
+            and max(closed["post_alert_share"])
+            < max(static["post_alert_share"])
+            and closed["quiet_burst_ns"] < static["quiet_burst_ns"]
+            and closed["hot_stall_ns"] == 0.0)
+
+
 def render_control_loop(summary: Dict[str, Any],
                         _params: Dict[str, Any]) -> None:
     rows = []
@@ -86,7 +112,11 @@ def render_control_loop(summary: Dict[str, Any],
                                "tumbling window width (sim ns)"),
             "interval_ns": Param(float, DEFAULT_INTERVAL_NS,
                                  "sampler cadence (sim ns)")},
-    render=render_control_loop)
+    render=render_control_loop,
+    invariants=(
+        ("rescue_lands_on_the_alert_edge", rescue_lands_on_alert_edge),
+        ("feedback_beats_static_without_starving_hot", feedback_beats_static),
+    ))
 def run_control_loop(ctx) -> Dict[str, Any]:
     from ...control import ControlError
     from ...telemetry.health import HealthError

@@ -1,9 +1,8 @@
 """Fabric-level experiments: C2/C3/C4, S1, E2, E3.
 
-Builder logic absorbed from ``bench_flit_rtt.py``,
-``bench_pcie_interference.py``, ``bench_pcie_interleave.py``,
-``bench_sync_vs_async.py``, ``bench_overcommit.py`` and
-``bench_interleave.py``.
+Invariant predicates over swept rows read only the rows the summary
+has: a parameter point without, say, a 2-hop path does not break the
+switch-crossing claim.
 """
 
 from __future__ import annotations
@@ -69,6 +68,25 @@ def measure_rtt(hops: int = 1, pings: int = 10) -> float:
     return sum(rtts) / len(rtts)
 
 
+def unloaded_rtt_near_target(summary: Dict[str, Any],
+                             _params: Dict[str, Any]) -> bool:
+    """The 1-hop RTT sits within 25% of the paper's ~200 ns."""
+    target = params.UNLOADED_FLIT_RTT_TARGET_NS
+    return all(abs(r["rtt_ns"] - target) <= 0.25 * target
+               for r in summary["rows"] if r["hops"] == 1)
+
+
+def switch_crossing_below(summary: Dict[str, Any], bound_ns: float) \
+        -> bool:
+    """Per-switch crossing, from the 1- and 2-hop RTTs, under a bound."""
+    rtt = {r["hops"]: r["rtt_ns"] for r in summary["rows"]}
+    if 1 not in rtt or 2 not in rtt:
+        return True
+    # The extra hop adds two crossings (one each way) + two links.
+    per_port = (rtt[2] - rtt[1]) / 2 - 2 * params.LINK_PROPAGATION_NS
+    return per_port < bound_ns
+
+
 def render_flit_rtt(summary: Dict[str, Any],
                     _params: Dict[str, Any]) -> None:
     rows = []
@@ -85,7 +103,12 @@ def render_flit_rtt(summary: Dict[str, Any],
     "C4: unloaded 64B flit RTT across 1..N switch hops",
     params={"max_hops": Param(int, 3, "longest switch path measured"),
             "pings": Param(int, 10, "pings averaged per path")},
-    render=render_flit_rtt)
+    render=render_flit_rtt,
+    invariants=(
+        ("c4_unloaded_rtt_near_200ns", unloaded_rtt_near_target),
+        ("c4_switch_port_latency_below_100ns",
+         lambda s, _p: switch_crossing_below(s, 100.0)),
+    ))
 def run_flit_rtt(ctx) -> Dict[str, Any]:
     rows = [{"hops": hops, "rtt_ns": measure_rtt(hops, ctx.pings)}
             for hops in range(1, ctx.max_hops + 1)]
@@ -149,6 +172,25 @@ def one_way_latency(hosts: int, writes_per_host: int = 150,
     return stats.mean
 
 
+def interference_adds_hundreds_of_ns(summary: Dict[str, Any],
+                                     _params: Dict[str, Any]) -> bool:
+    """Nothing added alone, growth with fan-in (2 hosts still fit the
+    pipe), reaching the paper's ~600 ns scale at 16 hosts."""
+    added = {r["hosts"]: r["added_ns"] for r in summary["rows"]}
+    return ((1 not in added or added[1] == 0.0)
+            and (4 not in added or 8 not in added
+                 or added[8] > added[4] > 0)
+            and (16 not in added or 300.0 <= added[16] <= 3_000.0))
+
+
+def contention_monotonic(summary: Dict[str, Any],
+                         _params: Dict[str, Any]) -> bool:
+    """Added latency never shrinks as hosts are added."""
+    added = [r["added_ns"]
+             for r in sorted(summary["rows"], key=lambda r: r["hosts"])]
+    return all(a <= b for a, b in zip(added, added[1:]))
+
+
 def render_interference(summary: Dict[str, Any],
                         _params: Dict[str, Any]) -> None:
     rows = [[r["hosts"], r["oneway_ns"], r["added_ns"],
@@ -167,7 +209,16 @@ def render_interference(summary: Dict[str, Any],
             "writes_per_host": Param(int, 150, "posted writes per host"),
             "device_service_ns": Param(float, 250.0,
                                        "FPGA-side service time")},
-    render=render_interference)
+    render=render_interference,
+    invariants=(
+        ("c2_interference_adds_hundreds_of_ns",
+         interference_adds_hundreds_of_ns),
+        # One-way unloaded must sit near half the ~200 ns RTT.
+        ("c2_unloaded_baseline_sane",
+         lambda s, _p: all(50.0 <= r["oneway_ns"] <= 250.0
+                           for r in s["rows"] if r["hosts"] == 1)),
+        ("c2_contention_monotonic", contention_monotonic),
+    ))
 def run_interference(ctx) -> Dict[str, Any]:
     unloaded = one_way_latency(1, ctx.writes_per_host,
                                ctx.device_service_ns)
@@ -260,7 +311,18 @@ def render_pcie_interleave(summary: Dict[str, Any],
     "C3: 64B read latency under 16KB write interleaving, FIFO vs fair",
     params={"reads": Param(int, 40, "latency-sensitive 64B reads"),
             "bulk_writes": Param(int, 80, "posted 16KB writes")},
-    render=render_pcie_interleave)
+    render=render_pcie_interleave,
+    invariants=(
+        # "Degraded drastically": at least 2x the unloaded latency.
+        ("c3_fifo_interleaving_degrades_small_reads",
+         lambda s, _p: s["cases"]["fifo+16KB"]["mean_ns"]
+         > 2.0 * s["cases"]["alone"]["mean_ns"]),
+        # Fair queueing keeps the 64B mean within ~4x of unloaded.
+        ("c3_fair_queueing_bounds_the_damage",
+         lambda s, _p: s["cases"]["fair+16KB"]["mean_ns"]
+         < min(s["cases"]["fifo+16KB"]["mean_ns"],
+               4.0 * s["cases"]["alone"]["mean_ns"])),
+    ))
 def run_pcie_interleave(ctx) -> Dict[str, Any]:
     cases = {}
     for case, scheduler, with_bulk in PCIE_INTERLEAVE_CASES:
@@ -299,6 +361,14 @@ def dma_latency(nbytes: int) -> float:
     return run_proc(env, go())
 
 
+def gap_closes_with_size(summary: Dict[str, Any],
+                         _params: Dict[str, Any]) -> bool:
+    """Monotone trend: the comm fabric catches up as size grows."""
+    ratios = [r["ratio"]
+              for r in sorted(summary["rows"], key=lambda r: r["size"])]
+    return len(ratios) < 2 or ratios[-1] < ratios[0]
+
+
 def render_sync_vs_async(summary: Dict[str, Any],
                          _params: Dict[str, Any]) -> None:
     rows = [[r["size"], r["fabric_ns"], r["dma_ns"], r["ratio"]]
@@ -313,7 +383,14 @@ def render_sync_vs_async(summary: Dict[str, Any],
     params={"sizes": Param(list, [64, 256, 1024, 4096, 16 * 1024,
                                   64 * 1024],
                            "transfer sizes swept (bytes)")},
-    render=render_sync_vs_async)
+    render=render_sync_vs_async,
+    invariants=(
+        # The fixed taxes dominate at 64B.
+        ("s1_fabric_wins_small_transfers",
+         lambda s, _p: all(r["ratio"] > 1.3
+                           for r in s["rows"] if r["size"] == 64)),
+        ("s1_gap_closes_with_size", gap_closes_with_size),
+    ))
 def run_sync_vs_async(ctx) -> Dict[str, Any]:
     rows = []
     for size in ctx.sizes:
@@ -366,6 +443,26 @@ def overcommit_throughput(overcommit: float, flits: int = 400,
             "max_rx_occupancy": link.max_rx_occupancy}
 
 
+def overcommit_improves_throughput(summary: Dict[str, Any],
+                                   _params: Dict[str, Any]) -> bool:
+    factors = summary["factors"]
+    if "1.0x" not in factors or "2.0x" not in factors:
+        return True
+    return factors["2.0x"]["flits_per_us"] \
+        > 1.2 * factors["1.0x"]["flits_per_us"]
+
+
+def overcommit_costs_occupancy(summary: Dict[str, Any],
+                               _params: Dict[str, Any]) -> bool:
+    """3x overcommit fills more of the receive buffer, but stays
+    bounded by the overcommitted grant."""
+    factors = summary["factors"]
+    if "1.0x" not in factors or "3.0x" not in factors:
+        return True
+    peak = factors["3.0x"]["max_rx_occupancy"]
+    return factors["1.0x"]["max_rx_occupancy"] < peak <= 3 * 8 + 1
+
+
 def render_overcommit(summary: Dict[str, Any],
                       run_params: Dict[str, Any]) -> None:
     rows = [[factor, r["flits_per_us"], r["max_rx_occupancy"]]
@@ -385,7 +482,12 @@ def render_overcommit(summary: Dict[str, Any],
             "flits": Param(int, 400, "flits streamed per factor"),
             "pause_every": Param(int, 16, "receiver pause period"),
             "pause_ns": Param(float, 120.0, "receiver pause length")},
-    render=render_overcommit)
+    render=render_overcommit,
+    invariants=(
+        ("e2_overcommit_improves_bursty_throughput",
+         overcommit_improves_throughput),
+        ("e2_overcommit_costs_buffer_occupancy", overcommit_costs_occupancy),
+    ))
 def run_overcommit(ctx) -> Dict[str, Any]:
     return {"factors": {f"{oc:.1f}x": overcommit_throughput(
         oc, ctx.flits, ctx.pause_every, ctx.pause_ns)
@@ -428,6 +530,17 @@ def stream_striped(ways: int, scan_bytes: int = 256 * 1024,
     return scan_bytes / elapsed_ns   # bytes/ns == GB/s
 
 
+def stripe_scaling_saturates(summary: Dict[str, Any],
+                             _params: Dict[str, Any]) -> bool:
+    """4-way is never worse than 2-way, but the marginal gain shrinks:
+    the shared host link/port becomes the bottleneck."""
+    ways = summary["ways"]
+    if not {"1", "2", "4"} <= set(ways):
+        return True
+    return (ways["4"] >= ways["2"] * 0.95
+            and ways["4"] / ways["2"] < ways["2"] / ways["1"])
+
+
 def render_hdm_interleave(summary: Dict[str, Any],
                           run_params: Dict[str, Any]) -> None:
     results = summary["ways"]
@@ -446,7 +559,13 @@ def render_hdm_interleave(summary: Dict[str, Any],
     params={"ways_list": Param(list, [1, 2, 4], "stripe widths swept"),
             "scan_bytes": Param(int, 256 * 1024, "bytes streamed"),
             "chunk": Param(int, 16 * 1024, "access granularity")},
-    render=render_hdm_interleave)
+    render=render_hdm_interleave,
+    invariants=(
+        ("e3_two_way_beats_single_chassis",
+         lambda s, _p: not {"1", "2"} <= set(s["ways"])
+         or s["ways"]["2"] > 1.2 * s["ways"]["1"]),
+        ("e3_scaling_saturates_at_host_port", stripe_scaling_saturates),
+    ))
 def run_hdm_interleave(ctx) -> Dict[str, Any]:
     return {"ways": {str(ways): stream_striped(ways, ctx.scan_bytes,
                                                ctx.chunk)

@@ -8,7 +8,7 @@ flagged points.  For the starvation scenario it runs both credit
 policies — the pathological ``rampup`` default and the ``fair``
 control — so the registry pins the §3 C5 contrast end to end: the
 quiet-route SLO alert fires at a fixed sim time under RampUpPolicy and
-never fires under StaticEqualPolicy.  Tests and the benchmark harness
+never fires under StaticEqualPolicy.  Tests and the registry invariants
 pin this summary; a model change that moves an alert edge shows up as
 a golden diff, not a silent drift.
 """
@@ -49,6 +49,30 @@ def _case(scenario: str, policy: str, window_ns: float,
             "events_processed": result.env.stats["events_processed"]}
 
 
+#: The golden-pinned alert edge: the quiet burst starts at 12,000 ns
+#: (after six rebalance periods of decay) and the first whole window
+#: containing its stall closes at 14,000 ns.
+ALERT_FIRES_AT_NS = 14_000.0
+
+
+def alert_fires_at_pinned_edge(summary: Dict[str, Any],
+                               _params: Dict[str, Any]) -> bool:
+    """Starvation under RampUpPolicy fires one quiet-route alert, on
+    the pinned edge (other scenarios make no such claim)."""
+    if summary["scenario"] != "starvation":
+        return True
+    alerts = summary["cases"]["rampup"]["alerts"]
+    return ([a["fired_at"] for a in alerts] == [ALERT_FIRES_AT_NS]
+            and alerts[0]["slo"] == "quiet_route_stall")
+
+
+def fair_policy_stays_quiet(summary: Dict[str, Any],
+                            _params: Dict[str, Any]) -> bool:
+    fair = summary["cases"].get("fair")
+    return fair is None or (fair["alerts"] == []
+                            and fair["anomaly_ns"] == [])
+
+
 def render_fabric_health(summary: Dict[str, Any],
                          _params: Dict[str, Any]) -> None:
     rows = []
@@ -75,7 +99,11 @@ def render_fabric_health(summary: Dict[str, Any],
                                "tumbling window width (sim ns)"),
             "interval_ns": Param(float, DEFAULT_INTERVAL_NS,
                                  "sampler cadence (sim ns)")},
-    render=render_fabric_health)
+    render=render_fabric_health,
+    invariants=(
+        ("health_alert_fires_at_the_pinned_edge", alert_fires_at_pinned_edge),
+        ("health_fair_policy_stays_quiet", fair_policy_stays_quiet),
+    ))
 def run_fabric_health(ctx) -> Dict[str, Any]:
     from ...telemetry.health import HealthError
     policies = ("rampup", "fair") if ctx.scenario == "starvation" \

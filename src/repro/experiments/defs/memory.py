@@ -1,8 +1,4 @@
-"""Memory-node experiments: S2 node types, E1 reliability, E4 NR.
-
-Builder logic absorbed from ``bench_node_types.py``,
-``bench_reliability.py`` and ``bench_replication.py``.
-"""
+"""Memory-node experiments: S2 node types, E1 reliability, E4 NR."""
 
 from __future__ import annotations
 
@@ -108,7 +104,23 @@ def render_node_types(summary: Dict[str, Any],
     "S2: sharing round over CPU-less / CC / non-CC NUMA and COMA",
     params={"rounds": Param(int, 30, "write->read rounds"),
             "shared_lines": Param(int, 8, "contended lines")},
-    render=render_node_types)
+    render=render_node_types,
+    invariants=(
+        # CC-NUMA pays snoop round trips the non-coherent nodes skip.
+        ("s2_coherence_costs_latency",
+         lambda s, _p: s["kinds"]["cc-numa"]["mean_ns"]
+         > s["kinds"]["noncc-numa"]["mean_ns"]
+         and s["kinds"]["cc-numa"]["snoops"] > 0
+         and s["kinds"]["cpuless-numa"]["snoops"] == 0),
+        ("s2_noncc_surfaces_conflicts_to_software",
+         lambda s, _p: s["kinds"]["noncc-numa"]["conflicts"] > 0),
+        # Ownership ping-pongs: replica writes take mastership and
+        # invalidate the other node, and reads replicate toward their
+        # users.
+        ("s2_coma_attracts_data",
+         lambda s, _p: s["kinds"]["coma"]["invalidations"] > 0
+         and s["kinds"]["coma"]["replications"] > 0),
+    ))
 def run_node_types(ctx) -> Dict[str, Any]:
     args = (ctx.rounds, ctx.shared_lines)
     return {"kinds": {
@@ -181,6 +193,23 @@ def measure_parity(parity: int, ops: int = 30,
     return run_proc(env, go(), horizon=500_000_000_000)
 
 
+def parity_write_amplification_bounded(summary: Dict[str, Any],
+                                       _params: Dict[str, Any]) -> bool:
+    """Each parity shard adds one RMW: roughly linear, not explosive."""
+    writes = [summary["parity"][p]["write_ns"] for p in ("0", "1", "2")]
+    return writes[0] < writes[1] < writes[2] < 4.0 * writes[0]
+
+
+def degraded_reads_pay_reconstruction(summary: Dict[str, Any],
+                                      _params: Dict[str, Any]) -> bool:
+    """Degraded reads cost more; reconstruction restores the fast
+    path."""
+    protected = summary["parity"]["1"]
+    return (protected["degraded_read_ns"] > protected["read_ns"]
+            and protected["post_rebuild_read_ns"]
+            < protected["degraded_read_ns"])
+
+
 def render_reliability(summary: Dict[str, Any],
                        run_params: Dict[str, Any]) -> None:
     rows = []
@@ -199,7 +228,18 @@ def render_reliability(summary: Dict[str, Any],
     "E1: erasure-coded FAM — write amp, degraded reads, rebuild",
     params={"ops": Param(int, 30, "measured writes/reads"),
             "shard_bytes": Param(int, 64 * 1024, "bytes per shard")},
-    render=render_reliability)
+    render=render_reliability,
+    invariants=(
+        ("e1_parity_write_amplification_bounded",
+         parity_write_amplification_bounded),
+        # The frugal part: healthy reads cost the same regardless of
+        # the code.
+        ("e1_reads_unaffected_by_protection",
+         lambda s, _p: s["parity"]["1"]["read_ns"]
+         < 1.2 * s["parity"]["0"]["read_ns"]),
+        ("e1_degraded_reads_pay_reconstruction",
+         degraded_reads_pay_reconstruction),
+    ))
 def run_reliability(ctx) -> Dict[str, Any]:
     return {"parity": {str(parity): measure_parity(parity, ctx.ops,
                                                    ctx.shard_bytes)
@@ -258,6 +298,17 @@ def run_nr_mode(mode: str, read_fraction: float, ops: int = 120,
     return run_proc(env, go(), horizon=500_000_000_000)
 
 
+def advantage_grows(summary: Dict[str, Any],
+                    _params: Dict[str, Any]) -> bool:
+    """Direct / replicated grows from the lowest read fraction to the
+    highest."""
+    fractions = sorted(summary["fractions"].items(),
+                       key=lambda item: float(item[0]))
+    speedups = [by_mode["direct"] / by_mode["replicated"]
+                for _fraction, by_mode in fractions]
+    return len(speedups) < 2 or speedups[-1] > speedups[0]
+
+
 def render_replication(summary: Dict[str, Any],
                        _params: Dict[str, Any]) -> None:
     rows = []
@@ -279,7 +330,15 @@ def render_replication(summary: Dict[str, Any],
                                      "lines per direct traversal"),
             "read_fractions": Param(list, [0.5, 0.9, 0.99],
                                     "read fractions swept")},
-    render=render_replication)
+    render=render_replication,
+    invariants=(
+        ("e4_replication_wins_read_mostly",
+         lambda s, _p: all(by_mode["replicated"] < by_mode["direct"]
+                           for fraction, by_mode
+                           in s["fractions"].items()
+                           if float(fraction) == 0.99)),
+        ("e4_advantage_grows_with_read_fraction", advantage_grows),
+    ))
 def run_replication(ctx) -> Dict[str, Any]:
     return {"fractions": {
         str(fraction): {mode: run_nr_mode(mode, fraction, ctx.ops,

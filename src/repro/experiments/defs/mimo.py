@@ -1,7 +1,6 @@
 """CS: the section 5 case study — MIMO baseband over UniFabric.
 
-Builder logic absorbed from ``bench_case_study_mimo.py``.  The real
-uplink DSP (numpy) runs once for FLOP counts and a bit-exactness
+The real uplink DSP (numpy) runs once for FLOP counts and a bit-exactness
 check; the three deployments then replay those costs on the simulated
 rack.
 """
@@ -137,7 +136,17 @@ def render_case_study_mimo(summary: Dict[str, Any],
             "subcarriers": Param(int, 64, "OFDM subcarriers"),
             "data_symbols": Param(int, 4, "data symbols per frame"),
             "snr_db": Param(float, 25.0, "channel SNR")},
-    render=render_case_study_mimo)
+    render=render_case_study_mimo,
+    invariants=(
+        ("cs_naive_remote_is_the_worst",
+         lambda s, _p: s["modes"]["naive-remote"]
+         > max(s["modes"]["all-local"], s["modes"]["unifabric"])),
+        # Staging + FAA speedup: within 1.5x of the monolithic
+        # appliance (and usually ahead thanks to the accelerator).
+        ("cs_unifabric_close_to_or_better_than_local",
+         lambda s, _p: s["modes"]["unifabric"]
+         < 1.5 * s["modes"]["all-local"]),
+    ))
 def run_case_study_mimo(ctx) -> Dict[str, Any]:
     from ...workloads.mimo import MimoConfig
     config = MimoConfig(antennas=ctx.antennas, users=ctx.users,

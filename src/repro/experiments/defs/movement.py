@@ -1,9 +1,4 @@
-"""Data-placement ablations: A1/A2/A3, graph far memory, S3 launch.
-
-Builder logic absorbed from ``bench_dp1_movement.py``,
-``bench_dp2_heap.py``, ``bench_dp3_idempotent.py``,
-``bench_graph_far_memory.py`` and ``bench_context_switch.py``.
-"""
+"""Data-placement ablations: A1/A2/A3, graph far memory, S3 launch."""
 
 from __future__ import annotations
 
@@ -93,7 +88,15 @@ def render_dp1_movement(summary: Dict[str, Any],
     "A1: managed data movement vs naive-sync vs prefetch",
     params={"lines": Param(int, 512, "64B lines in the working set"),
             "scans": Param(int, 4, "compute-loop passes")},
-    render=render_dp1_movement)
+    render=render_dp1_movement,
+    invariants=(
+        ("a1_prefetch_beats_naive_sync",
+         lambda s, _p: s["modes"]["prefetch"] < s["modes"]["naive-sync"]),
+        # With scans of reuse, staging via the migration agent beats
+        # naive sync.
+        ("a1_managed_movement_wins_on_reuse",
+         lambda s, _p: s["modes"]["managed"] < s["modes"]["naive-sync"]),
+    ))
 def run_dp1_movement(ctx) -> Dict[str, Any]:
     return {"modes": {mode: run_movement_case(mode, ctx.lines, ctx.scans)
                       for mode in ("naive-sync", "prefetch", "managed")}}
@@ -182,7 +185,15 @@ def render_dp2_heap(summary: Dict[str, Any],
             "accesses": Param(int, 1500, "measured accesses"),
             "local_bin_bytes": Param(int, 96 * 1024,
                                      "local-bin capacity")},
-    render=render_dp2_heap)
+    render=render_dp2_heap,
+    invariants=(
+        ("a2_unified_heap_beats_static_placement",
+         lambda s, _p: s["modes"]["unified"]["mean_ns"]
+         < s["modes"]["static-first"]["mean_ns"] / 1.5),
+        # The last third of accesses: migration has converged.
+        ("a2_unified_tail_converges_to_local",
+         lambda s, _p: s["modes"]["unified"]["tail_mean_ns"] < 400.0),
+    ))
 def run_dp2_heap(ctx) -> Dict[str, Any]:
     modes = {}
     for mode in ("static-first", "static-rr", "unified"):
@@ -234,6 +245,32 @@ def run_failure_case(recovery: str, rate: float, seed: int = 5,
             "failures": result.failures}
 
 
+def failing_rates(summary: Dict[str, Any]) -> List[Dict[str, dict]]:
+    """Per-recovery rows at every failure rate > 0, lowest rate first."""
+    rates = sorted(summary["rates"].items(),
+                   key=lambda item: float(item[0]))
+    return [by_mode for rate, by_mode in rates if float(rate) > 0]
+
+
+def idempotent_wastes_less(summary: Dict[str, Any],
+                           _params: Dict[str, Any]) -> bool:
+    """Replays no more ops than restart at every rate > 0, and wastes
+    less at the top rate."""
+    rows = failing_rates(summary)
+    return not rows or (
+        all(r["idempotent"]["replayed_ops"] <= r["restart"]["replayed_ops"]
+            for r in rows)
+        and rows[-1]["idempotent"]["waste"] < rows[-1]["restart"]["waste"])
+
+
+def restart_gap_widens(summary: Dict[str, Any],
+                       _params: Dict[str, Any]) -> bool:
+    """Restart's slowdown over idempotent replay grows with the rate."""
+    gaps = [r["restart"]["completion_us"] / r["idempotent"]["completion_us"]
+            for r in failing_rates(summary)]
+    return len(gaps) < 2 or gaps[-1] > gaps[0]
+
+
 def render_dp3_idempotent(summary: Dict[str, Any],
                           run_params: Dict[str, Any]) -> None:
     rows: List[list] = []
@@ -258,7 +295,16 @@ def render_dp3_idempotent(summary: Dict[str, Any],
             "rates": Param(list, [0.0, 0.01, 0.02, 0.05],
                            "failure rates swept"),
             "failure_seed": Param(int, 5, "failure-injector seed")},
-    render=render_dp3_idempotent)
+    render=render_dp3_idempotent,
+    invariants=(
+        ("a3_idempotent_wastes_less_at_every_rate", idempotent_wastes_less),
+        ("a3_gap_widens_with_failure_rate", restart_gap_widens),
+        ("a3_zero_failures_costs_nothing_extra",
+         lambda s, _p: all(r["replayed_ops"] == 0
+                           for rate, by_mode in s["rates"].items()
+                           if float(rate) == 0.0
+                           for r in by_mode.values())),
+    ))
 def run_dp3_idempotent(ctx) -> Dict[str, Any]:
     rates = {}
     for rate in ctx.rates:
@@ -337,7 +383,15 @@ def render_graph_far_memory(summary: Dict[str, Any],
     params={"vertices": Param(int, 96, "graph vertices"),
             "avg_degree": Param(float, 3.0, "average out-degree"),
             "traversals": Param(int, 4, "BFS passes")},
-    render=render_graph_far_memory)
+    render=render_graph_far_memory,
+    invariants=(
+        ("e5_first_remote_traversal_pays_fabric_latency",
+         lambda s, _p: s["modes"]["remote"][0]
+         > 2 * s["modes"]["local"][0]),
+        ("e5_unified_heap_converges_toward_local",
+         lambda s, _p: s["modes"]["unified+runtime"][-1]
+         < min(s["modes"]["remote"][-1], 3 * s["modes"]["local"][-1])),
+    ))
 def run_graph_far_memory(ctx) -> Dict[str, Any]:
     return {"modes": {mode: run_graph_mode(mode, ctx.vertices,
                                            ctx.avg_degree,
@@ -439,7 +493,15 @@ def render_context_switch(summary: Dict[str, Any],
     params={"context_bytes": Param(int, 4096, "context per launch"),
             "launches": Param(int, 20, "measured launches"),
             "kernel_ns": Param(float, 0.0, "kernel compute time")},
-    render=render_context_switch)
+    render=render_context_switch,
+    invariants=(
+        ("s3_fabric_launch_much_cheaper",
+         lambda s, _p: s["paths"]["fabric (FAA call)"]
+         < s["paths"]["comm-fabric (NIC)"] / 2),
+        ("s3_scalable_function_comparable_to_raw_call",
+         lambda s, _p: s["paths"]["fabric (scalable fn)"]
+         < 2 * s["paths"]["fabric (FAA call)"]),
+    ))
 def run_context_switch(ctx) -> Dict[str, Any]:
     args = (ctx.context_bytes, ctx.launches, ctx.kernel_ns)
     return {"paths": {

@@ -1,9 +1,4 @@
-"""Experiments T1/T2/F1: the paper's tables and Figure 1 rack.
-
-Builder logic absorbed from ``benchmarks/bench_table1_catalog.py``,
-``bench_table2_hierarchy.py`` and ``bench_fig1_composition.py``; the
-benchmark scripts are thin wrappers over these registrations.
-"""
+"""Experiments T1/T2/F1: the paper's tables and Figure 1 rack."""
 
 from __future__ import annotations
 
@@ -14,7 +9,7 @@ from ...fabric import CATALOG, Channel, Packet, PacketKind, format_table1
 from ...infra import ClusterSpec, FaaSpec, FamSpec, build_cluster
 from ...sim import Environment, run_proc
 from ..format import print_table
-from ..registry import Param, experiment
+from ..registry import ExperimentError, Param, experiment
 
 #: outstanding-op window per measured level (fitted; see EXPERIMENTS.md)
 WINDOWS = {"l1": 2, "l2": 2, "local": 3, "local_wr": 2, "remote": 4}
@@ -75,6 +70,34 @@ def _paper_latency(level: str, op: str) -> float:
     }[(level, op)]
 
 
+def table2_rows(summary: Dict[str, Any]) -> Dict[tuple, dict]:
+    return {(r["level"], r["op"]): r for r in summary["rows"]}
+
+
+def read_latencies_match_paper(summary: Dict[str, Any],
+                               _params: Dict[str, Any]) -> bool:
+    """Every read row within 5% of the paper's latency."""
+    return all(abs(r["latency_ns"] - r["paper_latency_ns"])
+               <= 0.05 * r["paper_latency_ns"]
+               for r in summary["rows"] if r["op"] == "read")
+
+
+def remote_local_ratio(summary: Dict[str, Any],
+                       _params: Dict[str, Any]) -> bool:
+    """C1: remote ~10x slower than local, latency and throughput."""
+    rows = table2_rows(summary)
+    local, remote = rows["local", "read"], rows["remote", "read"]
+    return (10.0 <= remote["latency_ns"] / local["latency_ns"] <= 20.0
+            and 8.0 <= local["mops"] / remote["mops"] <= 15.0)
+
+
+def l1_fastest(summary: Dict[str, Any],
+               _params: Dict[str, Any]) -> bool:
+    rows = table2_rows(summary)
+    return rows["l1", "read"]["latency_ns"] \
+        < rows["local", "read"]["latency_ns"]
+
+
 def render_table2(summary: Dict[str, Any],
                   _params: Dict[str, Any]) -> None:
     rows = []
@@ -93,8 +116,21 @@ def render_table2(summary: Dict[str, Any],
     "table2_hierarchy",
     "Table 2 (+C1): hierarchy latency/MOPS, one core streaming 64B ops",
     params={"ops": Param(int, 400, "measured ops per level")},
-    render=render_table2)
+    render=render_table2,
+    invariants=(
+        ("table2_read_latencies", read_latencies_match_paper),
+        ("table2_mops_within_15pct_of_paper",
+         lambda s, _p: all(abs(r["mops"] - r["paper_mops"])
+                           / r["paper_mops"] < 0.15 for r in s["rows"])),
+        ("c1_remote_local_ratio", remote_local_ratio),
+        ("t2_l1_fastest", l1_fastest),
+    ))
 def run_table2(ctx) -> Dict[str, Any]:
+    if ctx.ops < 2:
+        # MOPS is a rate between completions: one op has none.
+        raise ExperimentError(
+            f"parameter 'ops' must be >= 2 for a MOPS rate, "
+            f"got {ctx.ops}")
     rows = []
     for level, is_write in TABLE2_ROWS:
         measured = measure_level(level, is_write, ops=ctx.ops)
@@ -143,7 +179,11 @@ def render_fig1(summary: Dict[str, Any],
     params={"hosts": Param(int, 2, "host servers in the rack"),
             "fam_modules": Param(int, 6, "rDIMM modules in the FAM"),
             "faa_accelerators": Param(int, 8, "accelerators in the FAA")},
-    render=render_fig1)
+    render=render_fig1,
+    invariants=(
+        ("fig1_all_hosts_reach_all_devices",
+         lambda s, _p: s["all_hosts_reach_fam"]),
+    ))
 def run_fig1(ctx) -> Dict[str, Any]:
     env = Environment()
     cluster = build_fig1(env, hosts=ctx.hosts,

@@ -13,7 +13,9 @@ spine.  Per-class fair queueing contains the spread.
 Because the fabric comes from a descriptor, the ``topology`` parameter
 is a sweep axis: any committed shape or generator call
 (``fat_tree:pods=2,leaves=3``) with at least two hosts and two devices
-reproduces the table at its own scale.
+runs the table at its own scale, and the two starvation invariants
+report whether the claim holds there (EXPERIMENTS.md lists the
+per-shape results).
 
 The ``feedback`` knob adds a fourth, closed-loop case: the FIFO fabric
 runs under the health monitor, and a
@@ -41,6 +43,7 @@ from ...topo import (
 )
 from ..format import print_table
 from ..registry import ExperimentError, Param, experiment
+from .cfc import fair_contains_spread, spread_to_victim
 
 _SLOW_DEVICE_NS = 500.0
 _FAST_DEVICE_NS = 10.0
@@ -247,7 +250,15 @@ def render_xswitch_starvation(summary: Dict[str, Any],
             "feedback": Param(str, "off",
                               "closed-loop rescue case: off, default, "
                               "or a feedback-policy JSON path")},
-    render=render_xswitch_starvation)
+    render=render_xswitch_starvation,
+    invariants=(
+        # Victim and flood share only the spine-to-spine hop; the
+        # victim still suffers a multiple of its quiet latency.
+        ("xswitch_congestion_crosses_the_interpod_link",
+         lambda s, _p: spread_to_victim(s, 3.0)),
+        ("xswitch_fair_queueing_contains_the_spread",
+         lambda s, _p: fair_contains_spread(s, 1.5)),
+    ))
 def run_xswitch_starvation(ctx) -> Dict[str, Any]:
     try:
         descriptor = resolve_topology(ctx.topology)

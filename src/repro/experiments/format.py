@@ -1,8 +1,7 @@
-"""Table formatting shared by experiment renderers and benchmark CLIs.
+"""Table formatting shared by the experiment renderers.
 
-Moved here from ``benchmarks/_common.py`` so registry renderers and
-the standalone benchmark scripts print through one code path (the
-golden-output tests pin them to byte-identical tables).
+Every ``repro bench`` table prints through here; the golden-output
+tests pin them to byte-identical tables.
 """
 
 from __future__ import annotations

@@ -2,13 +2,19 @@
 
 An :class:`ExperimentDef` is the declarative description of one
 experiment: a name, a one-line description, a typed parameter schema
-(defaults included), the set of output documents it can produce, and
-the function that runs it.  Definitions live in
-:mod:`repro.experiments.defs` and register themselves at import time
-via the :func:`experiment` decorator; everything else — the benchmark
-CLIs in ``benchmarks/``, ``repro bench``/``repro list``, the sweep
+(defaults included), the set of output documents it can produce, the
+function that runs it, and the paper-shape invariants its summary must
+satisfy.  Definitions live in :mod:`repro.experiments.defs` and
+register themselves at import time via the :func:`experiment`
+decorator; everything else — ``repro bench``/``repro list``, the sweep
 driver, the telemetry scenario commands — resolves experiments through
 this registry instead of hard-coding builders.
+
+An invariant is a ``(name, predicate)`` pair; ``predicate(summary,
+params)`` returns whether the paper's claim holds on that run.  A
+predicate reads only the rows the summary has (a parameter point that
+lacks a row is not a break); one that raises a lookup, type, value or
+arithmetic error counts as broken.
 
 Two kinds exist:
 
@@ -23,9 +29,10 @@ Two kinds exist:
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
-__all__ = ["Param", "ExperimentDef", "ExperimentError",
+__all__ = ["Param", "Invariant", "ExperimentDef", "ExperimentError",
            "UnknownExperimentError", "experiment", "register", "get",
            "names", "describe"]
 
@@ -98,10 +105,14 @@ OUTPUT_METRICS = "metrics"
 OUTPUT_ATTRIBUTION = "attribution"
 ALL_OUTPUTS = (OUTPUT_SUMMARY, OUTPUT_METRICS, OUTPUT_ATTRIBUTION)
 
+#: ``(name, predicate(summary, params) -> bool)``: one paper-shape claim.
+Invariant = Tuple[str, Callable[[Dict[str, Any], Dict[str, Any]], bool]]
+
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentDef:
-    """A registered experiment: schema + run function + renderer."""
+    """A registered experiment: schema + run function + renderer +
+    paper-shape invariants."""
 
     name: str
     description: str
@@ -112,6 +123,7 @@ class ExperimentDef:
     scenario_build: Optional[Callable[..., Dict[str, Any]]] = None
     render: Optional[Callable[[Dict[str, Any], Dict[str, Any]],
                               None]] = None
+    invariants: Tuple[Invariant, ...] = ()
 
     def defaults(self) -> Dict[str, Any]:
         return {name: param.default
@@ -131,6 +143,19 @@ class ExperimentDef:
             resolved[key] = self.params[key].coerce(key, value)
         return {key: resolved[key] for key in sorted(resolved)}
 
+    def check(self, summary: Dict[str, Any],
+              params: Dict[str, Any]) -> Dict[str, bool]:
+        """Each invariant's verdict on one run, in declaration order."""
+        verdicts = {}
+        for name, predicate in self.invariants:
+            try:
+                verdicts[name] = bool(predicate(summary, params))
+            except (ArithmeticError, LookupError, TypeError, ValueError):
+                # A summary without the values the claim reads (or
+                # with a zero it divides by) breaks it.
+                verdicts[name] = False
+        return verdicts
+
 
 _REGISTRY: Dict[str, ExperimentDef] = {}
 
@@ -143,18 +168,24 @@ def register(defn: ExperimentDef) -> ExperimentDef:
     if bad:
         raise ExperimentError(
             f"experiment {defn.name!r} declares unknown outputs {bad}")
+    names_seen = [name for name, _predicate in defn.invariants]
+    if len(set(names_seen)) != len(names_seen):
+        raise ExperimentError(
+            f"experiment {defn.name!r} declares an invariant twice")
     _REGISTRY[defn.name] = defn
     return defn
 
 
 def experiment(name: str, description: str,
                params: Optional[Mapping[str, Param]] = None,
-               render: Optional[Callable] = None):
+               render: Optional[Callable] = None,
+               invariants: Sequence[Invariant] = ()):
     """Decorator: register a bench-kind experiment run function."""
     def wrap(fn: Callable[..., Dict[str, Any]]):
         register(ExperimentDef(name=name, description=description,
                                run=fn, params=dict(params or {}),
-                               render=render))
+                               render=render,
+                               invariants=tuple(invariants)))
         return fn
     return wrap
 

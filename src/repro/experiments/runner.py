@@ -1,7 +1,9 @@
 """Run one :class:`ExperimentSpec` and produce its result document.
 
 The result is schema-stable JSON: the resolved parameters (defaults
-filled in), the seed, and one entry per requested output.  Bench-kind
+filled in), the seed, one entry per requested output, and the verdict
+of every registered paper-shape invariant on the summary
+(``"invariants": {name: bool}``).  Bench-kind
 experiments return their summary; scenario-kind experiments run
 through the telemetry scenario engine, attaching telemetry / causal
 tracing only when ``metrics`` / ``attribution`` were asked for (the
@@ -82,7 +84,8 @@ def run_experiment(spec: ExperimentSpec) -> Dict[str, Any]:
             "experiment": defn.name,
             "params": params,
             "seed": spec.seed,
-            "outputs": outputs}
+            "outputs": outputs,
+            "invariants": defn.check(outputs["summary"], params)}
 
 
 def run_summary(name: str, seed: int = 0, **params: Any) \

@@ -16,6 +16,10 @@ Determinism contract:
 * the merged report is assembled from point files in index order and
   contains nothing volatile (no wall-clock, no worker identity) — the
   same spec merges byte-identically at any ``--workers`` value.
+
+Every merged point carries the experiment's invariant verdicts
+(``"invariants": {name: bool}``).  A point that breaks one is a
+finding, reported on the progress stream, not a failed sweep.
 """
 
 from __future__ import annotations
@@ -197,7 +201,8 @@ def _point_file_valid(path: str, fingerprint: str, index: int) -> bool:
             and payload.get("fingerprint") == fingerprint
             and payload.get("index") == index
             and isinstance(payload.get("result"), dict)
-            and payload["result"].get("schema") == RESULT_SCHEMA)
+            and payload["result"].get("schema") == RESULT_SCHEMA
+            and isinstance(payload["result"].get("invariants"), dict))
 
 
 # --------------------------------------------------------------------------
@@ -256,6 +261,12 @@ def run_sweep(sweep: SweepSpec, out_dir: str, workers: int = 1,
                     say(f"  point {index:04d} done")
 
     merged = merge_sweep(sweep, out_dir)
+    for point in merged["points"]:
+        broken = [name for name, holds in point["invariants"].items()
+                  if not holds]
+        if broken:
+            say(f"  point {point['index']:04d} {point['point']} breaks: "
+                f"{', '.join(broken)}")
     _atomic_write_json(os.path.join(out_dir, MERGED_NAME), merged)
     say(f"merged report: {os.path.join(out_dir, MERGED_NAME)}")
     return merged
@@ -282,7 +293,8 @@ def merge_sweep(sweep: SweepSpec, out_dir: str) -> Dict[str, Any]:
                               "point": payload["point"],
                               "params": result["params"],
                               "seed": result["seed"],
-                              "outputs": result["outputs"]})
+                              "outputs": result["outputs"],
+                              "invariants": result["invariants"]})
     return {"schema": SWEEP_SCHEMA,
             "tool": SWEEP_TOOL,
             "fingerprint": fingerprint,
@@ -334,3 +346,8 @@ def validate_sweep_report(report: Any) -> None:
                   f"point {position} missing {key}")
         check(OUTPUT_SUMMARY in point["outputs"],
               f"point {position} missing summary output")
+        verdicts = point.get("invariants")
+        check(isinstance(verdicts, dict)
+              and all(isinstance(name, str) and isinstance(holds, bool)
+                      for name, holds in verdicts.items()),
+              f"point {position} invariants must map name to bool")

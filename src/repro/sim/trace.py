@@ -110,10 +110,14 @@ class StatSeries:
 
     @property
     def minimum(self) -> float:
+        if not self.samples:
+            raise ValueError(f"no samples in series {self.name!r}")
         return min(self.samples)
 
     @property
     def maximum(self) -> float:
+        if not self.samples:
+            raise ValueError(f"no samples in series {self.name!r}")
         return max(self.samples)
 
     @property
@@ -144,13 +148,16 @@ class StatSeries:
         return self.percentile(99)
 
     def rate_per_ns(self) -> float:
-        """Completions per nanosecond over the sampled interval."""
-        if self.first_time is None or self.last_time is None:
-            raise ValueError("series has no timestamps")
+        """Completions per nanosecond over the sampled interval.
+
+        Needs two timestamped samples at distinct times; raises
+        :class:`ValueError` naming the series otherwise."""
+        if self.first_time is None or self.last_time <= self.first_time:
+            raise ValueError(
+                f"series {self.name!r} needs two timestamped samples "
+                f"at distinct times for a rate")
         span = self.last_time - self.first_time
-        if span <= 0:
-            return float("inf")
-        return (len(self.samples) - 1) / span if len(self.samples) > 1 else 0.0
+        return (len(self.samples) - 1) / span
 
     def mops(self) -> float:
         """Million operations per second (time unit: nanoseconds)."""

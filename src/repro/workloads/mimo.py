@@ -9,8 +9,9 @@ compute time on hosts or FAAs.
 
 ``UplinkPipeline.process`` is pure computation (unit-testable end to
 end: transmitted bits == decoded bits at reasonable SNR).  The
-simulation-facing wrappers in the benchmarks place frames in the
-unified heap and run kernels as idempotent tasks / scalable functions.
+simulation-facing side (the ``case_study_mimo`` experiment) places
+frames in the unified heap and runs kernels as idempotent tasks /
+scalable functions.
 """
 
 from __future__ import annotations

@@ -204,6 +204,20 @@ class TestListCli:
                                 "params", "outputs"}
 
 
+@pytest.fixture
+def broken_experiment():
+    """A throwaway experiment whose second invariant never holds."""
+    from repro.experiments import ExperimentDef, register, registry
+    name = "test_only_broken_invariant"
+    register(ExperimentDef(
+        name=name, description="test only", params={},
+        run=lambda _ctx: {"answer": 42},
+        invariants=(("always_holds", lambda s, _p: s["answer"] == 42),
+                    ("never_holds", lambda s, _p: s["answer"] == 0))))
+    yield name
+    del registry._REGISTRY[name]
+
+
 class TestBenchCli:
     def test_bench_prints_table(self, capsys):
         assert main(["bench", "flit_rtt", "--set", "max_hops=1",
@@ -220,6 +234,30 @@ class TestBenchCli:
         assert payload["tool"] == "repro-experiments"
         assert payload["params"]["max_hops"] == 1
         assert payload["outputs"]["summary"]["rows"]
+
+    @pytest.mark.parametrize("ops", ["0", "1"])
+    def test_bench_table2_rejects_too_few_ops(self, ops, capsys):
+        assert main(["bench", "table2_hierarchy", "--set", f"ops={ops}",
+                     "--json"]) == 2
+        captured = capsys.readouterr()
+        assert "parameter 'ops' must be >= 2" in captured.err
+        assert "Infinity" not in captured.out
+
+    def test_bench_broken_invariant_exits_one(self, broken_experiment,
+                                              capsys):
+        assert main(["bench", broken_experiment]) == 1
+        captured = capsys.readouterr()
+        assert f"{broken_experiment}.never_holds" in captured.err
+        assert f"{broken_experiment}.always_holds" not in captured.err
+        assert '"answer": 42' in captured.out   # still printed
+
+    def test_bench_json_carries_invariant_verdicts(self,
+                                                   broken_experiment,
+                                                   capsys):
+        assert main(["bench", broken_experiment, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["invariants"] == {"always_holds": True,
+                                         "never_holds": False}
 
     def test_bench_unknown_experiment_exits_two(self, capsys):
         assert main(["bench", "nope"]) == 2

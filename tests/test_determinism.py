@@ -9,15 +9,11 @@ trace draws did not change scheduling semantics: any divergence in
 different event count here.
 """
 
-import os
-import sys
-
 import pytest
 
+from repro.experiments import run_summary
+from repro.experiments.defs.fabric import one_way_latency
 from repro.sim import total_events_processed
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
-                                "benchmarks"))
 
 
 def _counted(fn, *args):
@@ -28,8 +24,6 @@ def _counted(fn, *args):
 
 @pytest.mark.parametrize("hosts", [1, 8])
 def test_c2_interference_bit_identical(hosts):
-    from bench_pcie_interference import one_way_latency
-
     first, events_first = _counted(one_way_latency, hosts)
     second, events_second = _counted(one_way_latency, hosts)
     assert first == second
@@ -50,8 +44,6 @@ def test_a1_movement_bit_identical(mode):
 
 def test_c2_sweep_matches_recorded_shape():
     """The full sweep is self-consistent run to run (MOPS-row guard)."""
-    from bench_pcie_interference import sweep
-
-    rows_first = sweep()
-    rows_second = sweep()
+    rows_first = run_summary("pcie_interference")["rows"]
+    rows_second = run_summary("pcie_interference")["rows"]
     assert rows_first == rows_second

@@ -54,6 +54,39 @@ class TestRegistry:
                 assert set(param) == {"type", "default", "help"}
 
 
+class TestInvariants:
+    @staticmethod
+    def _defn(*invariants):
+        return registry.ExperimentDef(
+            name="test_only", description="test only", run=None,
+            params={}, invariants=invariants)
+
+    def test_predicate_that_raises_is_a_break(self):
+        defn = self._defn(("holds", lambda s, _p: s["x"] == 1),
+                          ("raises", lambda s, _p: s["missing"] > 0))
+        assert defn.check({"x": 1}, {}) == {"holds": True,
+                                            "raises": False}
+
+    def test_duplicate_invariant_names_rejected(self):
+        defn = self._defn(("same", lambda s, _p: True),
+                          ("same", lambda s, _p: True))
+        with pytest.raises(ExperimentError, match="invariant twice"):
+            registry.register(defn)
+        assert "test_only" not in registry.names()
+
+    def test_missing_row_is_not_a_break(self):
+        # One hop only: no 2-hop row for the switch-crossing claim.
+        result = run_experiment(ExperimentSpec(
+            experiment="flit_rtt", params={"max_hops": 1, "pings": 2}))
+        assert result["invariants"] == {
+            "c4_unloaded_rtt_near_200ns": True,
+            "c4_switch_port_latency_below_100ns": True}
+
+    def test_scenarios_report_an_empty_map(self):
+        result = run_experiment(ExperimentSpec(experiment="t2"))
+        assert result["invariants"] == {}
+
+
 class TestParam:
     def test_int_widens_to_float(self):
         assert Param(float, 1.0).coerce("x", 3) == 3.0

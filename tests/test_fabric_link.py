@@ -72,6 +72,12 @@ class TestPhysicalLayer:
 
 
 class TestBifurcate:
+    def test_c4_port_bandwidth_target(self):
+        """An x16 @ 64GT/s port carries 1024 Gbit/s raw, above the 512
+        Gbit/s FabreX figure; a bifurcated x8 matches it."""
+        x8 = params.LinkParams(lanes=8).bytes_per_ns * 8
+        assert x8 == pytest.approx(params.SWITCH_PORT_BANDWIDTH_GBPS)
+
     def test_x16_splits_into_4_x4(self):
         children = bifurcate(params.LinkParams(lanes=16, credits=32), 4)
         assert len(children) == 4

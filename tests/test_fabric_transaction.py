@@ -328,6 +328,12 @@ class TestCatalog:
         merged = {s.interconnect for s in CATALOG if s.merged_into_cxl}
         assert merged == {"Gen-Z", "CAPI/OpenCAPI"}
 
+    def test_cxl_row(self):
+        cxl = next(s for s in CATALOG if s.interconnect == "CXL")
+        assert cxl.specifications == ("CXL 1.0", "CXL 1.1", "CXL 2.0",
+                                      "CXL 3.0")
+        assert "Omega Fabric" in cxl.product_demonstrations
+
     def test_format_table1_renders(self):
         text = format_table1()
         assert "CXL" in text and "Gen-Z" in text

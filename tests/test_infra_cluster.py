@@ -40,6 +40,21 @@ class TestClusterBuild:
         text = cluster.describe()
         assert "host0" in text and "fam0" in text and "faa0" in text
 
+    def test_fig1_inventory(self):
+        from repro.experiments.defs.tables import build_fig1
+        cluster = build_fig1(Environment())
+        # Figure 1(b): hosts with FHAs and local DIMMs...
+        assert len(cluster.hosts) == 2
+        for host in cluster.hosts.values():
+            assert host.fha is not None
+            assert not host.address_map.regions()[0].is_remote
+        # ...a FAM chassis modelled after Omega's six E3.S modules...
+        assert len(cluster.fam("fam0").modules) == 6
+        # ...an FAA chassis modelled after Fabrex's eight accelerators...
+        assert len(cluster.faa("faa0").accelerators) == 8
+        # ...one switch whose ports cover every endpoint.
+        assert cluster.topology.switches["sw0"].port_count() == 4
+
     def test_invalid_hosts(self):
         env = Environment()
         with pytest.raises(ValueError):

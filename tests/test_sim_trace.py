@@ -92,6 +92,27 @@ class TestStatSeries:
         with pytest.raises(ValueError):
             series.rate_per_ns()
 
+    def test_rate_of_one_timestamped_sample_names_the_series(self):
+        series = StatSeries("host0.core0.lat")
+        series.add(5.0, time=100.0)
+        with pytest.raises(ValueError, match="'host0.core0.lat'"):
+            series.rate_per_ns()
+        with pytest.raises(ValueError, match="'host0.core0.lat'"):
+            series.mops()
+
+    def test_rate_of_samples_at_one_instant_raises(self):
+        series = StatSeries("burst")
+        series.add(5.0, time=100.0)
+        series.add(6.0, time=100.0)
+        with pytest.raises(ValueError, match="'burst'"):
+            series.rate_per_ns()
+
+    @pytest.mark.parametrize("stat", ["minimum", "maximum"])
+    def test_empty_min_max_name_the_series(self, stat):
+        with pytest.raises(ValueError,
+                           match="no samples in series 'lat'"):
+            getattr(StatSeries("lat"), stat)
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False), min_size=1, max_size=50))

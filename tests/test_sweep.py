@@ -131,12 +131,66 @@ class TestRunSweep:
         (out / "points" / "point-0000.json").write_text("{truncated")
         assert run_sweep(sweep, str(out), workers=1) == full
 
+    def test_point_file_without_verdicts_is_recomputed(self, tmp_path):
+        sweep = SweepSpec.from_dict(SPEC)
+        out = tmp_path / "sweep"
+        full = run_sweep(sweep, str(out), workers=1)
+        path = out / "points" / "point-0000.json"
+        payload = json.loads(path.read_text())
+        del payload["result"]["invariants"]
+        path.write_text(json.dumps(payload))
+        assert run_sweep(sweep, str(out), workers=1) == full
+
     def test_conflicting_out_dir_refused(self, tmp_path):
         out = tmp_path / "sweep"
         run_sweep(SweepSpec.from_dict(SPEC), str(out), workers=1)
         other = SweepSpec.from_dict(dict(SPEC, seed=4))
         with pytest.raises(SweepConflictError):
             run_sweep(other, str(out), workers=1)
+
+    def test_every_point_carries_invariant_verdicts(self, tmp_path):
+        report = run_sweep(SweepSpec.from_dict(SPEC),
+                           str(tmp_path / "sweep"), workers=1)
+        for point in report["points"]:
+            assert point["invariants"] == {
+                "c4_unloaded_rtt_near_200ns": True,
+                "c4_switch_port_latency_below_100ns": True}
+
+    def test_broken_invariant_is_a_finding_not_a_failure(self, tmp_path):
+        from repro.experiments import ExperimentDef, Param, register, \
+            registry
+        register(ExperimentDef(
+            name="test_only_sweep", description="test only",
+            params={"x": Param(int, 0)},
+            run=lambda ctx: {"x": ctx.x},
+            invariants=(("x_is_even", lambda s, _p: s["x"] % 2 == 0),)))
+        try:
+            lines = []
+            report = run_sweep(SweepSpec.from_dict(
+                {"experiment": "test_only_sweep",
+                 "sweep": {"x": [2, 3]}}),
+                str(tmp_path / "sweep"), workers=1,
+                progress=lines.append)
+        finally:
+            del registry._REGISTRY["test_only_sweep"]
+        assert [p["invariants"] for p in report["points"]] == [
+            {"x_is_even": True}, {"x_is_even": False}]
+        assert any("point 0001 {'x': 3} breaks: x_is_even" in line
+                   for line in lines)
+
+    @pytest.mark.parametrize("verdicts", [None, [], {"c4": 1},
+                                          {"c4": "true"}])
+    def test_report_validation_requires_invariant_map(self, tmp_path,
+                                                      verdicts):
+        report = run_sweep(SweepSpec.from_dict(SPEC),
+                           str(tmp_path / "sweep"), workers=1)
+        broken = json.loads(json.dumps(report))
+        if verdicts is None:
+            del broken["points"][1]["invariants"]
+        else:
+            broken["points"][1]["invariants"] = verdicts
+        with pytest.raises(ValueError, match="point 1 invariants"):
+            validate_sweep_report(broken)
 
     def test_report_validation_catches_drift(self, tmp_path):
         out = tmp_path / "sweep"
