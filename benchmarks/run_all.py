@@ -182,7 +182,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # The off path must stay within benchmark noise of the fast path
     # (every hook is one is-None branch); the on path is reported for
     # the trend, not asserted — it pays for real event recording.
-    from repro.telemetry.scenarios import run_scenario
+    from repro.experiments import run_scenario
     t_rounds = 2 if args.smoke else 5
     scenario = "interleave"
     off_best = on_best = None
@@ -245,7 +245,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     check("causal_sampling_reduces_roots", roots_sampled < roots_full)
 
     # -- streaming health: overhead + schedule identity -------------------
-    # Baseline: the causal run plus the offline `repro why` report —
+    # Baseline: the causal run plus the offline `why` report —
     # the post-hoc equivalent of everything the streaming monitor
     # computes.  Streaming the same analysis window-by-window (windowed
     # series, incremental attribution, SLO/anomaly passes) must cost at

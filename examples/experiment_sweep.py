@@ -2,9 +2,10 @@
 
 Run:  python examples/experiment_sweep.py
 
-Every paper table and every telemetry scenario is a named
-experiment in :mod:`repro.experiments` — a typed parameter schema plus
-a run function returning a JSON-able summary.  This example:
+Every paper table and every timeline is a named experiment in
+:mod:`repro.experiments` — a typed parameter schema plus a run
+function returning a JSON-able summary.  Each gets its environments
+from the run context, so any of them can be observed.  This example:
 
 1. browses the registry (the API behind ``repro list``);
 2. runs one experiment with overridden parameters (``repro bench``);
@@ -24,12 +25,10 @@ from repro.experiments.sweep import SweepSpec, run_sweep
 
 
 def main() -> None:
-    # 1. The registry: every bench table and telemetry scenario.
+    # 1. The registry: every experiment, each observable.
     rows = registry.describe()
-    benches = [r for r in rows if r["kind"] == "bench"]
-    scenarios = [r for r in rows if r["kind"] == "scenario"]
-    print(f"registry: {len(benches)} bench experiments, "
-          f"{len(scenarios)} telemetry scenarios")
+    print(f"registry: {len(rows)} experiments, each with outputs "
+          f"{', '.join(rows[0]['outputs'])}")
     flit = registry.get("flit_rtt")
     print(f"  flit_rtt params: "
           + ", ".join(f"{name}={param.default}"

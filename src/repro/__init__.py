@@ -48,7 +48,7 @@ from .infra import (
     build_cluster,
 )
 from .mem import NodeKind
-from .sim import Environment, SimRng, StatSeries, Tracer
+from .sim import Environment, SimRng, StatSeries
 from .telemetry import MetricRegistry, Telemetry, TimelineSampler, span
 
 __version__ = "1.0.0"
@@ -81,7 +81,6 @@ __all__ = [
     "Environment",
     "SimRng",
     "StatSeries",
-    "Tracer",
     "MetricRegistry",
     "Telemetry",
     "TimelineSampler",

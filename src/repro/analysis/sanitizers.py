@@ -92,8 +92,9 @@ def _callback_name(callback: Any) -> str:
     return str(name)
 
 
-def _describe_event(event: Any) -> str:
-    """A human-readable name for an event and, if any, its resource."""
+def _describe_event(event: Any, name_of) -> str:
+    """A human-readable name for an event and, if any, its resource;
+    ``name_of`` gives an object's per-run name."""
     cls = type(event).__name__
     resource = getattr(event, "resource", None)
     if resource is not None:
@@ -111,7 +112,7 @@ def _describe_event(event: Any) -> str:
     name = getattr(event, "name", None)
     if name:
         return f"{cls} {name!r}"
-    return f"{cls} at {id(event):#x}"
+    return name_of(event)
 
 
 class RuntimeSanitizer:
@@ -119,7 +120,9 @@ class RuntimeSanitizer:
 
     All hooks are cheap when nothing is wrong; findings accumulate in
     :attr:`findings` and are also available as a formatted
-    :meth:`report`.
+    :meth:`report`.  A finding names an unnamed object by the order
+    the sanitizer first saw it (``Store#17``), never by its address,
+    so reruns report identical findings.
     """
 
     def __init__(self, env: Any) -> None:
@@ -133,12 +136,26 @@ class RuntimeSanitizer:
         self._writes: Dict[int, Tuple[float, Any, str]] = {}
         #: objects already reported at drain, to keep on_drain idempotent
         self._drain_reported: Set[int] = set()
+        #: per-run ordinals by first sighting: id -> (object, ordinal).
+        #: Events get theirs at creation and drop it when processed (as
+        #: in ``_live``); Stores/Resources are held, so no later object
+        #: can reuse their id.
+        self._ordinals: Dict[int, Tuple[Any, int]] = {}
+        self._seen = 0
 
     # -- bookkeeping -------------------------------------------------------
 
     @property
     def clean(self) -> bool:
         return not self.findings
+
+    def name_of(self, obj: Any) -> str:
+        """``Type#n``: the n-th object this sanitizer saw."""
+        entry = self._ordinals.get(id(obj))
+        if entry is None:
+            self._seen += 1
+            entry = self._ordinals[id(obj)] = (obj, self._seen)
+        return f"{type(obj).__name__}#{entry[1]}"
 
     def note(self, kind: str, message: str) -> None:
         # One finding per distinct problem: a leaked credit would
@@ -154,6 +171,8 @@ class RuntimeSanitizer:
     def on_created(self, event: Any) -> None:
         """An event entered the world (called from ``Event.__init__``)."""
         self._live[id(event)] = event
+        self._seen += 1
+        self._ordinals[id(event)] = (None, self._seen)
 
     def on_processed(self, event: Any) -> None:
         """An event's callbacks ran; it is dead from here on.
@@ -168,21 +187,25 @@ class RuntimeSanitizer:
         from ..sim import engine as _engine
         cls = event.__class__
         if cls is not _engine.Timeout and cls is not _engine._Hook:
-            event.callbacks = _DeadCallbacks(self, _describe_event(event))
+            event.callbacks = _DeadCallbacks(
+                self, _describe_event(event, self.name_of))
+        self._ordinals.pop(id(event), None)
 
     def on_write(self, obj: Any, opname: str) -> None:
         """A Store/Resource state mutation; detect same-time racers."""
         now = self.env.now
         writer = self.env.active_process
         key = id(obj)
+        if key not in self._ordinals:
+            self.name_of(obj)
         prev = self._writes.get(key)
         if prev is not None and prev[0] == now and prev[1] is not writer:
             first = getattr(prev[1], "name", "<top-level>")
             second = getattr(writer, "name", "<top-level>")
             self.note(
                 "write-race",
-                f"write-write race on {type(obj).__name__} at "
-                f"{id(obj):#x}: {prev[2]} by {first!r} and {opname} by "
+                f"write-write race on {self.name_of(obj)}: "
+                f"{prev[2]} by {first!r} and {opname} by "
                 f"{second!r} at the same timestamp; the outcome depends "
                 "on scheduling order only")
         self._writes[key] = (now, writer, opname)
@@ -202,8 +225,8 @@ class RuntimeSanitizer:
             self.audit_credit_domains()
             return
         blocked_targets: Set[int] = set()
-        for key in sorted(self._live):
-            event = self._live[key]
+        # Creation order, like every finding: never by address.
+        for event in list(self._live.values()):
             if not isinstance(event, _engine.Process):
                 continue
             if event.daemon or event.triggered \
@@ -216,14 +239,14 @@ class RuntimeSanitizer:
                 self.note(
                     "deadlock",
                     f"process {event.name!r} is blocked forever on "
-                    f"{_describe_event(target)} (queue drained)")
+                    f"{_describe_event(target, self.name_of)} "
+                    "(queue drained)")
             else:
                 self.note(
                     "deadlock",
                     f"process {event.name!r} never finished and waits "
                     "on nothing (queue drained)")
-        for key in sorted(self._live):
-            event = self._live[key]
+        for event in list(self._live.values()):
             if isinstance(event, _engine.Process):
                 continue
             if event.triggered or id(event) in self._drain_reported:
@@ -239,13 +262,14 @@ class RuntimeSanitizer:
             self._drain_reported.add(id(event))
             self.note(
                 "stale-event",
-                f"{_describe_event(event)} was created and waited on "
+                f"{_describe_event(event, self.name_of)} was created "
+                "and waited on "
                 "but never triggered")
         self.audit_credit_domains()
 
     def audit_credit_domains(self) -> None:
         """Re-audit every registered credit domain right now."""
-        for _key, (label, domain) in sorted(self._domains.items()):
+        for label, domain in list(self._domains.values()):
             self.check_credit_domain(domain, label=label)
 
     # -- credit domains ----------------------------------------------------

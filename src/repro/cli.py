@@ -10,23 +10,22 @@ Commands:
   (events processed, events/sec, peak queue depth, pool sizes);
 * ``check``   — fcc-check correctness tooling: ``--lint`` runs the
   static determinism/lifecycle lint over the package (or given paths),
-  ``--sanitize <experiment>`` replays a canonical experiment under the
-  runtime sanitizers; ``--json`` for machine-readable output.  Exits
-  non-zero on any violation or finding;
-* ``trace``   — run a canonical telemetry scenario and export the
-  Chrome trace-event JSON (load it at https://ui.perfetto.dev);
-* ``metrics`` — run a scenario and print its metric registry snapshot;
-* ``why``     — run a scenario with causal tracing, reconstruct each
-  transaction's critical path and print where the nanoseconds went
-  (credit stalls vs queueing vs arbitration vs wire vs processing);
+  ``--program`` the whole-program analysis; ``--json`` for
+  machine-readable output.  Exits non-zero on any violation;
 * ``compare`` — diff two recorded JSON payloads (``BENCH_<n>.json`` or
-  ``repro why --json``) and exit non-zero on regressions;
-* ``list``    — every registered experiment and telemetry scenario with
-  a one-line description;
+  a ``why`` document) and exit non-zero on regressions;
+* ``list``    — every registered experiment with a one-line
+  description;
 * ``bench``   — run one registered experiment (``repro list`` names)
   and print its paper-format table; ``--set name=value`` overrides a
-  typed parameter, ``--json`` emits the schema-stable result document;
-  exits 1 when the run breaks a registered paper-shape invariant;
+  typed parameter, ``--json`` emits the schema-stable result document,
+  ``--observe trace,metrics,why,health,sanitize`` attaches observers
+  to every environment of the run (one document per environment in
+  the result: Chrome trace events loadable at https://ui.perfetto.dev,
+  the metric registry, critical-path latency attribution, windowed
+  SLO health, sanitizer findings; ``--out DIR`` also writes each to
+  ``DIR/<label>.<observer>.json``); exits 1 when the run breaks a
+  registered paper-shape invariant or a sanitizer reports a finding;
 * ``sweep``   — run a declarative parameter sweep (JSON spec: one
   experiment, axes of parameter values) across worker processes into a
   resumable output directory with a merged, byte-stable report;
@@ -166,186 +165,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_scenario_checked(args: argparse.Namespace):
-    # Deferred import: scenario running pulls in the whole fabric
-    # stack, which `repro info` users should not pay for.
-    from .telemetry.scenarios import run_scenario
-    try:
-        return run_scenario(args.scenario, interval_ns=args.interval)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Run a scenario with telemetry on and export the Perfetto trace."""
-    result = _run_scenario_checked(args)
-    if result is None:
-        return 2
-    from .telemetry import validate_chrome_trace
-    payload = result.chrome_trace()
-    count = validate_chrome_trace(payload)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w") as handle:
-        json.dump(payload, handle)
-    print(f"trace[{result.name}]: {count} events -> {out}")
-    print(f"summary: {json.dumps(result.summary)}")
-    return 0
-
-
-def cmd_metrics(args: argparse.Namespace) -> int:
-    """Run a scenario with telemetry on and print the metric snapshot."""
-    result = _run_scenario_checked(args)
-    if result is None:
-        return 2
-    snapshot = result.metrics_snapshot()
-    if args.json:
-        print(json.dumps(snapshot, indent=2))
-        return 0
-    print(f"metrics[{result.name}]: {snapshot['count']} series")
-    metrics = snapshot["metrics"]
-    print(f"{'metric':<44} {'kind':<10} {'value':>14}")
-    for name in sorted(metrics):
-        entry = metrics[name]
-        value = entry.get("value", entry.get("mean"))
-        shown = f"{value:,.1f}" if isinstance(value, float) else str(value)
-        print(f"{name:<44} {entry['kind']:<10} {shown:>14}")
-    print(f"summary: {json.dumps(result.summary)}")
-    return 0
-
-
-def cmd_why(args: argparse.Namespace) -> int:
-    """Causal 'why is it slow': critical paths + latency attribution."""
-    from .telemetry.attribution import validate_attribution
-    from .telemetry.scenarios import run_scenario
-    try:
-        result = run_scenario(args.scenario, interval_ns=args.interval,
-                              causal=True, causal_sample=args.sample)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = result.attribution_report(max_transactions=args.limit)
-    validate_attribution(report)
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return 0
-    trace = report["trace"]
-    print(f"why[{report['scenario']}]: {trace['analyzed']} of "
-          f"{trace['finished']} transactions analyzed "
-          f"(sample 1/{trace['sample']}, {trace['roots_seen']} roots)")
-    if trace["saturated"]:
-        print("  note: flight recorder saturated; oldest events evicted")
-    print(f"\n{'category':<16} {'total ns':>14} {'share':>8}   per-txn p95")
-    attribution = report["attribution"]
-    for category, entry in sorted(attribution.items(),
-                                  key=lambda kv: -kv[1]["ns"]):
-        p95 = (entry.get("per_txn") or {}).get("p95")
-        tail = f"{p95:>12,.1f}" if p95 is not None else f"{'-':>12}"
-        print(f"{category:<16} {entry['ns']:>14,.1f} "
-              f"{entry['share']:>7.1%} {tail}")
-    print(f"\n{'route':<24} {'txns':>6} {'p50 ns':>12} {'p95 ns':>12}"
-          f"   dominant")
-    for name, route in sorted(report["routes"].items()):
-        latency = route.get("latency_ns") or {}
-        dominant = max(route["attribution"].items(),
-                       key=lambda kv: kv[1]["ns"])
-        print(f"{name:<24} {route['transactions']:>6} "
-              f"{latency.get('p50', 0.0):>12,.1f} "
-              f"{latency.get('p95', 0.0):>12,.1f}   "
-              f"{dominant[0]} ({dominant[1]['share']:.1%})")
-    transactions = report["transactions"]
-    if args.txn is not None:
-        if not 0 <= args.txn < len(transactions):
-            print(f"error: --txn must be in [0, {len(transactions)}), "
-                  f"got {args.txn}", file=sys.stderr)
-            return 2
-        txn = transactions[args.txn]
-        print(f"\ntxn {args.txn}: {txn['kind']} via {txn['route']} "
-              f"[{txn['begin_ns']:,.1f} .. {txn['end_ns']:,.1f}] "
-              f"{txn['duration_ns']:,.1f} ns")
-        print(f"{'t0':>14} {'ns':>12} {'category':<16} site")
-        for segment in txn["critical_path"]:
-            print(f"{segment['t0']:>14,.1f} {segment['ns']:>12,.1f} "
-                  f"{segment['category']:<16} {segment['site']}")
-    print(f"\nsummary: {json.dumps(result.summary)}")
-    return 0
-
-
-def cmd_health(args: argparse.Namespace) -> int:
-    """Streaming health: windowed series, SLO burn rates, alerts."""
-    from .telemetry.dashboard import render_dashboard
-    from .telemetry.health import (HealthError, SloSpec, run_health,
-                                   validate_health_report)
-    try:
-        spec = SloSpec.load(args.slo) if args.slo else None
-        feedback = None
-        if args.feedback:
-            from .control import FeedbackPolicy, default_feedback_policy
-            if args.feedback == "default":
-                feedback = FeedbackPolicy(
-                    default_feedback_policy(args.scenario),
-                    source="default")
-            else:
-                feedback = FeedbackPolicy.load(args.feedback)
-        result, report = run_health(args.scenario, policy=args.policy,
-                                    window_ns=args.window,
-                                    interval_ns=args.interval,
-                                    spec=spec,
-                                    causal_sample=args.sample,
-                                    feedback=feedback)
-        validate_health_report(report)
-    except (HealthError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.html:
-        Path(args.html).write_text(render_dashboard(report))
-        print(f"health: wrote dashboard {args.html}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return 0
-    windows = report["windows"]
-    print(f"health[{report['scenario']}]: policy {report['policy']}, "
-          f"{len(windows)} windows of {report['window_ns']:,.0f} ns, "
-          f"{report['trace']['analyzed']} transactions attributed")
-    for slo in report["slos"]:
-        burns = [b for b in slo["burn"] if b is not None]
-        peak = f"{max(burns):,.2f}x" if burns else "no data"
-        print(f"\nslo {slo['name']} (target {slo['target']:.0%}, "
-              f"budget {slo['budget']:.0%}): peak burn {peak}")
-        for alert in slo["alerts"]:
-            if not alert["episodes"]:
-                print(f"  alert {alert['rule']} "
-                      f"(>= {alert['burn_rate']:g}x): quiet")
-            for episode in alert["episodes"]:
-                cleared = episode["cleared_at"]
-                tail = (f"cleared at {cleared:,.1f} ns"
-                        if cleared is not None else "still firing")
-                print(f"  alert {alert['rule']} "
-                      f"(>= {alert['burn_rate']:g}x): FIRED at "
-                      f"{episode['fired_at']:,.1f} ns, {tail}")
-    for rule in report["anomalies"]:
-        if rule["points"]:
-            at = ", ".join(f"{p['t']:,.1f}" for p in rule["points"])
-            print(f"\nanomaly {rule['name']}: {len(rule['points'])} "
-                  f"point(s) at {at} ns")
-        else:
-            print(f"\nanomaly {rule['name']}: none")
-    control = report.get("control")
-    if control is not None:
-        actuators = ", ".join(a["actuator"]
-                              for a in control["actuators"]) or "(none)"
-        print(f"\ncontrol: {len(control['actions'])} action(s), "
-              f"actuators: {actuators}")
-        for action in control["actions"]:
-            print(f"  {action['t']:>10,.1f} ns  rule "
-                  f"{action['rule']}: {action['actuator']} <- "
-                  f"{json.dumps(action['set'], sort_keys=True)} "
-                  f"(observed {action['observed']:g})")
-    print(f"\nsummary: {json.dumps(result.summary)}")
-    return 0
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     """Diff two recorded payloads; exit 1 on regressions, 2 on bad input."""
     from .telemetry.compare import (ComparisonError, compare_payloads,
@@ -444,7 +263,8 @@ def _cmd_check_program(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    """fcc-check: static lint and/or sanitized experiment replay."""
+    """fcc-check: the static lint, the whole-program analysis, or a
+    rule's explanation."""
     # Deferred import: the analysis package is tooling, not something
     # `repro info` users should pay to load.
     from . import analysis
@@ -456,38 +276,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.sarif:
         print("error: --sarif requires --program", file=sys.stderr)
         return 2
-    run_lint = args.lint or not args.sanitize   # default head is lint
-    status = 0
-    if run_lint:
-        paths = [Path(p) for p in args.paths] or None
-        violations = analysis.run_lint(paths)
-        if args.json:
-            print(json.dumps(analysis.violations_to_json(violations),
-                             indent=2))
-        elif violations:
-            for violation in violations:
-                print(violation.format())
-            print(f"lint: {len(violations)} violation(s)")
-        else:
-            print("lint: clean")
-        if violations:
-            status = 1
-    for name in args.sanitize:
-        from .analysis.runners import run_sanitized
-        try:
-            sanitizer, summary = run_sanitized(name)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.json:
-            payload = sanitizer.to_json()
-            payload["summary"] = summary
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"sanitize[{name}]: {sanitizer.report()}")
-        if not sanitizer.clean:
-            status = 1
-    return status
+    paths = [Path(p) for p in args.paths] or None
+    violations = analysis.run_lint(paths)
+    if args.json:
+        print(json.dumps(analysis.violations_to_json(violations),
+                         indent=2))
+    elif violations:
+        for violation in violations:
+            print(violation.format())
+        print(f"lint: {len(violations)} violation(s)")
+    else:
+        print("lint: clean")
+    return 1 if violations else 0
 
 
 def cmd_topo(args: argparse.Namespace) -> int:
@@ -565,30 +365,86 @@ def cmd_topo(args: argparse.Namespace) -> int:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    """Print every registered experiment/scenario with a description."""
+    """Print every registered experiment with a description."""
     from .experiments import registry
     rows = registry.describe()
     if args.json:
         print(json.dumps(rows, indent=2))
         return 0
     width = max(len(row["name"]) for row in rows)
-    print(f"{'name':<{width}}  {'kind':<9} description")
+    print(f"{'name':<{width}}  description")
     print("-" * (width + 60))
     for row in rows:
-        print(f"{row['name']:<{width}}  {row['kind']:<9} "
-              f"{row['description']}")
+        print(f"{row['name']:<{width}}  {row['description']}")
     print(f"\n{len(rows)} registered; run one with `repro bench <name>` "
-          f"(scenarios also serve `repro trace/metrics/why`)")
+          f"(add --observe trace,metrics,why,health,sanitize)")
     return 0
+
+
+def _observed_lines(observer: str, label: str, doc) -> List[str]:
+    """One human-readable line (plus findings) per observer document."""
+    head = f"{observer}[{label}]: "
+    if observer == "trace":
+        return [head + f"{len(doc['traceEvents'])} trace events"]
+    if observer == "metrics":
+        return [head + f"{doc['count']} series"]
+    if observer == "why":
+        trace = doc["trace"]
+        dominant = []
+        for route, entry in sorted(doc["routes"].items()):
+            category, part = max(entry["attribution"].items(),
+                                 key=lambda kv: kv[1]["ns"])
+            dominant.append(f"{route}: {category} ({part['share']:.1%})")
+        return [head + f"{trace['analyzed']} of {trace['finished']} "
+                f"transactions analyzed; " + ", ".join(dominant)]
+    if observer == "health":
+        fired = [f"{slo['name']}/{alert['rule']} FIRED at "
+                 f"{episode['fired_at']:,.1f} ns"
+                 for slo in doc["slos"] for alert in slo["alerts"]
+                 for episode in alert["episodes"]]
+        lines = [head + f"{len(doc['windows'])} windows of "
+                 f"{doc['window_ns']:,.0f} ns, "
+                 + ("; ".join(fired) if fired else "no alerts")]
+        lines += [f"  anomaly {rule['name']}: {len(rule['points'])} "
+                  f"point(s)" for rule in doc["anomalies"]
+                  if rule["points"]]
+        if "control" in doc:
+            actions = doc["control"]["actions"]
+            lines.append(f"  control: {len(actions)} action(s)")
+            lines += [f"  {a['t']:,.1f} ns rule {a['rule']}: "
+                      f"{a['actuator']} <- "
+                      f"{json.dumps(a['set'], sort_keys=True)}"
+                      for a in actions]
+        return lines
+    return ([head + f"{doc['count']} finding(s)"]
+            + ["  " + f"[{f['kind']}] t={f['time']:.1f}: {f['message']}"
+               for f in doc["findings"]])
+
+
+def _write_documents(out: Path, outputs, observe: List[str]) -> None:
+    """``<label>.<observer>.json`` per document (health also renders
+    ``<label>.health.html``, a self-contained dashboard)."""
+    out.mkdir(parents=True, exist_ok=True)
+    for observer in observe:
+        for label, doc in outputs[observer].items():
+            (out / f"{label}.{observer}.json").write_text(json.dumps(doc))
+            if observer == "health":
+                from .telemetry.dashboard import render_dashboard
+                (out / f"{label}.health.html").write_text(
+                    render_dashboard(doc))
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """Run one registered experiment; print its table (or --json).
 
     Exits 1, naming each on stderr, when the run breaks one of the
-    experiment's registered paper-shape invariants."""
+    experiment's registered paper-shape invariants or a sanitizer
+    reports a finding."""
+    from .control import ControlError
     from .experiments import (ExperimentError, ExperimentSpec, get,
                               render, run_experiment)
+    from .telemetry.health import HealthError
+    observe = [name for name in args.observe.split(",") if name]
     try:
         defn = get(args.experiment)
         overrides = {}
@@ -604,7 +460,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     f"{key!r}; known: {known}")
             overrides[key] = defn.params[key].parse(key, text)
         spec = ExperimentSpec(experiment=args.experiment,
-                              params=overrides, seed=args.seed)
+                              params=overrides, seed=args.seed,
+                              outputs=("summary", *observe))
         if args.profile:
             import cProfile
             profiler = cProfile.Profile()
@@ -616,29 +473,41 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 profiler.dump_stats(args.profile)
         else:
             result = run_experiment(spec)
-    except ExperimentError as exc:
+    except (ExperimentError, HealthError, ControlError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    outputs = result["outputs"]
+    if args.out:
+        _write_documents(Path(args.out), outputs, observe)
     if args.json:
         print(json.dumps(result, indent=2))
     else:
-        render(args.experiment, summary=result["outputs"]["summary"],
-               **overrides)
-    broken = [name for name, holds in result["invariants"].items()
+        render(args.experiment, summary=outputs["summary"], **overrides)
+        for observer in observe:
+            for label, doc in outputs[observer].items():
+                print("\n".join(_observed_lines(observer, label, doc)))
+    broken = [f"invariant broken: {defn.name}.{name}"
+              for name, holds in result["invariants"].items()
               if not holds]
-    for name in broken:
-        print(f"invariant broken: {defn.name}.{name}", file=sys.stderr)
+    broken += [f"sanitizer: {defn.name}[{label}]: {doc['count']} "
+               f"finding(s)"
+               for label, doc in outputs.get("sanitize", {}).items()
+               if doc["count"]]
+    for line in broken:
+        print(line, file=sys.stderr)
     return 1 if broken else 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run (or resume) a declarative sweep into ``--out``."""
+    from .control import ControlError
     from .experiments import (ExperimentError, load_sweep_spec,
                               run_sweep)
+    from .telemetry.health import HealthError
     try:
         sweep = load_sweep_spec(args.spec)
         run_sweep(sweep, args.out, workers=args.workers, progress=print)
-    except ExperimentError as exc:
+    except (ExperimentError, HealthError, ControlError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
@@ -659,15 +528,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     perf.add_argument("--steps", type=int, default=1000,
                       help="timeout steps per process (default 1000)")
     check = sub.add_parser(
-        "check", help="fcc-check: static lint + runtime sanitizers")
+        "check", help="fcc-check: static lint + whole-program analysis "
+                      "(runtime sanitizers: repro bench --observe "
+                      "sanitize)")
     check.add_argument("--lint", action="store_true",
-                       help="run the static lint (the default when no "
-                            "--sanitize is given)")
-    check.add_argument("--sanitize", action="append", default=[],
-                       metavar="EXPERIMENT",
-                       help="replay a canonical experiment under the "
-                            "runtime sanitizers (t2, credits, arbiter); "
-                            "repeatable")
+                       help="run the static lint (the default)")
     check.add_argument("--json", action="store_true",
                        help="machine-readable output (schema-stable)")
     check.add_argument("--program", action="store_true",
@@ -686,88 +551,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="files/directories to lint (default: the "
                             "repro package + tests/ + benchmarks/); "
                             "with --program: the package root")
-    scenario_help = ("canonical scenario: t2 (hierarchy walk), "
-                     "starvation (§3 CFC quiet-flow stall), "
-                     "interleave (64B reads vs 16KB writes)")
-    trace = sub.add_parser(
-        "trace", help="run a scenario, export a Perfetto-loadable "
-                      "Chrome trace-event file")
-    trace.add_argument("scenario", help=scenario_help)
-    trace.add_argument("--out", default="trace.json",
-                       help="output file (default trace.json)")
-    trace.add_argument("--interval", type=float, default=1_000.0,
-                       help="TimelineSampler cadence in sim ns "
-                            "(default 1000)")
-    metrics = sub.add_parser(
-        "metrics", help="run a scenario, print its metric registry")
-    metrics.add_argument("scenario", help=scenario_help)
-    metrics.add_argument("--interval", type=float, default=1_000.0,
-                         help="TimelineSampler cadence in sim ns "
-                              "(default 1000)")
-    metrics.add_argument("--json", action="store_true",
-                         help="machine-readable snapshot "
-                              "(schema-stable)")
-    why = sub.add_parser(
-        "why", help="causal critical-path latency attribution")
-    why.add_argument("--scenario", required=True, help=scenario_help)
-    why.add_argument("--txn", type=int, default=None, metavar="N",
-                     help="also print transaction N's critical-path "
-                          "waterfall")
-    why.add_argument("--sample", type=int, default=1, metavar="N",
-                     help="trace one of every N transaction roots "
-                          "(default 1: every transaction)")
-    why.add_argument("--limit", type=int, default=32,
-                     help="max transactions embedded in the report "
-                          "(default 32)")
-    why.add_argument("--interval", type=float, default=1_000.0,
-                     help="TimelineSampler cadence in sim ns "
-                          "(default 1000)")
-    why.add_argument("--json", action="store_true",
-                     help="print the full attribution document "
-                          "(schema-stable)")
-    health = sub.add_parser(
-        "health", help="streaming windowed telemetry, SLO burn-rate "
-                       "alerts, anomaly detection, optional "
-                       "closed-loop feedback",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="exit codes:\n"
-               "  0  report built and validated (alerts firing is "
-               "data, not failure)\n"
-               "  2  bad input (unknown scenario/policy, malformed "
-               "--slo or --feedback spec,\n"
-               "     window/interval mismatch)")
-    health.add_argument("--scenario", required=True, help=scenario_help)
-    health.add_argument("--policy", default="rampup",
-                        choices=["rampup", "fair"],
-                        help="starvation credit policy: rampup (the "
-                             "pathological default) or fair "
-                             "(StaticEqualPolicy control); other "
-                             "scenarios accept only rampup")
-    health.add_argument("--window", type=float, default=2_000.0,
-                        help="tumbling window width in sim ns; must "
-                             "be a multiple of --interval "
-                             "(default 2000)")
-    health.add_argument("--interval", type=float, default=1_000.0,
-                        help="TimelineSampler cadence in sim ns "
-                             "(default 1000)")
-    health.add_argument("--sample", type=int, default=1, metavar="N",
-                        help="trace one of every N transaction roots "
-                             "(default 1: every transaction)")
-    health.add_argument("--slo", metavar="SPEC.json", default=None,
-                        help="SLO spec file; default: the scenario's "
-                             "built-in spec")
-    health.add_argument("--feedback", metavar="POLICY.json",
-                        default=None,
-                        help="close the loop: run a feedback policy "
-                             "whose rules actuate credits at window "
-                             "edges; 'default' uses the scenario's "
-                             "built-in rescue policy")
-    health.add_argument("--html", metavar="OUT.html", default=None,
-                        help="also write a self-contained static HTML "
-                             "dashboard")
-    health.add_argument("--json", action="store_true",
-                        help="print the full health report "
-                             "(schema-stable)")
     compare = sub.add_parser(
         "compare", help="diff two recorded payloads (BENCH or why "
                         "JSON); non-zero exit on regression",
@@ -808,12 +591,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                                help="descriptor files (default: "
                                     "src/repro/topo/shapes/*.json)")
     list_parser = sub.add_parser(
-        "list", help="registered experiments and telemetry scenarios")
+        "list", help="registered experiments")
     list_parser.add_argument("--json", action="store_true",
                              help="machine-readable catalog "
                                   "(schema-stable)")
     bench = sub.add_parser(
-        "bench", help="run a registered experiment, print its table")
+        "bench", help="run a registered experiment, print its table",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="exit codes:\n"
+               "  0  ran; every invariant holds, no sanitizer finding\n"
+               "  1  an invariant broke or a sanitizer reported a "
+               "finding (named on stderr)\n"
+               "  2  bad input (unknown experiment, parameter or "
+               "observer; malformed value;\n"
+               "     window_ns/interval_ns mismatch; bad feedback "
+               "policy)")
     bench.add_argument("experiment",
                        help="experiment name (see `repro list`)")
     bench.add_argument("--set", action="append", default=[],
@@ -826,6 +618,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench.add_argument("--json", action="store_true",
                        help="print the schema-stable result document "
                             "instead of the table")
+    bench.add_argument("--observe", default="", metavar="LIST",
+                       help="comma-separated observers to attach to "
+                            "every environment: trace, metrics, why, "
+                            "health, sanitize (one document per "
+                            "environment in the result)")
+    bench.add_argument("--out", metavar="DIR", default=None,
+                       help="also write each observer document to "
+                            "DIR/<label>.<observer>.json (Chrome traces "
+                            "load at https://ui.perfetto.dev; health "
+                            "adds a <label>.health.html dashboard)")
     bench.add_argument("--profile", metavar="OUT.prof", default=None,
                        help="run under cProfile and write pstats data "
                             "to OUT.prof (inspect with python -m "
@@ -845,10 +647,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     handler = {"info": cmd_info, "table2": cmd_table2,
                "demo": cmd_demo, "perf": cmd_perf,
-               "check": cmd_check, "trace": cmd_trace,
-               "metrics": cmd_metrics, "why": cmd_why,
-               "health": cmd_health,
-               "compare": cmd_compare, "list": cmd_list,
+               "check": cmd_check, "compare": cmd_compare, "list": cmd_list,
                "bench": cmd_bench, "sweep": cmd_sweep,
                "topo": cmd_topo}[args.command]
     return handler(args)

@@ -70,6 +70,11 @@ class ControlPlane:
 
     def on_window(self, window: Dict[str, Any]) -> None:
         """Evaluate every rule against one closed window record."""
+        if self.windows_seen == 0 and self.policy is not None:
+            # Every actuator the policy names must exist before any
+            # rule can fire; a typo would otherwise pass silently.
+            for rule in self.policy.rules:
+                self.actuator(rule.actuator)
         self.windows_seen += 1
         if self.policy is None or window["final"]:
             return

@@ -242,11 +242,12 @@ class UnifiedHeap:
                                is_remote=is_remote)
         self.bins[name] = memory_bin
         if self._tel is not None:
-            # The placement mix: bytes resident per bin over time.
-            self._tel.add_probe(f"heap.bin.{name}.allocated_bytes",
-                                lambda b=memory_bin:
-                                b.freelist.allocated_bytes,
-                                track="heap")
+            # The placement mix: bytes resident per bin over time,
+            # one series per host (every host's heap has a fam0 bin).
+            self._tel.add_probe(
+                f"heap.{self.host.name}.bin.{name}.allocated_bytes",
+                lambda b=memory_bin: b.freelist.allocated_bytes,
+                track="heap")
         return memory_bin
 
     def bins_by_preference(self, prefer_tier: Optional[str]) -> List[MemoryBin]:

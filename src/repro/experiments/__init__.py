@@ -3,8 +3,10 @@
 The pieces:
 
 * :mod:`~repro.experiments.registry` — every runnable experiment
-  (benchmark builders and telemetry scenarios) registered by name with
-  a typed parameter schema;
+  registered by name with a typed parameter schema;
+* :mod:`~repro.experiments.observe` — :class:`RunContext`, the one
+  run path: each experiment gets its environments from
+  ``ctx.env(label)`` with the requested observers attached;
 * :mod:`~repro.experiments.spec` — :class:`ExperimentSpec`, the JSON
   description of one invocation (experiment + params + seed + outputs);
 * :mod:`~repro.experiments.runner` — run a spec, get a schema-stable
@@ -28,7 +30,8 @@ from .registry import (
     names,
     register,
 )
-from .runner import RunContext, render, run_experiment, run_summary
+from .observe import RunContext, run_scenario
+from .runner import render, run_experiment, run_summary
 from .spec import ExperimentSpec, SpecError
 from .sweep import (
     SweepConflictError,
@@ -64,9 +67,3 @@ __all__ = [
     "run_sweep",
     "validate_sweep_report",
 ]
-
-
-def run_scenario(name: str, **kwargs):
-    """Back-compat passthrough to the telemetry scenario engine."""
-    from ..telemetry.scenarios import run_scenario as _run
-    return _run(name, **kwargs)

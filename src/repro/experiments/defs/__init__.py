@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import (cfc, control, fabric, health, memory, mimo, movement,
-               scenarios, tables, topo)
+               tables, timelines, topo)
 
 __all__ = ["cfc", "control", "fabric", "health", "memory", "mimo",
-           "movement", "scenarios", "tables", "topo"]
+           "movement", "tables", "timelines", "topo"]

@@ -17,7 +17,7 @@ from ...pcie import (
     StaticEqualPolicy,
     Topology,
 )
-from ...sim import Environment, StatSeries, run_proc
+from ...sim import StatSeries, run_proc
 from ..format import print_table
 from ..registry import Param, experiment
 
@@ -26,10 +26,10 @@ from ..registry import Param, experiment
 # --------------------------------------------------------------------------
 
 
-def burst_completion(policy_name: str, budget: int = 64,
+def burst_completion(ctx, policy_name: str, budget: int = 64,
                      burst: int = 48, service_ns: float = 10.0,
                      warmup_ns: float = 5_000.0) -> float:
-    env = Environment()
+    env = ctx.env(policy_name)
     if policy_name == "ramp-up":
         policy = RampUpPolicy()
     elif policy_name == "static":
@@ -97,7 +97,7 @@ def render_cfc_allocation(summary: Dict[str, Any],
          <= s["policies"]["static"] * 1.1),
     ))
 def run_cfc_allocation(ctx) -> Dict[str, Any]:
-    policies = {name: burst_completion(name, ctx.budget, ctx.burst,
+    policies = {name: burst_completion(ctx, name, ctx.budget, ctx.burst,
                                        ctx.service_ns, ctx.warmup_ns)
                 for name in ("ramp-up", "static", "reservation")}
     # Ideal: the burst pipelines over a fair half of the budget.
@@ -110,9 +110,9 @@ def run_cfc_allocation(ctx) -> Dict[str, Any]:
 # --------------------------------------------------------------------------
 
 
-def run_hol_case(scheduler: str, prio: int, critical_reads: int = 40,
+def run_hol_case(ctx, scheduler: str, prio: int, critical_reads: int = 40,
                  flood_writes: int = 400) -> StatSeries:
-    env = Environment()
+    env = ctx.env(f"{scheduler}.prio{prio}")
     topo = Topology(env, scheduler=scheduler)
     topo.add_switch("sw0")
     for name in ("critical", "flood"):
@@ -191,7 +191,7 @@ def run_cfc_hol(ctx) -> Dict[str, Any]:
     for case, scheduler, prio in (
             ("fifo (credit-agnostic)", "fifo", 0),
             ("priority (arbiter)", "priority", 10)):
-        stats = run_hol_case(scheduler, prio, ctx.critical_reads,
+        stats = run_hol_case(ctx, scheduler, prio, ctx.critical_reads,
                              ctx.flood_writes)
         cases[case] = {"mean_ns": stats.mean, "p99_ns": stats.p99}
     return {"cases": cases}
@@ -202,10 +202,10 @@ def run_cfc_hol(ctx) -> Dict[str, Any]:
 # --------------------------------------------------------------------------
 
 
-def run_starvation_case(scheduler: str, with_flood: bool,
+def run_starvation_case(ctx, scheduler: str, with_flood: bool,
                         victim_reads: int = 40,
                         flood_writes: int = 600) -> StatSeries:
-    env = Environment()
+    env = ctx.env(f"{scheduler}.flood" if with_flood else f"{scheduler}.quiet")
     topo = Topology(env, scheduler=scheduler)
     topo.add_switch("root")
     topo.add_switch("leaf", scheduler_capacity=32)
@@ -316,7 +316,7 @@ def run_cfc_starvation(ctx) -> Dict[str, Any]:
             ("fifo quiet", "fifo", False),
             ("fifo congested", "fifo", True),
             ("fair congested", "fair", True)):
-        stats = run_starvation_case(scheduler, with_flood,
+        stats = run_starvation_case(ctx, scheduler, with_flood,
                                     ctx.victim_reads, ctx.flood_writes)
         cases[case] = {"mean_ns": stats.mean, "p99_ns": stats.p99}
     return {"cases": cases}
@@ -335,11 +335,11 @@ def _egress_index(cluster, peer: str) -> int:
     raise KeyError(peer)
 
 
-def run_arbiter_case(mode: str, critical_bursts: int = 10,
+def run_arbiter_case(ctx, mode: str, critical_bursts: int = 10,
                      burst_size: int = 8, flood_writes: int = 1200,
                      flood_workers: int = 48,
                      egress_credit_budget: int = 48) -> StatSeries:
-    env = Environment()
+    env = ctx.env(mode)
     scheduler = "priority" if mode == "arbiter" else "fifo"
     # Fast media + a narrow x4 chassis link: the contended resource is
     # the switch egress toward the FAM (the paper's C5/C6 are fabric
@@ -445,7 +445,7 @@ def run_dp4_arbiter(ctx) -> Dict[str, Any]:
     modes = {}
     for label, mode in (("vanilla-cfc", "vanilla"),
                         ("arbiter", "arbiter")):
-        stats = run_arbiter_case(mode, ctx.critical_bursts,
+        stats = run_arbiter_case(ctx, mode, ctx.critical_bursts,
                                  ctx.burst_size, ctx.flood_writes,
                                  ctx.flood_workers,
                                  ctx.egress_credit_budget)

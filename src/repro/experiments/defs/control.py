@@ -1,6 +1,6 @@
 """The closed-loop A/B experiment: static credits vs feedback rescue.
 
-``control_loop`` runs the starvation scenario twice under the health
+``control_loop`` runs the starvation experiment twice under the health
 monitor: once with the static pathological ``RampUpPolicy`` (the §3 C5
 baseline the ``fabric_health`` experiment pins), and once with the
 same policy *plus* the default feedback policy — the control plane
@@ -21,22 +21,17 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from ...telemetry.health import DEFAULT_WINDOW_NS, run_health
+from ...telemetry.health import DEFAULT_WINDOW_NS
 from ...telemetry.sampler import DEFAULT_INTERVAL_NS
 from ..format import print_table
-from ..registry import ExperimentError, Param, experiment
+from ..registry import Param, experiment
 
 
-def _case(window_ns: float, interval_ns: float,
-          feedback: bool) -> Dict[str, Any]:
-    policy = None
-    if feedback:
-        from ...control import FeedbackPolicy, default_feedback_policy
-        policy = FeedbackPolicy(default_feedback_policy("starvation"),
-                                source="default")
-    result, report = run_health("starvation", window_ns=window_ns,
-                                interval_ns=interval_ns,
-                                feedback=policy)
+def _case(ctx, feedback: str) -> Dict[str, Any]:
+    result = ctx.nested("starvation", window_ns=ctx.window_ns,
+                        interval_ns=ctx.interval_ns,
+                        feedback=feedback).observations[0]
+    report = result.health_report()
     fired = [episode["fired_at"] for slo in report["slos"]
              for alert in slo["alerts"]
              for episode in alert["episodes"]]
@@ -118,15 +113,7 @@ def render_control_loop(summary: Dict[str, Any],
         ("feedback_beats_static_without_starving_hot", feedback_beats_static),
     ))
 def run_control_loop(ctx) -> Dict[str, Any]:
-    from ...control import ControlError
-    from ...telemetry.health import HealthError
-    cases = {}
-    try:
-        cases["static"] = _case(ctx.window_ns, ctx.interval_ns,
-                                feedback=False)
-        cases["closed-loop"] = _case(ctx.window_ns, ctx.interval_ns,
-                                     feedback=True)
-    except (ControlError, HealthError, ValueError) as exc:
-        raise ExperimentError(str(exc)) from None
+    cases = {"static": _case(ctx, feedback="off"),
+             "closed-loop": _case(ctx, feedback="default")}
     return {"scenario": "starvation", "window_ns": ctx.window_ns,
             "cases": cases}

@@ -14,7 +14,7 @@ from ...baselines import CommFabricChannel
 from ...fabric import Channel, LinkLayer, Packet, PacketKind, fragment
 from ...infra import ClusterSpec, FamSpec, build_cluster
 from ...pcie import FabricManager, PortRole, Topology
-from ...sim import Environment, StatSeries, run_proc
+from ...sim import StatSeries, run_proc
 from ..format import print_table
 from ..registry import Param, experiment
 
@@ -23,9 +23,9 @@ from ..registry import Param, experiment
 # --------------------------------------------------------------------------
 
 
-def build_rtt_path(hops: int = 1):
+def build_rtt_path(ctx, hops: int = 1):
     """host -> (hops switches) -> zero-service echo device."""
-    env = Environment()
+    env = ctx.env(f"hops{hops}")
     topo = Topology(env)
     names = [f"sw{i}" for i in range(hops)]
     for name in names:
@@ -47,8 +47,8 @@ def build_rtt_path(hops: int = 1):
     return env, topo
 
 
-def measure_rtt(hops: int = 1, pings: int = 10) -> float:
-    env, topo = build_rtt_path(hops)
+def measure_rtt(ctx, hops: int = 1, pings: int = 10) -> float:
+    env, topo = build_rtt_path(ctx, hops)
     host = topo.port_of("host")
     rtts = []
 
@@ -110,7 +110,7 @@ def render_flit_rtt(summary: Dict[str, Any],
          lambda s, _p: switch_crossing_below(s, 100.0)),
     ))
 def run_flit_rtt(ctx) -> Dict[str, Any]:
-    rows = [{"hops": hops, "rtt_ns": measure_rtt(hops, ctx.pings)}
+    rows = [{"hops": hops, "rtt_ns": measure_rtt(ctx, hops, ctx.pings)}
             for hops in range(1, ctx.max_hops + 1)]
     return {"rows": rows,
             "paper_target_ns": params.UNLOADED_FLIT_RTT_TARGET_NS}
@@ -121,8 +121,8 @@ def run_flit_rtt(ctx) -> Dict[str, Any]:
 # --------------------------------------------------------------------------
 
 
-def build_interference(hosts: int, device_service_ns: float):
-    env = Environment()
+def build_interference(ctx, hosts: int, device_service_ns: float):
+    env = ctx.env(f"hosts{hosts}")
     # The remote chassis hangs off a narrow x4 downstream link (a
     # single FPGA card), while hosts bring x16 uplinks.
     topo = Topology(env)
@@ -144,10 +144,10 @@ def build_interference(hosts: int, device_service_ns: float):
     return env, topo
 
 
-def one_way_latency(hosts: int, writes_per_host: int = 150,
+def one_way_latency(ctx, hosts: int, writes_per_host: int = 150,
                     device_service_ns: float = 250.0) -> float:
     """Mean request one-way latency (send -> device starts serving)."""
-    env, topo = build_interference(hosts, device_service_ns)
+    env, topo = build_interference(ctx, hosts, device_service_ns)
     stats = StatSeries("oneway")
     dst = topo.endpoints["fpga"].global_id
 
@@ -220,11 +220,11 @@ def render_interference(summary: Dict[str, Any],
         ("c2_contention_monotonic", contention_monotonic),
     ))
 def run_interference(ctx) -> Dict[str, Any]:
-    unloaded = one_way_latency(1, ctx.writes_per_host,
+    unloaded = one_way_latency(ctx, 1, ctx.writes_per_host,
                                ctx.device_service_ns)
     rows = []
     for hosts in ctx.hosts_list:
-        latency = one_way_latency(hosts, ctx.writes_per_host,
+        latency = one_way_latency(ctx, hosts, ctx.writes_per_host,
                                   ctx.device_service_ns)
         rows.append({"hosts": hosts, "oneway_ns": latency,
                      "added_ns": latency - unloaded})
@@ -236,10 +236,10 @@ def run_interference(ctx) -> Dict[str, Any]:
 # --------------------------------------------------------------------------
 
 
-def run_interleave_case(scheduler: str, with_bulk: bool,
+def run_interleave_case(ctx, scheduler: str, with_bulk: bool,
                         reads: int = 40,
                         bulk_writes: int = 80) -> StatSeries:
-    env = Environment()
+    env = ctx.env(f"{scheduler}.bulk" if with_bulk else f"{scheduler}.alone")
     topo = Topology(env, scheduler=scheduler)
     topo.add_switch("sw0")
     for name in ("reader", "writer"):
@@ -326,7 +326,7 @@ def render_pcie_interleave(summary: Dict[str, Any],
 def run_pcie_interleave(ctx) -> Dict[str, Any]:
     cases = {}
     for case, scheduler, with_bulk in PCIE_INTERLEAVE_CASES:
-        stats = run_interleave_case(scheduler, with_bulk,
+        stats = run_interleave_case(ctx, scheduler, with_bulk,
                                     ctx.reads, ctx.bulk_writes)
         cases[case] = {"mean_ns": stats.mean, "p99_ns": stats.p99}
     return {"cases": cases}
@@ -337,8 +337,8 @@ def run_pcie_interleave(ctx) -> Dict[str, Any]:
 # --------------------------------------------------------------------------
 
 
-def fabric_latency(nbytes: int) -> float:
-    env = Environment()
+def fabric_latency(ctx, nbytes: int) -> float:
+    env = ctx.env(f"fabric.{nbytes}B")
     cluster = build_cluster(env, ClusterSpec(hosts=1))
     host = cluster.host(0)
     base = host.remote_base("fam0")
@@ -351,8 +351,8 @@ def fabric_latency(nbytes: int) -> float:
     return run_proc(env, go())
 
 
-def dma_latency(nbytes: int) -> float:
-    env = Environment()
+def dma_latency(ctx, nbytes: int) -> float:
+    env = ctx.env(f"dma.{nbytes}B")
     nic = CommFabricChannel(env)
 
     def go():
@@ -394,8 +394,8 @@ def render_sync_vs_async(summary: Dict[str, Any],
 def run_sync_vs_async(ctx) -> Dict[str, Any]:
     rows = []
     for size in ctx.sizes:
-        fabric = fabric_latency(size)
-        dma = dma_latency(size)
+        fabric = fabric_latency(ctx, size)
+        dma = dma_latency(ctx, size)
         rows.append({"size": size, "fabric_ns": fabric, "dma_ns": dma,
                      "ratio": dma / fabric})
     return {"rows": rows}
@@ -406,10 +406,10 @@ def run_sync_vs_async(ctx) -> Dict[str, Any]:
 # --------------------------------------------------------------------------
 
 
-def overcommit_throughput(overcommit: float, flits: int = 400,
+def overcommit_throughput(ctx, overcommit: float, flits: int = 400,
                           pause_every: int = 16,
                           pause_ns: float = 120.0) -> Dict[str, float]:
-    env = Environment()
+    env = ctx.env(f"overcommit{overcommit}")
     link = LinkLayer(env, params.LinkParams(credits=8),
                      overcommit=overcommit, name="l0")
     consumed = []
@@ -490,7 +490,7 @@ def render_overcommit(summary: Dict[str, Any],
     ))
 def run_overcommit(ctx) -> Dict[str, Any]:
     return {"factors": {f"{oc:.1f}x": overcommit_throughput(
-        oc, ctx.flits, ctx.pause_every, ctx.pause_ns)
+        ctx, oc, ctx.flits, ctx.pause_every, ctx.pause_ns)
         for oc in ctx.factors}}
 
 
@@ -499,10 +499,10 @@ def run_overcommit(ctx) -> Dict[str, Any]:
 # --------------------------------------------------------------------------
 
 
-def stream_striped(ways: int, scan_bytes: int = 256 * 1024,
+def stream_striped(ctx, ways: int, scan_bytes: int = 256 * 1024,
                    chunk: int = 16 * 1024) -> float:
     """Scan ``scan_bytes`` through a ``ways``-way stripe; GB/s."""
-    env = Environment()
+    env = ctx.env(f"ways{ways}")
     cluster = build_cluster(env, ClusterSpec(
         hosts=1, map_all_fams=False,
         fams=[FamSpec(name=f"fam{i}", capacity_bytes=1 << 26)
@@ -567,6 +567,6 @@ def render_hdm_interleave(summary: Dict[str, Any],
         ("e3_scaling_saturates_at_host_port", stripe_scaling_saturates),
     ))
 def run_hdm_interleave(ctx) -> Dict[str, Any]:
-    return {"ways": {str(ways): stream_striped(ways, ctx.scan_bytes,
+    return {"ways": {str(ways): stream_striped(ctx, ways, ctx.scan_bytes,
                                                ctx.chunk)
                      for ways in ctx.ways_list}}

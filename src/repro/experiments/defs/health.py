@@ -1,6 +1,7 @@
 """The streaming-health experiment: golden-pinned alert timelines.
 
-``fabric_health`` runs a canonical scenario under the
+``fabric_health`` runs a timeline experiment (``t2``, ``starvation``
+or ``interleave``) nested under the
 :class:`~repro.telemetry.health.HealthMonitor` and summarizes what the
 SLO layer concluded: how many windows closed, which burn-rate alerts
 fired and exactly *when* (sim time), and where the anomaly detector
@@ -17,17 +18,17 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from ...telemetry.health import DEFAULT_WINDOW_NS, run_health
+from ...telemetry.health import DEFAULT_WINDOW_NS
 from ...telemetry.sampler import DEFAULT_INTERVAL_NS
 from ..format import print_table
-from ..registry import ExperimentError, Param, experiment
+from ..registry import Param, experiment
 
 
-def _case(scenario: str, policy: str, window_ns: float,
-          interval_ns: float) -> Dict[str, Any]:
-    result, report = run_health(scenario, policy=policy,
-                                window_ns=window_ns,
-                                interval_ns=interval_ns)
+def _case(ctx, **params: Any) -> Dict[str, Any]:
+    result = ctx.nested(ctx.scenario, window_ns=ctx.window_ns,
+                        interval_ns=ctx.interval_ns,
+                        **params).observations[0]
+    report = result.health_report()
     alerts = []
     peak = 0.0
     for slo in report["slos"]:
@@ -105,15 +106,10 @@ def render_fabric_health(summary: Dict[str, Any],
         ("health_fair_policy_stays_quiet", fair_policy_stays_quiet),
     ))
 def run_fabric_health(ctx) -> Dict[str, Any]:
-    from ...telemetry.health import HealthError
-    policies = ("rampup", "fair") if ctx.scenario == "starvation" \
-        else ("rampup",)
-    cases = {}
-    for policy in policies:
-        try:
-            cases[policy] = _case(ctx.scenario, policy, ctx.window_ns,
-                                  ctx.interval_ns)
-        except (HealthError, ValueError) as exc:
-            raise ExperimentError(str(exc)) from None
+    if ctx.scenario == "starvation":
+        cases = {policy: _case(ctx, policy=policy)
+                 for policy in ("rampup", "fair")}
+    else:
+        cases = {"rampup": _case(ctx)}
     return {"scenario": ctx.scenario, "window_ns": ctx.window_ns,
             "cases": cases}

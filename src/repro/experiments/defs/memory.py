@@ -8,7 +8,7 @@ from ...core import CentralMemoryManager, NodeReplicatedObject, UniFabric
 from ...fabric import Channel, Packet, PacketKind
 from ...infra import ClusterSpec, FamSpec, build_cluster
 from ...mem import ComaCluster, NodeKind
-from ...sim import Environment, SimRng, StatSeries, run_proc
+from ...sim import SimRng, StatSeries, run_proc
 from ..format import print_table
 from ..registry import Param, experiment
 
@@ -19,7 +19,7 @@ __all__ = ["fabric_node_case", "coma_case", "measure_parity", "run_nr_mode"]
 # --------------------------------------------------------------------------
 
 
-def fabric_node_case(kind: NodeKind, rounds: int = 30,
+def fabric_node_case(ctx, kind: NodeKind, rounds: int = 30,
                      shared_lines: int = 8) -> Dict[str, float]:
     """Two hosts ping-pong writes + reads over a shared region.
 
@@ -27,7 +27,7 @@ def fabric_node_case(kind: NodeKind, rounds: int = 30,
     device, and a write-back host cache would otherwise absorb the
     traffic after the first round (difference #1 at work).
     """
-    env = Environment()
+    env = ctx.env(kind.value)
     cluster = build_cluster(env, ClusterSpec(
         hosts=2, fams=[FamSpec(name="fam", kind=kind,
                                capacity_bytes=1 << 26)]))
@@ -63,10 +63,10 @@ def fabric_node_case(kind: NodeKind, rounds: int = 30,
             "conflicts": conflicts}
 
 
-def coma_case(rounds: int = 30,
+def coma_case(ctx, rounds: int = 30,
               shared_lines: int = 8) -> Dict[str, float]:
     """The same ping-pong over a 2-node COMA cluster."""
-    env = Environment()
+    env = ctx.env("coma")
     coma = ComaCluster(env, nodes=2, am_capacity_lines=64)
     stats = StatSeries("coma")
 
@@ -124,10 +124,10 @@ def render_node_types(summary: Dict[str, Any],
 def run_node_types(ctx) -> Dict[str, Any]:
     args = (ctx.rounds, ctx.shared_lines)
     return {"kinds": {
-        "cpuless-numa": fabric_node_case(NodeKind.CPULESS_NUMA, *args),
-        "cc-numa": fabric_node_case(NodeKind.CC_NUMA, *args),
-        "noncc-numa": fabric_node_case(NodeKind.NONCC_NUMA, *args),
-        "coma": coma_case(*args),
+        "cpuless-numa": fabric_node_case(ctx, NodeKind.CPULESS_NUMA, *args),
+        "cc-numa": fabric_node_case(ctx, NodeKind.CC_NUMA, *args),
+        "noncc-numa": fabric_node_case(ctx, NodeKind.NONCC_NUMA, *args),
+        "coma": coma_case(ctx, *args),
     }}
 
 
@@ -136,8 +136,8 @@ def run_node_types(ctx) -> Dict[str, Any]:
 # --------------------------------------------------------------------------
 
 
-def _build_parity_region(parity: int, shard_bytes: int):
-    env = Environment()
+def _build_parity_region(ctx, parity: int, shard_bytes: int):
+    env = ctx.env(f"parity{parity}")
     fams = [FamSpec(name=f"fam{i}", capacity_bytes=1 << 26)
             for i in range(5)]
     cluster = build_cluster(env, ClusterSpec(hosts=1, fams=fams))
@@ -155,9 +155,9 @@ def _build_parity_region(parity: int, shard_bytes: int):
     return env, host, manager, region
 
 
-def measure_parity(parity: int, ops: int = 30,
+def measure_parity(ctx, parity: int, ops: int = 30,
                    shard_bytes: int = 64 * 1024) -> Dict[str, float]:
-    env, host, manager, region = _build_parity_region(parity,
+    env, host, manager, region = _build_parity_region(ctx, parity,
                                                       shard_bytes)
     healthy_reads = StatSeries("healthy")
     writes = StatSeries("writes")
@@ -241,7 +241,7 @@ def render_reliability(summary: Dict[str, Any],
          degraded_reads_pay_reconstruction),
     ))
 def run_reliability(ctx) -> Dict[str, Any]:
-    return {"parity": {str(parity): measure_parity(parity, ctx.ops,
+    return {"parity": {str(parity): measure_parity(ctx, parity, ctx.ops,
                                                    ctx.shard_bytes)
                        for parity in (0, 1, 2)}}
 
@@ -255,9 +255,9 @@ def _apply_counter(state, operation):
     state["value"] = state.get("value", 0) + operation
 
 
-def run_nr_mode(mode: str, read_fraction: float, ops: int = 120,
+def run_nr_mode(ctx, mode: str, read_fraction: float, ops: int = 120,
                 structure_lines: int = 8) -> float:
-    env = Environment()
+    env = ctx.env(f"{mode}@{read_fraction}")
     cluster = build_cluster(env, ClusterSpec(hosts=2))
     uni = UniFabric(env, cluster)
     rng = SimRng(int(read_fraction * 100))
@@ -341,7 +341,7 @@ def render_replication(summary: Dict[str, Any],
     ))
 def run_replication(ctx) -> Dict[str, Any]:
     return {"fractions": {
-        str(fraction): {mode: run_nr_mode(mode, fraction, ctx.ops,
+        str(fraction): {mode: run_nr_mode(ctx, mode, fraction, ctx.ops,
                                           ctx.structure_lines)
                         for mode in ("direct", "replicated")}
         for fraction in ctx.read_fractions}}

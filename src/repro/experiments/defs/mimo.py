@@ -11,7 +11,7 @@ from typing import Any, Dict
 
 from ...core import ETrans, MovementOrchestrator
 from ...infra import ClusterSpec, FaaSpec, build_cluster
-from ...sim import Environment, SimRng, run_proc
+from ...sim import SimRng, run_proc
 from ..format import print_table
 from ..registry import Param, experiment
 
@@ -56,12 +56,12 @@ def kernel_flops(config) -> Dict[str, float]:
     return flops
 
 
-def run_deployment(mode: str, config, flops: Dict[str, float],
+def run_deployment(ctx, mode: str, config, flops: Dict[str, float],
                    frames: int = 8, faa_speedup: float = 4.0,
                    chunk: int = 4096) -> float:
     """Total time to process ``frames`` frames; returns per-frame ns."""
     from ...workloads.mimo import KERNEL_ORDER, flops_to_ns
-    env = Environment()
+    env = ctx.env(mode)
     cluster = build_cluster(env, ClusterSpec(
         hosts=1, faas=[FaaSpec(name="faa0")]))
     host = cluster.host(0)
@@ -154,7 +154,7 @@ def run_case_study_mimo(ctx) -> Dict[str, Any]:
                         data_symbols=ctx.data_symbols,
                         snr_db=ctx.snr_db)
     flops = kernel_flops(config)
-    return {"modes": {mode: run_deployment(mode, config, flops,
+    return {"modes": {mode: run_deployment(ctx, mode, config, flops,
                                            ctx.frames, ctx.faa_speedup,
                                            ctx.chunk)
                       for mode in ("all-local", "naive-remote",

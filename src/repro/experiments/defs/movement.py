@@ -22,7 +22,7 @@ from ...fabric import Channel, Packet, PacketKind
 from ...infra import ClusterSpec, FaaSpec, build_cluster
 from ...mem import CacheConfig
 from ...pcie import FabricManager, PortRole, Topology
-from ...sim import Environment, SimRng, StatSeries, run_proc
+from ...sim import SimRng, StatSeries, run_proc
 from ..format import print_table
 from ..registry import Param, experiment
 
@@ -37,9 +37,9 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-def run_movement_case(mode: str, lines: int = 512,
+def run_movement_case(ctx, mode: str, lines: int = 512,
                       scans: int = 4) -> float:
-    env = Environment()
+    env = ctx.env(mode)
     cluster = build_cluster(env, ClusterSpec(hosts=1))
     host = cluster.host(0)
     orchestrator = MovementOrchestrator(env)
@@ -98,7 +98,7 @@ def render_dp1_movement(summary: Dict[str, Any],
          lambda s, _p: s["modes"]["managed"] < s["modes"]["naive-sync"]),
     ))
 def run_dp1_movement(ctx) -> Dict[str, Any]:
-    return {"modes": {mode: run_movement_case(mode, ctx.lines, ctx.scans)
+    return {"modes": {mode: run_movement_case(ctx, mode, ctx.lines, ctx.scans)
                       for mode in ("naive-sync", "prefetch", "managed")}}
 
 
@@ -117,10 +117,10 @@ HEAP_TINY_CACHES = (
 )
 
 
-def run_heap_case(mode: str, objects: int = 64, object_bytes: int = 8192,
+def run_heap_case(ctx, mode: str, objects: int = 64, object_bytes: int = 8192,
                   hot_objects: int = 6, accesses: int = 1500,
                   local_bin_bytes: int = 96 * 1024) -> StatSeries:
-    env = Environment()
+    env = ctx.env(mode)
     cluster = build_cluster(env, ClusterSpec(
         hosts=1, cache_configs=HEAP_TINY_CACHES))
     host = cluster.host(0)
@@ -197,7 +197,7 @@ def render_dp2_heap(summary: Dict[str, Any],
 def run_dp2_heap(ctx) -> Dict[str, Any]:
     modes = {}
     for mode in ("static-first", "static-rr", "unified"):
-        stats = run_heap_case(mode, ctx.objects, ctx.object_bytes,
+        stats = run_heap_case(ctx, mode, ctx.objects, ctx.object_bytes,
                               ctx.hot_objects, ctx.accesses,
                               ctx.local_bin_bytes)
         tail = StatSeries("tail")
@@ -225,10 +225,10 @@ def make_task(regions: int = 24, ops_per_region: int = 8) -> Task:
     return task
 
 
-def run_failure_case(recovery: str, rate: float, seed: int = 5,
+def run_failure_case(ctx, recovery: str, rate: float, seed: int = 5,
                      regions: int = 24,
                      ops_per_region: int = 8) -> dict:
-    env = Environment()
+    env = ctx.env(f"{recovery}@{rate}")
     cluster = build_cluster(env, ClusterSpec(hosts=1))
     injector = FailureInjector(rate=rate, rng=SimRng(seed))
     runtime = TaskRuntime(env, cluster.host(0), injector=injector,
@@ -309,7 +309,7 @@ def run_dp3_idempotent(ctx) -> Dict[str, Any]:
     rates = {}
     for rate in ctx.rates:
         rates[str(rate)] = {
-            recovery: run_failure_case(recovery, rate, ctx.failure_seed,
+            recovery: run_failure_case(ctx, recovery, rate, ctx.failure_seed,
                                        ctx.regions, ctx.ops_per_region)
             for recovery in ("idempotent", "restart")}
     return {"rates": rates}
@@ -328,11 +328,11 @@ GRAPH_TINY_CACHES = (
 )
 
 
-def run_graph_mode(mode: str, vertices: int = 96,
+def run_graph_mode(ctx, mode: str, vertices: int = 96,
                    avg_degree: float = 3.0,
                    traversals: int = 4) -> List[float]:
     from ...workloads import CsrGraph, random_graph
-    env = Environment()
+    env = ctx.env(mode)
     cluster = build_cluster(env, ClusterSpec(
         hosts=1, cache_configs=GRAPH_TINY_CACHES))
     host = cluster.host(0)
@@ -393,7 +393,7 @@ def render_graph_far_memory(summary: Dict[str, Any],
          < min(s["modes"]["remote"][-1], 3 * s["modes"]["local"][-1])),
     ))
 def run_graph_far_memory(ctx) -> Dict[str, Any]:
-    return {"modes": {mode: run_graph_mode(mode, ctx.vertices,
+    return {"modes": {mode: run_graph_mode(ctx, mode, ctx.vertices,
                                            ctx.avg_degree,
                                            ctx.traversals)
                       for mode in ("local", "remote",
@@ -405,9 +405,9 @@ def run_graph_far_memory(ctx) -> Dict[str, Any]:
 # --------------------------------------------------------------------------
 
 
-def comm_fabric_launch(context_bytes: int = 4096, launches: int = 20,
+def comm_fabric_launch(ctx, context_bytes: int = 4096, launches: int = 20,
                        kernel_ns: float = 0.0) -> float:
-    env = Environment()
+    env = ctx.env("comm-fabric")
     nic = CommFabricChannel(env)
 
     def go():
@@ -420,10 +420,10 @@ def comm_fabric_launch(context_bytes: int = 4096, launches: int = 20,
     return run_proc(env, go())
 
 
-def fabric_accelerator_launch(context_bytes: int = 4096,
+def fabric_accelerator_launch(ctx, context_bytes: int = 4096,
                               launches: int = 20,
                               kernel_ns: float = 0.0) -> float:
-    env = Environment()
+    env = ctx.env("fabric-accelerator")
     cluster = build_cluster(env, ClusterSpec(
         hosts=1, faas=[FaaSpec(name="faa0")]))
     accel = next(iter(cluster.faa("faa0").accelerators.values()))
@@ -445,10 +445,10 @@ def fabric_accelerator_launch(context_bytes: int = 4096,
     return run_proc(env, go())
 
 
-def scalable_function_launch(context_bytes: int = 4096,
+def scalable_function_launch(ctx, context_bytes: int = 4096,
                              launches: int = 20,
                              kernel_ns: float = 0.0) -> float:
-    env = Environment()
+    env = ctx.env("scalable-function")
     topo = Topology(env)
     topo.add_switch("sw0")
     topo.add_endpoint("host0")
@@ -505,7 +505,7 @@ def render_context_switch(summary: Dict[str, Any],
 def run_context_switch(ctx) -> Dict[str, Any]:
     args = (ctx.context_bytes, ctx.launches, ctx.kernel_ns)
     return {"paths": {
-        "comm-fabric (NIC)": comm_fabric_launch(*args),
-        "fabric (FAA call)": fabric_accelerator_launch(*args),
-        "fabric (scalable fn)": scalable_function_launch(*args),
+        "comm-fabric (NIC)": comm_fabric_launch(ctx, *args),
+        "fabric (FAA call)": fabric_accelerator_launch(ctx, *args),
+        "fabric (scalable fn)": scalable_function_launch(ctx, *args),
     }}

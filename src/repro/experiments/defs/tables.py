@@ -7,7 +7,7 @@ from typing import Any, Dict
 from ... import params
 from ...fabric import CATALOG, Channel, Packet, PacketKind, format_table1
 from ...infra import ClusterSpec, FaaSpec, FamSpec, build_cluster
-from ...sim import Environment, run_proc
+from ...sim import run_proc
 from ..format import print_table
 from ..registry import ExperimentError, Param, experiment
 
@@ -19,9 +19,9 @@ TABLE2_ROWS = [("l1", False), ("l1", True), ("l2", False), ("l2", True),
                ("remote", True)]
 
 
-def measure_level(level: str, is_write: bool, ops: int = 400) -> dict:
+def measure_level(ctx, level: str, is_write: bool, ops: int = 400) -> dict:
     """One Table 2 row: stream 64B ops pinned to a hierarchy level."""
-    env = Environment()
+    env = ctx.env(f"{level}.{'write' if is_write else 'read'}")
     cluster = build_cluster(env, ClusterSpec(hosts=1))
     host = cluster.host(0)
     core = host.core(0)
@@ -133,7 +133,7 @@ def run_table2(ctx) -> Dict[str, Any]:
             f"got {ctx.ops}")
     rows = []
     for level, is_write in TABLE2_ROWS:
-        measured = measure_level(level, is_write, ops=ctx.ops)
+        measured = measure_level(ctx, level, is_write, ops=ctx.ops)
         key = (level, measured["op"])
         measured["paper_latency_ns"] = _paper_latency(*key)
         measured["paper_mops"] = params.PAPER_MOPS[key]
@@ -185,7 +185,7 @@ def render_fig1(summary: Dict[str, Any],
          lambda s, _p: s["all_hosts_reach_fam"]),
     ))
 def run_fig1(ctx) -> Dict[str, Any]:
-    env = Environment()
+    env = ctx.env("fig1")
     cluster = build_fig1(env, hosts=ctx.hosts,
                          fam_modules=ctx.fam_modules,
                          faa_accelerators=ctx.faa_accelerators)

@@ -1,21 +1,21 @@
-"""Canonical telemetry scenarios behind ``repro trace`` / ``repro metrics``.
+"""The three timeline experiments: §3 stories told by one environment.
 
-Each scenario builds a small, deterministic simulation, runs it with
-telemetry (and a :class:`~repro.telemetry.sampler.TimelineSampler`)
-attached, and returns a :class:`ScenarioResult` whose summary is a
-plain JSON-able dict.  Scenarios also run with telemetry *off* — the
-bit-identity test pins that the summary (the model-observable output)
-is unchanged either way, and the benchmark harness measures the
-off-path overhead on the same builds.
-
-The three scenarios reproduce timelines the paper discusses:
+Each builds a small, deterministic simulation in one environment
+(labelled with the experiment's name) and returns a plain JSON-able
+summary.  They are ordinary experiments: ``repro bench <name>
+--observe trace,metrics,why,health,sanitize`` attaches any observer,
+and the summary is bit-identical observed or not (pinned by tests).
+Each declares the observer settings as ordinary parameters
+(``interval_ns``, ``window_ns``, ``causal_sample``).
 
 * ``t2`` — the Table 2 hierarchy walk: one core touching L1 / L2 /
   local DRAM / remote FAM, one span per level;
 * ``starvation`` — §3 CFC credit starvation (claim C5): under
   :class:`~repro.pcie.credits.RampUpPolicy` a steadily hot flow
   compounds its grant while a quiet flow decays to the floor, then
-  stalls hard when it finally bursts;
+  stalls hard when it finally bursts.  ``policy=fair`` swaps in the
+  control; ``feedback`` closes the loop through the egress domain's
+  :class:`~repro.control.CreditActuator`;
 * ``interleave`` — §3 difference #3 (claim C3): 64B reads degrade
   drastically when interleaved with 16KB posted writes through a
   credit-agnostic FIFO egress.
@@ -23,68 +23,41 @@ The three scenarios reproduce timelines the paper discusses:
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
-from .. import params
-from ..fabric import Channel, Packet, PacketKind
-from ..infra import ClusterSpec, build_cluster
-from ..pcie.credits import (CreditDomain, RampUpPolicy,
-                            StaticEqualPolicy)
-from ..sim import Environment, run_proc
-from ..topo import compile_topology, load_shape
-from .attribution import build_report
-from .causal import SERIALIZATION, CausalRecorder
-from .core import Telemetry, span
-from .sampler import DEFAULT_INTERVAL_NS, TimelineSampler
+from ... import params
+from ...control import CreditActuator, FeedbackPolicy, default_feedback_policy
+from ...fabric import Channel, Packet, PacketKind
+from ...infra import ClusterSpec, build_cluster
+from ...pcie.credits import (CreditDomain, RampUpPolicy,
+                             StaticEqualPolicy)
+from ...sim import run_proc
+from ...telemetry.causal import SERIALIZATION
+from ...telemetry.core import span
+from ...telemetry.health import DEFAULT_WINDOW_NS
+from ...telemetry.sampler import DEFAULT_INTERVAL_NS
+from ...topo import compile_topology, load_shape
+from ..registry import ExperimentError, Param, experiment
 
-__all__ = ["ScenarioResult", "TELEMETRY_SCENARIOS",
-           "STARVATION_POLICIES", "run_scenario",
-           "run_scenario_build", "scenario_names", "starvation_build"]
-
-
-@dataclasses.dataclass
-class ScenarioResult:
-    """One scenario run: the environment, its telemetry, the summary."""
-
-    name: str
-    env: Environment
-    telemetry: Optional[Telemetry]
-    summary: Dict[str, Any]
-
-    def chrome_trace(self) -> Dict[str, Any]:
-        if self.telemetry is None:
-            raise ValueError(f"scenario {self.name!r} ran without telemetry")
-        return self.telemetry.to_chrome_trace()
-
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        if self.telemetry is None:
-            raise ValueError(f"scenario {self.name!r} ran without telemetry")
-        snapshot = self.telemetry.registry.snapshot()
-        snapshot["scenario"] = self.name
-        snapshot["summary"] = self.summary
-        return snapshot
-
-    @property
-    def causal(self) -> Optional[CausalRecorder]:
-        return self.telemetry.causal if self.telemetry is not None else None
-
-    def attribution_report(self,
-                           max_transactions: int = 32) -> Dict[str, Any]:
-        """The ``repro why`` payload: critical paths + latency buckets."""
-        if self.causal is None:
-            raise ValueError(
-                f"scenario {self.name!r} ran without causal tracing; "
-                f"re-run with causal=True")
-        return build_report(self.name, self.causal, summary=self.summary,
-                            max_transactions=max_transactions)
+#: Observer settings, read by the run context when observed.
+_OBSERVER_PARAMS = {
+    "interval_ns": Param(float, DEFAULT_INTERVAL_NS,
+                         "timeline sampler period (sim ns)"),
+    "window_ns": Param(float, DEFAULT_WINDOW_NS,
+                       "health window width (sim ns)"),
+    "causal_sample": Param(int, 1,
+                           "sample 1-in-N transaction roots"),
+}
 
 
 # --------------------------------------------------------------------------
 # t2: the Table 2 hierarchy walk
 # --------------------------------------------------------------------------
 
-def _build_t2(env: Environment) -> Dict[str, Any]:
+@experiment("t2", "Timeline: the Table 2 hierarchy walk, one span per level",
+            params=dict(_OBSERVER_PARAMS))
+def run_t2(ctx) -> Dict[str, Any]:
+    env = ctx.env("t2")
     # The fabric comes from the committed t2_star shape (which the
     # tests pin equal to the descriptor a ClusterSpec(hosts=1) derives).
     cluster = build_cluster(env, ClusterSpec(
@@ -134,46 +107,47 @@ _WINDOW = 8
 _BURST_FLITS = 64
 
 
-#: Credit policies `repro health --policy` can swap into the
-#: starvation scenario: the pathological default vs the fair control.
+#: Credit policies the starvation experiment's ``policy`` selects: the
+#: pathological default vs the fair control (StaticEqualPolicy grants
+#: each flow budget/flows = 16 credits, enough for the 8-worker
+#: window, so the quiet burst never stalls).
 STARVATION_POLICIES: Dict[str, Callable[[], Any]] = {
     "rampup": RampUpPolicy,
     "fair": StaticEqualPolicy,
 }
 
 
-def starvation_build(policy: str = "rampup", plane: Any = None
-                     ) -> Callable[[Environment], Dict[str, Any]]:
-    """The starvation builder with its credit policy swapped.
+def _default_rescue() -> FeedbackPolicy:
+    return FeedbackPolicy(default_feedback_policy("starvation"),
+                          source="default")
 
-    ``rampup`` is the registered scenario (byte-identical to the
-    default build); ``fair`` is the control the health SLO must stay
-    quiet on — StaticEqualPolicy grants each flow budget/flows = 16
-    credits, enough for the 8-worker window, so the quiet burst never
-    stalls.  ``plane`` is an optional
-    :class:`~repro.control.ControlPlane`: the build then registers a
-    :class:`~repro.control.CreditActuator` over the egress domain so
-    feedback rules targeting ``credits.egress0`` can act.
-    """
-    if policy not in STARVATION_POLICIES:
-        raise ValueError(
-            f"unknown starvation policy {policy!r}; choose from "
+
+@experiment(
+    "starvation",
+    "Timeline: CFC quiet-flow starvation under ramp-up credits (C5)",
+    params={**_OBSERVER_PARAMS,
+            "policy": Param(str, "rampup",
+                            "egress credit policy: rampup (the "
+                            "pathological default) or fair "
+                            "(StaticEqualPolicy control)"),
+            "feedback": Param(str, "off",
+                              "closed loop on the egress credits: off, "
+                              "default, or a feedback-policy JSON "
+                              "path")})
+def run_starvation(ctx) -> Dict[str, Any]:
+    if ctx.policy not in STARVATION_POLICIES:
+        raise ExperimentError(
+            f"unknown starvation policy {ctx.policy!r}; choose from "
             f"{', '.join(sorted(STARVATION_POLICIES))}")
-    return lambda env: _build_starvation(env, policy=policy,
-                                         plane=plane)
-
-
-def _build_starvation(env: Environment, policy: str = "rampup",
-                      plane: Any = None) -> Dict[str, Any]:
+    env = ctx.env("starvation",
+                  feedback=ctx.feedback_policy(_default_rescue))
     domain = CreditDomain(env, budget=32,
-                          policy=STARVATION_POLICIES[policy](),
+                          policy=STARVATION_POLICIES[ctx.policy](),
                           rebalance_ns=2_000.0, name="egress0")
     domain.register("hot")
     domain.register("quiet")
     domain.start()
-    if plane is not None:
-        from ..control import CreditActuator
-        plane.add_actuator(CreditActuator(domain))
+    ctx.add_actuator(env, CreditActuator(domain))
     stalled: Dict[str, float] = {"hot": 0.0, "quiet": 0.0}
     tel = env.telemetry
     causal = tel.causal if tel is not None else None
@@ -241,7 +215,12 @@ def _build_starvation(env: Environment, policy: str = "rampup",
 # interleave: 64B reads vs 16KB posted writes through a FIFO egress (C3)
 # --------------------------------------------------------------------------
 
-def _build_interleave(env: Environment) -> Dict[str, Any]:
+@experiment("interleave",
+            "Timeline: 64B reads vs 16KB posted writes at a FIFO egress "
+            "(C3)",
+            params=dict(_OBSERVER_PARAMS))
+def run_interleave(ctx) -> Dict[str, Any]:
+    env = ctx.env("interleave")
     # The committed interleave shape: reader + writer upstream of one
     # FIFO switch, the device behind a narrow x4 link.  Compiling it
     # is byte-identical to the historical hand-wired builder (pinned).
@@ -287,61 +266,3 @@ def _build_interleave(env: Environment) -> Dict[str, Any]:
     return {"reads": len(read_ns),
             "read64_mean_ns": round(sum(read_ns) / len(read_ns), 1),
             "read64_max_ns": round(max(read_ns), 1)}
-
-
-TELEMETRY_SCENARIOS: Dict[str, Callable[[Environment], Dict[str, Any]]] = {
-    "t2": _build_t2,
-    "starvation": _build_starvation,
-    "interleave": _build_interleave,
-}
-
-
-def scenario_names():
-    from ..experiments import registry
-    return registry.names(kind="scenario")
-
-
-def run_scenario_build(name: str,
-                       build: Callable[[Environment], Dict[str, Any]],
-                       interval_ns: float = DEFAULT_INTERVAL_NS,
-                       telemetry: bool = True,
-                       causal: bool = False,
-                       causal_sample: int = 1) -> ScenarioResult:
-    """The scenario engine: run ``build`` under the requested tracing.
-
-    With ``telemetry=False`` the identical model runs bare — the
-    bit-identity test and the overhead benchmark both lean on this.
-    With ``causal=True`` a :class:`CausalRecorder` rides along (one
-    transaction root per ``causal_sample`` candidates); recording never
-    touches the event queue, so summaries stay bit-identical either way.
-    """
-    if causal and not telemetry:
-        raise ValueError("causal tracing needs telemetry=True")
-    instance: Any = telemetry
-    if causal:
-        instance = Telemetry(causal=CausalRecorder(sample=causal_sample))
-    env = Environment(telemetry=instance)
-    if env.telemetry is not None:
-        TimelineSampler(env, interval_ns=interval_ns).start()
-    summary = build(env)
-    return ScenarioResult(name=name, env=env, telemetry=env.telemetry,
-                          summary=summary)
-
-
-def run_scenario(name: str,
-                 interval_ns: float = DEFAULT_INTERVAL_NS,
-                 telemetry: bool = True,
-                 causal: bool = False,
-                 causal_sample: int = 1) -> ScenarioResult:
-    """Run one registered scenario; raises ValueError on unknown names.
-
-    Names resolve through the experiment registry (scenario-kind
-    entries), so anything registered there — including out-of-tree
-    additions — is reachable from ``repro trace``/``metrics``/``why``.
-    """
-    from ..experiments import registry
-    defn = registry.get(name, kind="scenario")
-    return run_scenario_build(name, defn.scenario_build,
-                              interval_ns=interval_ns,
-                              telemetry=telemetry, causal=causal,
-                              causal_sample=causal_sample)

@@ -33,7 +33,7 @@ import dataclasses
 from typing import Any, Dict, List, Tuple
 
 from ...fabric import Channel, Packet, PacketKind
-from ...sim import Environment, StatSeries, run_proc
+from ...sim import StatSeries, run_proc
 from ...topo import (
     DescriptorError,
     EndpointSpec,
@@ -49,10 +49,8 @@ _SLOW_DEVICE_NS = 500.0
 _FAST_DEVICE_NS = 10.0
 _FLOOD_WORKERS = 8
 
-# The closed-loop case: 1,000 ns health windows sampled every 500 ns;
-# the rescue revokes the flood's edge-link credits down to this many.
-_FEEDBACK_WINDOW_NS = 1_000.0
-_FEEDBACK_INTERVAL_NS = 500.0
+# The closed-loop case revokes the flood's edge-link credits down to
+# this many.
 _RESCUE_GRANTED = 2
 
 
@@ -135,45 +133,29 @@ def xswitch_rescue_policy(descriptor: TopologyDescriptor):
         ]}, source="builtin:xswitch-rescue")
 
 
-def run_xswitch_case(descriptor: TopologyDescriptor, scheduler: str,
-                     with_flood: bool, victim_reads: int,
+def run_xswitch_case(ctx, label: str, descriptor: TopologyDescriptor,
+                     scheduler: str, with_flood: bool, victim_reads: int,
                      flood_writes: int,
                      feedback: Any = None) -> Tuple[StatSeries, Any]:
     """One case; returns (victim latency series, control plane or None).
 
-    With ``feedback`` (a FeedbackPolicy) the run carries telemetry, a
-    sampler, and a health monitor; a LinkActuator named
+    With ``feedback`` (a FeedbackPolicy) the run context puts the case
+    under the health monitor and a control plane; a LinkActuator named
     ``link.injection`` wraps the flood host's edge link so rules can
-    throttle the aggressor at its injection port.  Telemetry does not
+    throttle the aggressor at its injection port.  Observers do not
     change model timings (pinned bit-identity), so the case's latency
     stats stay comparable with the bare runs.
     """
-    plane = None
-    monitor = None
-    if feedback is not None:
-        from ...control import ControlPlane, LinkActuator
-        from ...telemetry.causal import CausalRecorder
-        from ...telemetry.core import Telemetry
-        from ...telemetry.health import HealthMonitor
-        from ...telemetry.sampler import TimelineSampler
-        env = Environment(
-            telemetry=Telemetry(causal=CausalRecorder(sample=1)))
-        TimelineSampler(env,
-                        interval_ns=_FEEDBACK_INTERVAL_NS).start()
-        monitor = HealthMonitor(env.telemetry, "xswitch",
-                                window_ns=_FEEDBACK_WINDOW_NS)
-        plane = ControlPlane(feedback)
-    else:
-        env = Environment()
+    env = ctx.env(label, feedback=feedback)
     case_desc = dataclasses.replace(descriptor, scheduler=scheduler)
     topo = compile_topology(case_desc, env).topology
     victim_host, flood_host, victim_dev, hot_dev = \
         _pick_endpoints(descriptor)
-    if plane is not None:
-        plane.add_actuator(LinkActuator(
+    if feedback is not None:
+        from ...control import LinkActuator
+        ctx.add_actuator(env, LinkActuator(
             topo.port_of(flood_host).tx_link, vc=1,
             name="link.injection"))
-        plane.attach(monitor)
 
     def slow_handler(request):
         yield env.timeout(_SLOW_DEVICE_NS)   # the congestion source
@@ -218,9 +200,8 @@ def run_xswitch_case(descriptor: TopologyDescriptor, scheduler: str,
         for _ in range(_FLOOD_WORKERS):
             env.process(flood_worker(flood_writes // _FLOOD_WORKERS))
     run_proc(env, victim())
-    if monitor is not None:
-        monitor.finalize(env.now)
-    return stats, plane
+    return stats, ctx.observation(env).plane if feedback is not None \
+        else None
 
 
 def render_xswitch_starvation(summary: Dict[str, Any],
@@ -249,7 +230,13 @@ def render_xswitch_starvation(summary: Dict[str, Any],
                                   "flood writes at the hot device"),
             "feedback": Param(str, "off",
                               "closed-loop rescue case: off, default, "
-                              "or a feedback-policy JSON path")},
+                              "or a feedback-policy JSON path"),
+            "window_ns": Param(float, 1_000.0,
+                               "health window width (sim ns) when "
+                               "monitored"),
+            "interval_ns": Param(float, 500.0,
+                                 "sampler cadence (sim ns) when "
+                                 "observed")},
     render=render_xswitch_starvation,
     invariants=(
         # Victim and flood share only the spine-to-spine hop; the
@@ -273,8 +260,8 @@ def run_xswitch_starvation(ctx) -> Dict[str, Any]:
             ("fifo quiet", "fifo", False),
             ("fifo congested", "fifo", True),
             ("fair congested", "fair", True)):
-        stats, _ = run_xswitch_case(descriptor, scheduler, with_flood,
-                                    ctx.victim_reads,
+        stats, _ = run_xswitch_case(ctx, case, descriptor, scheduler,
+                                    with_flood, ctx.victim_reads,
                                     ctx.flood_writes)
         cases[case] = {"mean_ns": stats.mean, "p99_ns": stats.p99}
     summary: Dict[str, Any] = {
@@ -284,18 +271,11 @@ def run_xswitch_starvation(ctx) -> Dict[str, Any]:
                       "victim_dev": victim_dev,
                       "hot_dev": hot_dev},
         "cases": cases}
-    if ctx.feedback != "off":
-        from ...control import ControlError, FeedbackPolicy
-        try:
-            if ctx.feedback == "default":
-                policy = xswitch_rescue_policy(descriptor)
-            else:
-                policy = FeedbackPolicy.load(ctx.feedback)
-            stats, plane = run_xswitch_case(
-                descriptor, "fifo", True, ctx.victim_reads,
-                ctx.flood_writes, feedback=policy)
-        except ControlError as exc:
-            raise ExperimentError(str(exc)) from None
+    policy = ctx.feedback_policy(lambda: xswitch_rescue_policy(descriptor))
+    if policy is not None:
+        stats, plane = run_xswitch_case(
+            ctx, "fifo rescue", descriptor, "fifo", True,
+            ctx.victim_reads, ctx.flood_writes, feedback=policy)
         cases["fifo rescue"] = {"mean_ns": stats.mean,
                                 "p99_ns": stats.p99}
         summary["feedback"] = {"policy_source": policy.source,

@@ -1,29 +1,22 @@
-"""The experiment registry: every runnable scenario/benchmark, by name.
+"""The experiment registry: every runnable experiment, by name.
 
 An :class:`ExperimentDef` is the declarative description of one
 experiment: a name, a one-line description, a typed parameter schema
-(defaults included), the set of output documents it can produce, the
-function that runs it, and the paper-shape invariants its summary must
-satisfy.  Definitions live in :mod:`repro.experiments.defs` and
-register themselves at import time via the :func:`experiment`
-decorator; everything else — ``repro bench``/``repro list``, the sweep
-driver, the telemetry scenario commands — resolves experiments through
-this registry instead of hard-coding builders.
+(defaults included), the function that runs it, and the paper-shape
+invariants its summary must satisfy.  Definitions live in
+:mod:`repro.experiments.defs` and register themselves at import time
+via the :func:`experiment` decorator; everything else — ``repro
+bench``/``repro list`` and the sweep driver — resolves experiments
+through this registry instead of hard-coding builders.  A run function
+takes a :class:`~repro.experiments.observe.RunContext` and gets every
+environment from ``ctx.env(label)``, so any experiment can produce
+every output in :data:`ALL_OUTPUTS`.
 
 An invariant is a ``(name, predicate)`` pair; ``predicate(summary,
 params)`` returns whether the paper's claim holds on that run.  A
 predicate reads only the rows the summary has (a parameter point that
 lacks a row is not a break); one that raises a lookup, type, value or
 arithmetic error counts as broken.
-
-Two kinds exist:
-
-* ``bench`` — the run function builds its own environments and returns
-  a JSON-able summary dict (the numbers a benchmark table prints);
-* ``scenario`` — the definition carries a ``scenario_build`` callable
-  ``(Environment) -> summary`` and the generic runner attaches
-  telemetry / causal tracing on demand, so one registration serves
-  ``repro trace``, ``repro metrics``, ``repro why`` and sweeps alike.
 """
 
 from __future__ import annotations
@@ -44,12 +37,11 @@ class ExperimentError(ValueError):
 class UnknownExperimentError(ExperimentError):
     """Asked for a name the registry does not hold."""
 
-    def __init__(self, name: str, kind: Optional[str] = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        what = "scenario" if kind == "scenario" else "experiment"
         super().__init__(
-            f"unknown {what} {name!r}; choose from "
-            f"{', '.join(names(kind=kind))}")
+            f"unknown experiment {name!r}; choose from "
+            f"{', '.join(names())}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,11 +91,11 @@ class Param:
                 f"parameter {name!r}") from None
 
 
-#: Outputs an experiment may be asked for.
+#: Outputs an experiment may be asked for: its summary, and one
+#: document per environment from each observer.
 OUTPUT_SUMMARY = "summary"
-OUTPUT_METRICS = "metrics"
-OUTPUT_ATTRIBUTION = "attribution"
-ALL_OUTPUTS = (OUTPUT_SUMMARY, OUTPUT_METRICS, OUTPUT_ATTRIBUTION)
+OBSERVERS = ("trace", "metrics", "why", "health", "sanitize")
+ALL_OUTPUTS = (OUTPUT_SUMMARY,) + OBSERVERS
 
 #: ``(name, predicate(summary, params) -> bool)``: one paper-shape claim.
 Invariant = Tuple[str, Callable[[Dict[str, Any], Dict[str, Any]], bool]]
@@ -116,11 +108,8 @@ class ExperimentDef:
 
     name: str
     description: str
-    run: Optional[Callable[..., Dict[str, Any]]]
+    run: Callable[..., Dict[str, Any]]
     params: Mapping[str, Param]
-    kind: str = "bench"
-    outputs: Tuple[str, ...] = (OUTPUT_SUMMARY,)
-    scenario_build: Optional[Callable[..., Dict[str, Any]]] = None
     render: Optional[Callable[[Dict[str, Any], Dict[str, Any]],
                               None]] = None
     invariants: Tuple[Invariant, ...] = ()
@@ -164,10 +153,6 @@ def register(defn: ExperimentDef) -> ExperimentDef:
     if defn.name in _REGISTRY:
         raise ExperimentError(
             f"experiment {defn.name!r} registered twice")
-    bad = [o for o in defn.outputs if o not in ALL_OUTPUTS]
-    if bad:
-        raise ExperimentError(
-            f"experiment {defn.name!r} declares unknown outputs {bad}")
     names_seen = [name for name, _predicate in defn.invariants]
     if len(set(names_seen)) != len(names_seen):
         raise ExperimentError(
@@ -180,7 +165,7 @@ def experiment(name: str, description: str,
                params: Optional[Mapping[str, Param]] = None,
                render: Optional[Callable] = None,
                invariants: Sequence[Invariant] = ()):
-    """Decorator: register a bench-kind experiment run function."""
+    """Decorator: register an experiment run function."""
     def wrap(fn: Callable[..., Dict[str, Any]]):
         register(ExperimentDef(name=name, description=description,
                                run=fn, params=dict(params or {}),
@@ -195,32 +180,30 @@ def _ensure_loaded() -> None:
     from . import defs   # noqa: F401
 
 
-def get(name: str, kind: Optional[str] = None) -> ExperimentDef:
+def get(name: str) -> ExperimentDef:
     """Look up a definition; raises :class:`UnknownExperimentError`."""
     _ensure_loaded()
     defn = _REGISTRY.get(name)
-    if defn is None or (kind is not None and defn.kind != kind):
-        raise UnknownExperimentError(name, kind=kind)
+    if defn is None:
+        raise UnknownExperimentError(name)
     return defn
 
 
-def names(kind: Optional[str] = None) -> List[str]:
-    """Sorted registered names, optionally restricted to one kind."""
+def names() -> List[str]:
+    """Sorted registered names."""
     _ensure_loaded()
-    return sorted(name for name, defn in _REGISTRY.items()
-                  if kind is None or defn.kind == kind)
+    return sorted(_REGISTRY)
 
 
 def describe() -> List[Dict[str, Any]]:
     """One row per experiment, for ``repro list`` and docs."""
     _ensure_loaded()
     return [{"name": name,
-             "kind": _REGISTRY[name].kind,
              "description": _REGISTRY[name].description,
              "params": {key: {"type": param.type.__name__,
                               "default": param.default,
                               "help": param.help}
                         for key, param in
                         sorted(_REGISTRY[name].params.items())},
-             "outputs": list(_REGISTRY[name].outputs)}
+             "outputs": list(ALL_OUTPUTS)}
             for name in names()]

@@ -3,89 +3,43 @@
 The result is schema-stable JSON: the resolved parameters (defaults
 filled in), the seed, one entry per requested output, and the verdict
 of every registered paper-shape invariant on the summary
-(``"invariants": {name: bool}``).  Bench-kind
-experiments return their summary; scenario-kind experiments run
-through the telemetry scenario engine, attaching telemetry / causal
-tracing only when ``metrics`` / ``attribution`` were asked for (the
-summary is bit-identical either way — pinned by tests).
+(``"invariants": {name: bool}``).  Outputs other than ``summary`` name
+observers (:data:`~repro.experiments.observe.OBSERVERS`): the run's
+:class:`~repro.experiments.observe.RunContext` attaches them to every
+environment and each becomes ``{label: document}``.  The summary is
+bit-identical observed or not (pinned by tests).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from .registry import (
-    OUTPUT_ATTRIBUTION,
-    OUTPUT_METRICS,
-    ExperimentDef,
-    get,
-)
+from .observe import RunContext
+from .registry import OUTPUT_SUMMARY, get
 from .spec import ExperimentSpec
 
-__all__ = ["RunContext", "run_experiment", "run_summary", "render"]
+__all__ = ["run_experiment", "run_summary", "render"]
 
 RESULT_SCHEMA = 1
 RESULT_TOOL = "repro-experiments"
-
-
-class RunContext:
-    """What a bench-kind run function sees: params + seed.
-
-    Parameters are exposed both as attributes (``ctx.hosts``) and via
-    ``ctx["hosts"]``; the seed rides along for experiments that drive
-    a :class:`~repro.sim.rng.SimRng`.
-    """
-
-    __slots__ = ("params", "seed")
-
-    def __init__(self, params: Dict[str, Any], seed: int) -> None:
-        self.params = params
-        self.seed = seed
-
-    def __getitem__(self, name: str) -> Any:
-        return self.params[name]
-
-    def __getattr__(self, name: str) -> Any:
-        try:
-            return self.params[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-
-def _run_scenario_outputs(defn: ExperimentDef, spec: ExperimentSpec,
-                          params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..telemetry.scenarios import run_scenario_build
-    want_metrics = OUTPUT_METRICS in spec.outputs
-    want_attribution = OUTPUT_ATTRIBUTION in spec.outputs
-    result = run_scenario_build(
-        defn.name, defn.scenario_build,
-        interval_ns=params["interval_ns"],
-        telemetry=want_metrics or want_attribution,
-        causal=want_attribution,
-        causal_sample=params["causal_sample"])
-    outputs: Dict[str, Any] = {"summary": result.summary}
-    if want_metrics:
-        outputs[OUTPUT_METRICS] = result.metrics_snapshot()
-    if want_attribution:
-        outputs[OUTPUT_ATTRIBUTION] = result.attribution_report()
-    return outputs
 
 
 def run_experiment(spec: ExperimentSpec) -> Dict[str, Any]:
     """Run a validated spec; returns the schema-stable result dict."""
     defn = spec.resolve()
     params = defn.resolve_params(spec.params)
-    if defn.kind == "scenario":
-        outputs = _run_scenario_outputs(defn, spec, params)
-    else:
-        outputs = {"summary": defn.run(RunContext(params, spec.seed))}
+    ctx = RunContext(params, spec.seed,
+                     observe=[o for o in spec.outputs
+                              if o != OUTPUT_SUMMARY])
+    summary = defn.run(ctx)
+    ctx.finish(summary)
     return {"schema": RESULT_SCHEMA,
             "tool": RESULT_TOOL,
             "experiment": defn.name,
             "params": params,
             "seed": spec.seed,
-            "outputs": outputs,
-            "invariants": defn.check(outputs["summary"], params)}
+            "outputs": {"summary": summary, **ctx.documents()},
+            "invariants": defn.check(summary, params)}
 
 
 def run_summary(name: str, seed: int = 0, **params: Any) \

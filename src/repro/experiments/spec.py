@@ -2,10 +2,10 @@
 
 An :class:`ExperimentSpec` names a registered experiment, overrides a
 subset of its typed parameters, pins a seed, and lists the output
-documents wanted (``summary`` always; ``metrics`` / ``attribution``
-for scenario-kind experiments).  Specs are plain JSON on disk, so a
-sweep file, a CI job, and a one-off ``repro bench`` all speak the same
-language.
+documents wanted: ``summary`` always, plus any observers (``trace``,
+``metrics``, ``why``, ``health``, ``sanitize``).  Specs are plain JSON
+on disk, so a sweep file, a CI job, and a one-off ``repro bench`` all
+speak the same language.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import dataclasses
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from .registry import (
+    ALL_OUTPUTS,
     OUTPUT_SUMMARY,
     ExperimentDef,
     ExperimentError,
@@ -46,11 +47,11 @@ class ExperimentSpec:
         defn = get(self.experiment)
         defn.resolve_params(self.params)
         for output in self.outputs:
-            if output not in defn.outputs:
+            if output not in ALL_OUTPUTS:
                 raise SpecError(
                     f"experiment {self.experiment!r} cannot produce "
                     f"output {output!r}; supported: "
-                    f"{', '.join(defn.outputs)}")
+                    f"{', '.join(ALL_OUTPUTS)}")
         return defn
 
     def to_dict(self) -> Dict[str, Any]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Generator, List, Optional
 
 from .. import params
-from ..sim import Container, Environment, Event, SimRng, Store, Tracer
+from ..sim import Container, Environment, Event, SimRng, Store
 from ..telemetry.causal import CREDIT_STALL, QUEUEING, SERIALIZATION, WIRE
 from .flit import Channel, Flit
 from .phys import PhysicalLayer
@@ -40,7 +40,6 @@ class LinkLayer:
                  link_params: Optional[params.LinkParams] = None,
                  vcs: int = 2,
                  name: str = "link",
-                 tracer: Optional[Tracer] = None,
                  overcommit: float = 1.0,
                  credit_update_ns: float = params.CREDIT_UPDATE_INTERVAL_NS,
                  control_lane: bool = False,
@@ -57,12 +56,10 @@ class LinkLayer:
         self.params = link_params or params.LinkParams()
         self.name = name
         self.vcs = vcs
-        self.tracer = tracer
         self.credit_update_ns = credit_update_ns
         self.error_rate = error_rate
         self.rng = rng or SimRng(0)
-        self.phys = PhysicalLayer(env, self.params, name=f"{name}.phys",
-                                  tracer=tracer)
+        self.phys = PhysicalLayer(env, self.params, name=f"{name}.phys")
 
         initial = int(self.params.credits * overcommit)
         self._credit_pools: List[Container] = [
@@ -280,9 +277,6 @@ class LinkLayer:
                 self.retransmissions += 1
                 if self._tel is not None:
                     self._m_retries.inc(time=self.env.now)
-                if self.tracer is not None:
-                    self.tracer.record(self.env.now, "link.retry",
-                                       link=self.name, flit=repr(flit))
                 # The NAK round-trip before the flit is re-serialized.
                 yield self.env.timeout(2 * self.params.propagation_ns)
                 continue
@@ -302,6 +296,3 @@ class LinkLayer:
         # (max-accumulate commutes with the preceding += — any
         # same-timestamp dispatch order lands on the same peak)
         self.rx.put(flit)
-        if self.tracer is not None:
-            self.tracer.record(self.env.now, "link.rx", link=self.name,
-                               flit=repr(flit))

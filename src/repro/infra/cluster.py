@@ -22,7 +22,7 @@ from ..mem.nodes import (
     NonCcNumaNode,
 )
 from ..pcie.manager import FabricManager
-from ..sim import Environment, Tracer
+from ..sim import Environment
 from ..topo import (
     EndpointSpec,
     LinkClassSpec,
@@ -196,8 +196,8 @@ def cluster_descriptor(spec: ClusterSpec,
                       endpoints=tuple(endpoints)),)).validate()
 
 
-def build_cluster(env: Environment, spec: Optional[ClusterSpec] = None,
-                  tracer: Optional[Tracer] = None) -> Cluster:
+def build_cluster(env: Environment,
+                  spec: Optional[ClusterSpec] = None) -> Cluster:
     """Build a composable rack from a spec.
 
     The fabric wiring always goes through the declarative topology
@@ -209,8 +209,7 @@ def build_cluster(env: Environment, spec: Optional[ClusterSpec] = None,
     if spec.hosts < 1:
         raise ValueError("need at least one host")
     descriptor = spec.descriptor or cluster_descriptor(spec)
-    fabric = compile_topology(descriptor, env, tracer=tracer,
-                              configure=False)
+    fabric = compile_topology(descriptor, env, configure=False)
     topology = fabric.topology
 
     expected = ([f"host{h}" for h in range(spec.hosts)]

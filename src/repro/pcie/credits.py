@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional
 
 from .. import params
-from ..sim import Container, Environment, Event, Tracer
+from ..sim import Container, Environment, Event
 from ..telemetry.causal import CREDIT_STALL
 
 __all__ = ["CreditDomain", "CreditPolicy", "RampUpPolicy",
@@ -189,7 +189,6 @@ class CreditDomain:
     def __init__(self, env: Environment, budget: int,
                  policy: Optional[CreditPolicy] = None,
                  rebalance_ns: float = params.CREDIT_RAMP_INTERVAL_NS,
-                 tracer: Optional[Tracer] = None,
                  name: str = "creditdom") -> None:
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
@@ -197,7 +196,6 @@ class CreditDomain:
         self.budget = budget
         self.policy = policy or StaticEqualPolicy()
         self.rebalance_ns = rebalance_ns
-        self.tracer = tracer
         self.name = name
         self._pools: Dict[str, Container] = {}
         self._granted: Dict[str, int] = {}
@@ -380,10 +378,6 @@ class CreditDomain:
         while True:
             yield self.env.timeout(self.rebalance_ns)
             self.rebalance_now()
-            if self.tracer is not None:
-                self.tracer.record(self.env.now, "credits.rebalance",
-                                   domain=self.name,
-                                   grants=dict(self._granted))
 
     def _apply_targets(self, targets: Dict[str, int]) -> None:
         for flow, target in targets.items():

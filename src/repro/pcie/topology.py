@@ -21,7 +21,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .. import params
 from ..fabric.link import LinkLayer
 from ..fabric.transaction import TransactionPort
-from ..sim import Environment, Tracer
+from ..sim import Environment
 from .routing import MAX_PBR_IDS, PbrId
 from .switch import FabricSwitch, PortRole
 
@@ -46,12 +46,10 @@ class Topology:
 
     def __init__(self, env: Environment,
                  link_params: Optional[params.LinkParams] = None,
-                 scheduler: str = "fair",
-                 tracer: Optional[Tracer] = None) -> None:
+                 scheduler: str = "fair") -> None:
         self.env = env
         self.link_params = link_params or params.LinkParams()
         self.scheduler = scheduler
-        self.tracer = tracer
         self.switches: Dict[str, FabricSwitch] = {}
         self.endpoints: Dict[str, Endpoint] = {}
         # adjacency: node name -> list of (neighbor name, egress port index
@@ -72,8 +70,7 @@ class Topology:
             port_latency_ns=port_latency_ns,
             scheduler=scheduler or self.scheduler,
             scheduler_capacity=scheduler_capacity,
-            ingress_buffer=ingress_buffer,
-            tracer=self.tracer)
+            ingress_buffer=ingress_buffer)
         self.switches[name] = switch
         self._adjacency[name] = []
         return switch
@@ -119,8 +116,7 @@ class Topology:
                    control_lane: bool,
                    tx_queue_capacity: float) -> LinkLayer:
         return LinkLayer(self.env, link_params or self.link_params,
-                         name=name, tracer=self.tracer,
-                         control_lane=control_lane,
+                         name=name, control_lane=control_lane,
                          tx_queue_capacity=tx_queue_capacity)
 
     def connect_endpoint(self, switch_name: str, endpoint_name: str,
@@ -144,7 +140,7 @@ class Topology:
         endpoint.port = TransactionPort(
             self.env, tx_link=to_switch, rx_link=to_endpoint,
             port_id=endpoint.global_id, name=endpoint_name,
-            tag_capacity=tag_capacity, tracer=self.tracer)
+            tag_capacity=tag_capacity)
         self._adjacency[switch_name].append((endpoint_name, port.index))
         self._adjacency[endpoint_name].append((switch_name, -1))
         return endpoint.port

@@ -1,77 +1,16 @@
-"""Lightweight event tracing and statistics collection.
+"""Statistics collection for benchmark results.
 
-The tracer is deliberately simple: components call
-``tracer.record(kind, **fields)`` and analyses filter the resulting
-list.  :class:`StatSeries` accumulates scalar samples with O(1) memory
-for the common mean/percentile queries benchmarks need.
+:class:`StatSeries` accumulates scalar samples for the mean /
+percentile / rate queries experiments report.  Event tracing lives in
+:mod:`repro.telemetry` (spans, instants, the causal recorder).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from collections import deque
-from typing import Any, Dict, Iterator, List, Optional
+from typing import List, Optional
 
-__all__ = ["Tracer", "TraceRecord", "StatSeries"]
-
-
-@dataclasses.dataclass(frozen=True)
-class TraceRecord:
-    """One traced occurrence."""
-
-    time: float
-    kind: str
-    fields: Dict[str, Any]
-
-    def __getattr__(self, name: str) -> Any:
-        try:
-            return self.fields[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-
-class Tracer:
-    """Collects :class:`TraceRecord` instances; can be disabled for speed.
-
-    .. deprecated:: the ad-hoc record list predates
-       :mod:`repro.telemetry`, which supersedes it (metrics registry,
-       span tracing, Perfetto export).  The API keeps working: pass
-       ``telemetry=`` to route every record through the new layer —
-       each record becomes an instant event on its kind's track plus a
-       ``trace.<kind>`` counter in the registry — and ``capacity=`` to
-       bound the legacy list with a ring buffer instead of growing
-       without limit for the life of the run.
-    """
-
-    def __init__(self, enabled: bool = True,
-                 capacity: Optional[int] = None,
-                 telemetry: Any = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.enabled = enabled
-        self.capacity = capacity
-        self.records: Any = ([] if capacity is None
-                             else deque(maxlen=capacity))
-        self._telemetry = telemetry
-
-    def record(self, time: float, kind: str, **fields: Any) -> None:
-        if not self.enabled:
-            return
-        self.records.append(TraceRecord(time, kind, fields))
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.instant(kind, ts=time, **fields)
-            telemetry.registry.counter("trace." + kind).inc(time=time)
-
-    def filter(self, kind: str) -> Iterator[TraceRecord]:
-        return (r for r in self.records if r.kind == kind)
-
-    def count(self, kind: str) -> int:
-        return sum(1 for _ in self.filter(kind))
-
-    def clear(self) -> None:
-        self.records.clear()
+__all__ = ["StatSeries"]
 
 
 class StatSeries:

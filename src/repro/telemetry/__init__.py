@@ -19,12 +19,14 @@ always-available, near-zero-overhead observability layer:
 * :mod:`repro.telemetry.perfetto` — Chrome trace-event export
   (loadable at https://ui.perfetto.dev) plus the schema validator CI
   runs on exported files;
-* :mod:`repro.telemetry.scenarios` — canonical instrumented runs
-  behind ``repro trace <scenario>`` and ``repro metrics <scenario>``;
 * :mod:`repro.telemetry.health` — streaming windowed series, SLO
-  burn-rate alerting and anomaly detection behind ``repro health``,
-  with :mod:`repro.telemetry.dashboard` rendering the static HTML
-  view.
+  burn-rate alerting and anomaly detection, with
+  :mod:`repro.telemetry.dashboard` rendering the static HTML view.
+
+Experiments never wire these by hand: ``repro bench <experiment>
+--observe trace,metrics,why,health`` asks the run context
+(:mod:`repro.experiments.observe`) to attach them to every
+environment of the run.
 
 Enable per environment — ``Environment(telemetry=True)`` (or pass a
 :class:`Telemetry`) — and read it back as ``env.telemetry``.  Off is

@@ -1,7 +1,7 @@
 """Streaming fabric health: windowed series, SLO burn rates, alerts.
 
-``repro metrics`` snapshots at end-of-run and ``repro why`` attributes
-latency offline; nothing watches the fabric *while it runs*.  This
+The ``metrics`` observer snapshots at end-of-run and ``why``
+attributes latency offline; nothing watches the fabric *while it runs*.  This
 module turns the existing telemetry machinery into live, windowed
 signals — the layer the ROADMAP's closed-loop feedback policies
 subscribe to:
@@ -15,7 +15,7 @@ subscribe to:
   through its ``tap`` hook and finalized as windows close, reusing
   :class:`~repro.telemetry.attribution.TransactionTrace`'s precedence
   sweep — summed across windows the numbers equal the offline
-  ``repro why`` report exactly (pinned by tests);
+  ``why`` report exactly (pinned by tests);
 * **SLOs + burn-rate alerts** — a declarative JSON SloSpec (objective,
   target, alert rules); each window updates the error-budget burn rate
   and multi-window rules in the Google-SRE style fire/clear with exact
@@ -31,11 +31,15 @@ only mirrors appends — health on/off never schedules a kernel event,
 so ``events_processed`` and every scenario summary are bit-identical
 either way (pinned by tests).
 
-Subscribing a policy (PR 10+): ``monitor.subscribe(fn)`` delivers each
+Subscribing a policy: ``monitor.subscribe(fn)`` delivers each
 closed window record — ``fn(window)`` — after its SLO/anomaly pass.
 A pure-observer subscriber keeps the run bit-identical; a *feedback*
 policy that acts on what it sees (credit re-allocation, movement
 throttling) changes the model deliberately and owns that divergence.
+
+``repro bench <experiment> --observe health`` puts every environment
+of a run under a monitor; :mod:`repro.experiments.observe` does the
+wiring.
 """
 
 from __future__ import annotations
@@ -45,13 +49,13 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .attribution import SpanRecord, TransactionTrace
-from .causal import CATEGORIES, CausalRecorder
+from .causal import CATEGORIES
 from .core import Telemetry
 from .metrics import Counter, Gauge, Histogram
-from .sampler import DEFAULT_INTERVAL_NS, TimelineSampler
+from .sampler import DEFAULT_INTERVAL_NS
 
 __all__ = ["HealthError", "SloSpec", "HealthMonitor", "run_health",
-           "default_slo_spec", "validate_health_report",
+           "check_cadence", "default_slo_spec", "validate_health_report",
            "DEFAULT_WINDOW_NS"]
 
 #: Default tumbling-window width (ns): one credit rebalance period, so
@@ -381,14 +385,14 @@ class SloSpec:
 
 
 def default_slo_spec(scenario: str) -> Dict[str, Any]:
-    """The built-in spec ``repro health`` uses when none is given.
+    """The built-in spec for an environment labelled ``scenario``.
 
-    The starvation scenario gets the canonical pair: a quiet-route
+    The starvation experiment gets the canonical pair: a quiet-route
     credit-stall SLO whose fast-burn rule is the §3 C5 pager (fires
     under RampUpPolicy, stays quiet under fair StaticEqualPolicy —
     golden-pinned), plus an EWMA spike detector on the egress stall
-    counter.  The other scenarios default to windows-only reports
-    (pass ``--slo`` for custom objectives).
+    counter.  Other environments default to windows-only reports
+    (``run_health(..., spec=...)`` sets custom objectives).
     """
     if scenario == "starvation":
         return {
@@ -576,7 +580,7 @@ class HealthMonitor:
                      summary: Optional[Dict[str, Any]] = None,
                      control: Optional[Dict[str, Any]] = None
                      ) -> Dict[str, Any]:
-        """The schema-stable ``repro health --json`` payload."""
+        """The schema-stable ``health`` observer document."""
         recorder = self.telemetry.causal
         windows = [{"index": w["index"], "t0": round(w["t0"], 3),
                     "t1": round(w["t1"], 3), "final": w["final"]}
@@ -662,29 +666,18 @@ class HealthMonitor:
 
 
 # --------------------------------------------------------------------------
-# the runner behind `repro health`
+# cadence checks and the one-experiment runner
 # --------------------------------------------------------------------------
 
-def run_health(scenario: str, policy: str = "rampup",
-               window_ns: float = DEFAULT_WINDOW_NS,
-               interval_ns: float = DEFAULT_INTERVAL_NS,
-               spec: Optional[SloSpec] = None,
-               causal_sample: int = 1,
-               feedback=None):
-    """Run one scenario under the health monitor.
-
-    Returns ``(ScenarioResult, report)``.  ``policy`` selects the
-    starvation scenario's credit policy (``rampup`` — the pathological
-    default — or ``fair``); other scenarios accept only ``rampup``.
-
-    ``feedback`` is an optional
-    :class:`~repro.control.FeedbackPolicy`: a
-    :class:`~repro.control.ControlPlane` then rides the monitor's
-    window stream and applies matching rules through the scenario's
-    registered actuators (currently the starvation scenario's
-    ``credits.egress0``), and the report gains a ``control`` section
-    with the sim-time-stamped action log.
-    """
+def check_cadence(interval_ns: float,
+                  window_ns: Optional[float] = None) -> None:
+    """Raise :class:`HealthError` unless the sampler ticks every
+    ``interval_ns > 0`` and ``window_ns`` is a positive multiple of it,
+    so window edges land on sampler ticks."""
+    if interval_ns <= 0:
+        raise HealthError(f"interval_ns must be > 0, got {interval_ns}")
+    if window_ns is None:
+        return
     remainder = window_ns % interval_ns
     if min(remainder, abs(interval_ns - remainder)) > _EPS \
             or window_ns < interval_ns:
@@ -692,43 +685,14 @@ def run_health(scenario: str, policy: str = "rampup",
             f"window_ns ({window_ns}) must be a positive multiple of "
             f"interval_ns ({interval_ns}) so window edges land on "
             "sampler ticks")
-    from ..experiments import registry as _registry
-    from .scenarios import ScenarioResult, starvation_build
-    defn = _registry.get(scenario, kind="scenario")
-    plane = None
-    if feedback is not None:
-        if scenario != "starvation":
-            raise HealthError(
-                "feedback policies are wired for the starvation "
-                f"scenario only; {scenario!r} registers no actuators")
-        from ..control import ControlPlane
-        plane = ControlPlane(feedback)
-    if scenario == "starvation":
-        build = starvation_build(policy, plane=plane)
-    elif policy != "rampup":
-        raise HealthError(
-            "policy applies to the starvation scenario only; "
-            f"{scenario!r} has no credit-policy knob")
-    else:
-        build = defn.scenario_build
-    telemetry = Telemetry(causal=CausalRecorder(sample=causal_sample))
-    monitor = HealthMonitor(telemetry, scenario=scenario,
-                            window_ns=window_ns, spec=spec)
-    if plane is not None:
-        plane.attach(monitor)
-    from ..sim import Environment
-    env = Environment(telemetry=telemetry)
-    TimelineSampler(env, interval_ns=interval_ns).start()
-    summary = build(env)
-    monitor.finalize(env.now)
-    result = ScenarioResult(name=scenario, env=env, telemetry=telemetry,
-                            summary=summary)
-    report = monitor.build_report(policy=policy,
-                                  interval_ns=interval_ns,
-                                  summary=summary,
-                                  control=plane.report()
-                                  if plane is not None else None)
-    return result, report
+
+
+def run_health(scenario: str, feedback=None, spec=None, **params):
+    """Run one experiment under the health monitor; returns
+    ``(observation, report)``.  See
+    :func:`repro.experiments.observe.run_health`."""
+    from ..experiments.observe import run_health as _run_health
+    return _run_health(scenario, feedback=feedback, spec=spec, **params)
 
 
 # --------------------------------------------------------------------------
@@ -736,7 +700,7 @@ def run_health(scenario: str, policy: str = "rampup",
 # --------------------------------------------------------------------------
 
 def validate_health_report(payload: Dict[str, Any]) -> int:
-    """Validate a ``repro health --json`` payload; returns the window
+    """Validate a ``health`` observer document; returns the window
     count.  Raises :class:`HealthError` on schema or accounting
     violations: misaligned series lengths, non-contiguous windows,
     alert episodes outside window edges, or route shares that do not

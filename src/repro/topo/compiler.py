@@ -25,12 +25,11 @@ sequence, the same PBR id assignment, and the same routes.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 from ..pcie.manager import FabricManager
 from ..pcie.switch import PortRole
 from ..pcie.topology import Topology
-from ..sim import Environment, Tracer
+from ..sim import Environment
 from .descriptor import TopologyDescriptor
 
 __all__ = ["CompiledFabric", "compile_topology"]
@@ -81,7 +80,6 @@ class CompiledFabric:
 
 
 def compile_topology(descriptor: TopologyDescriptor, env: Environment,
-                     tracer: Optional[Tracer] = None,
                      configure: bool = True) -> CompiledFabric:
     """Deterministically wire one descriptor into ``env``.
 
@@ -92,7 +90,7 @@ def compile_topology(descriptor: TopologyDescriptor, env: Environment,
     descriptor.validate()
     default_params = descriptor.resolve_link_params(None, None)
     topology = Topology(env, link_params=default_params,
-                        scheduler=descriptor.scheduler, tracer=tracer)
+                        scheduler=descriptor.scheduler)
 
     for pod in descriptor.pods:
         for switch in pod.switches:

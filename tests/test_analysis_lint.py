@@ -175,4 +175,6 @@ class TestCheckCli:
         assert all(v["code"] == "FCC004" for v in payload["violations"])
 
     def test_unknown_experiment_exits_two(self, capsys):
-        assert main(["check", "--sanitize", "nope"]) == 2
+        # The sanitizers ride `repro bench --observe sanitize`.
+        assert main(["bench", "nope", "--observe", "sanitize"]) == 2
+        assert "unknown experiment" in capsys.readouterr().err

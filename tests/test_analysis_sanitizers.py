@@ -2,10 +2,15 @@
 
 import pytest
 
-from repro.analysis.runners import SANITIZED_EXPERIMENTS, run_sanitized
+import json
+
 from repro.analysis.sanitizers import RuntimeSanitizer, SanitizerError
+from repro.core import UniFabric
+from repro.experiments import (ExperimentSpec, RunContext, get,
+                               run_experiment)
+from repro.infra import ClusterSpec, build_cluster
 from repro.pcie.credits import CreditDomain
-from repro.sim import Environment, Event, Store
+from repro.sim import Environment, Event, Store, run_proc
 
 
 def drain(env):
@@ -219,6 +224,59 @@ class TestWriteRace:
         assert env.sanitizer.clean
 
 
+def _t2_writes(ctx):
+    """The Table 2 write path: local and remote reads and writes
+    through the full cache/fabric stack of one host."""
+    env = ctx.env("t2-writes")
+    host = build_cluster(env, ClusterSpec(hosts=1)).host(0)
+    base = host.remote_base("fam0")
+    latencies = {}
+
+    def measure():
+        for label, addr, is_write in (
+                ("local_read", 0x40000, False),
+                ("local_write", 0x80000, True),
+                ("remote_read", base + 0x40000, False),
+                ("remote_write", base + 0x80000, True)):
+            start = env.now
+            yield from host.mem.access(addr, is_write)
+            latencies[label] = env.now - start
+
+    run_proc(env, measure())
+    return latencies
+
+
+def _arbiter(ctx):
+    """Reservation traffic through the DP#4 FabricArbiter: every
+    control message doubles as a conservation checkpoint."""
+    env = ctx.env("arbiter")
+    cluster = build_cluster(env, ClusterSpec(hosts=1, control_lane=True))
+    uni = UniFabric(env, cluster, with_arbiter=True)
+    domain = CreditDomain(env, budget=24, name="egress0")
+    for flow in ("a", "b"):
+        domain.register(flow)
+    uni.arbiter.manage("egress0", domain)
+    client = uni.arbiter_client("host0")
+
+    def control():
+        yield from client.reserve("egress0", "a", 8)
+        yield from client.reserve("egress0", "b", 4)
+        grants = yield from client.query("egress0")
+        yield from client.reclaim("egress0", "a")
+        return grants
+
+    return {"grants": run_proc(env, control()).get("grants", {})}
+
+
+#: name -> (params, run function).  Slices of the model no
+#: finding-free registered experiment drives (local/remote writes, the
+#: arbiter), plus a contended ramp-up credit domain: the registered
+#: starvation experiment, audited at every rebalance.
+SANITIZED_SLICES = {"t2": ({}, _t2_writes), "arbiter": ({}, _arbiter),
+                    "credits": (get("starvation").defaults(),
+                                get("starvation").run)}
+
+
 class TestDeterminismAndRunners:
     def _trace(self, sanitize):
         env = Environment(sanitize=sanitize)
@@ -246,13 +304,48 @@ class TestDeterminismAndRunners:
         assert plain == checked
         assert plain_events == checked_events
 
-    @pytest.mark.parametrize("name", sorted(SANITIZED_EXPERIMENTS))
+    @pytest.mark.parametrize("name", sorted(SANITIZED_SLICES))
     def test_canonical_runners_are_clean(self, name):
-        sanitizer, summary = run_sanitized(name)
+        params, run = SANITIZED_SLICES[name]
+        ctx = RunContext(params, observe=("sanitize",))
+        summary = run(ctx)
+        (observation,) = ctx.finish(summary)
+        sanitizer = observation.env.sanitizer
         assert sanitizer.clean, sanitizer.report()
-        assert summary["experiment"] == name
-        assert summary["events"] > 0
+        assert observation.env.stats["events_processed"] > 0
 
     def test_unknown_runner_raises(self):
-        with pytest.raises(ValueError):
-            run_sanitized("nope")
+        with pytest.raises(ValueError, match="nope"):
+            run_experiment(ExperimentSpec("nope",
+                                          outputs=("summary", "sanitize")))
+
+
+class TestReproducibleFindings:
+    def _race(self):
+        env = Environment(sanitize=True)
+        stores = [Store(env) for _ in range(3)]
+
+        def writer(tag):
+            yield env.timeout(1.0)
+            yield stores[2].put(tag)
+        env.process(writer("a"), name="w-a")
+        env.process(writer("b"), name="w-b")
+        env.run()
+        return env.sanitizer
+
+    def test_objects_named_by_ordinal_not_address(self):
+        (race,) = self._race().findings
+        assert race.kind == "write-race"
+        assert "Store#" in race.message
+        assert "0x" not in race.message
+
+    def test_reruns_report_identical_findings(self):
+        assert self._race().to_json() == self._race().to_json()
+
+    def test_experiment_findings_json_is_reproducible(self):
+        spec = ExperimentSpec("table2_hierarchy", params={"ops": 50},
+                              outputs=("summary", "sanitize"))
+        first = run_experiment(spec)["outputs"]["sanitize"]
+        second = run_experiment(spec)["outputs"]["sanitize"]
+        assert any(doc["count"] for doc in first.values())
+        assert json.dumps(first) == json.dumps(second)

@@ -22,10 +22,9 @@ from repro.fabric import Channel, Flit, Packet, PacketKind
 from repro.pcie import FabricManager, PortRole, Topology
 from repro.pcie.arbitration import (EgressScheduler, FairVcScheduler,
                                     FifoScheduler, PriorityScheduler)
+from repro.experiments import RunContext, get, run_scenario
 from repro.sim import Environment
 from repro.sim.engine import _POOL_LIMIT
-from repro.telemetry.scenarios import (TELEMETRY_SCENARIOS,
-                                       run_scenario_build)
 
 np = pytest.importorskip("numpy")
 
@@ -33,13 +32,16 @@ np = pytest.importorskip("numpy")
 # -- telemetry scenarios: summaries and event counts ---------------------
 
 
-@pytest.mark.parametrize("name", sorted(TELEMETRY_SCENARIOS))
+@pytest.mark.parametrize("name", ["interleave", "starvation", "t2"])
 def test_scenario_bit_identical_to_sanitized(name):
-    build = TELEMETRY_SCENARIOS[name]
+    defn = get(name)
     results = {}
     for sanitize in (False, True):
-        env = Environment(sanitize=sanitize)
-        summary = build(env)
+        ctx = RunContext(defn.defaults(),
+                         observe=("sanitize",) if sanitize else (),
+                         retain=True)
+        summary = defn.run(ctx)
+        env = ctx.finish(summary)[0].env
         results[sanitize] = (summary, env._events_processed, env.now,
                              env.stats["events_elided"])
     assert results[False][:3] == results[True][:3]
@@ -50,8 +52,7 @@ def test_interleave_fast_paths_actually_engage():
     # The identity guarantee is vacuous if the fast paths never fire:
     # the interleave scenario must take both the credit-return fast
     # path and the egress sweep (a sizeable slice of all its events).
-    res = run_scenario_build("interleave", TELEMETRY_SCENARIOS["interleave"],
-                             telemetry=False)
+    res = run_scenario("interleave", telemetry=False)
     stats = res.env.stats
     assert stats["events_elided"] > stats["events_processed"] * 0.1
 

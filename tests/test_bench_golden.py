@@ -4,8 +4,9 @@
 <experiment>`` prints at default parameters, byte for byte, for every
 registered experiment with a renderer; a registry or renderer change
 that alters any published number fails loudly.  The same default run
-(one per experiment, shared by both tests) must hold every invariant
-the experiment registers.
+(one per experiment, shared by all three tests) must hold every
+invariant the experiment registers, and observing a run must not
+change its summary or verdicts.
 
 Regenerate a golden after an *intentional* change with::
 
@@ -58,3 +59,21 @@ def test_repro_bench_matches_golden(name, monkeypatch, capsys):
                               for name, invariant in _INVARIANTS])
 def test_invariant_holds(name, invariant):
     assert _default_run(name)["invariants"][invariant]
+
+
+#: Experiments whose default run takes under 1 s, plus the §3
+#: cross-switch story; CI's observe-identity job covers every one.
+_OBSERVED = ["control_loop", "dp1_movement", "dp3_idempotent",
+             "fabric_health", "fig1_composition", "flit_rtt",
+             "graph_far_memory", "overcommit", "starvation",
+             "sync_vs_async", "t2", "table1_catalog",
+             "xswitch_starvation"]
+
+
+@pytest.mark.parametrize("name", _OBSERVED)
+def test_observing_never_changes_a_result(name):
+    plain = _default_run(name)
+    observed = run_experiment(ExperimentSpec(
+        experiment=name, outputs=("summary", "metrics", "why", "health")))
+    assert observed["outputs"]["summary"] == plain["outputs"]["summary"]
+    assert observed["invariants"] == plain["invariants"]

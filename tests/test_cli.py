@@ -48,34 +48,41 @@ class TestPerfCli:
             main(["perf", "--procs", "not-a-number"])
 
 
+def _observed(capsys, name, observer, *extra):
+    """One observer's documents from `repro bench --observe --json`."""
+    assert main(["bench", name, "--observe", observer, "--json",
+                 *extra]) == 0
+    return json.loads(capsys.readouterr().out)["outputs"][observer]
+
+
 class TestTraceCli:
     def test_trace_writes_valid_chrome_trace(self, tmp_path, capsys):
-        out_file = tmp_path / "trace-t2.json"
-        assert main(["trace", "t2", "--out", str(out_file)]) == 0
-        stdout = capsys.readouterr().out
-        assert "trace[t2]" in stdout
-        payload = json.loads(out_file.read_text())
+        assert main(["bench", "t2", "--observe", "trace"]) == 0
+        assert "trace[t2]" in capsys.readouterr().out
+        payload = _observed(capsys, "t2", "trace")["t2"]
         assert validate_chrome_trace(payload) > 0
 
     def test_trace_creates_parent_directories(self, tmp_path):
-        out_file = tmp_path / "nested" / "deep" / "trace.json"
-        assert main(["trace", "starvation", "--out", str(out_file),
-                     "--interval", "500"]) == 0
-        assert out_file.exists()
+        out_dir = tmp_path / "nested" / "deep"
+        assert main(["bench", "starvation", "--observe", "trace",
+                     "--set", "interval_ns=500", "--out",
+                     str(out_dir)]) == 0
+        payload = json.loads(
+            (out_dir / "starvation.trace.json").read_text())
+        assert validate_chrome_trace(payload) > 0
 
     def test_trace_unknown_scenario_exits_two(self, capsys):
-        assert main(["trace", "nope", "--out", "unused.json"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
+        assert main(["bench", "nope", "--observe", "trace"]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
 
     def test_trace_missing_scenario_rejected(self):
         with pytest.raises(SystemExit):
-            main(["trace"])
+            main(["bench", "--observe", "trace"])
 
 
 class TestMetricsCli:
     def test_metrics_json_schema(self, capsys):
-        assert main(["metrics", "starvation", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = _observed(capsys, "starvation", "metrics")["starvation"]
         assert payload["schema"] == 1
         assert payload["tool"] == "repro-telemetry"
         assert payload["scenario"] == "starvation"
@@ -84,71 +91,69 @@ class TestMetricsCli:
         assert payload["summary"]["burst_vs_ideal"] > 1.0
 
     def test_metrics_human_output(self, capsys):
-        assert main(["metrics", "interleave"]) == 0
+        assert main(["bench", "interleave", "--observe", "metrics"]) == 0
         out = capsys.readouterr().out
-        assert "metrics[interleave]" in out
-        assert "pcie.sw0.flits_forwarded" in out
-        assert "summary:" in out
+        assert "metrics[interleave]:" in out and " series" in out
+        assert "read64_mean_ns" in out
 
     def test_metrics_unknown_scenario_exits_two(self, capsys):
-        assert main(["metrics", "nope"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
+        assert main(["bench", "nope", "--observe", "metrics"]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
 
 
 class TestHealthCli:
     def test_health_json_is_schema_valid(self, capsys):
         from repro.telemetry import validate_health_report
-        assert main(["health", "--scenario", "starvation",
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = _observed(capsys, "starvation", "health")["starvation"]
         assert payload["tool"] == "repro-health"
         assert validate_health_report(payload) >= 2
         episodes = payload["slos"][0]["alerts"][0]["episodes"]
         assert episodes[0]["fired_at"] == 14_000.0
 
     def test_health_human_output_names_the_alert(self, capsys):
-        assert main(["health", "--scenario", "starvation"]) == 0
+        assert main(["bench", "starvation", "--observe", "health"]) == 0
         out = capsys.readouterr().out
         assert "health[starvation]" in out
         assert "FIRED at 14,000.0 ns" in out
         assert "anomaly stall_spike" in out
 
     def test_health_fair_policy_quiet(self, capsys):
-        assert main(["health", "--scenario", "starvation",
-                     "--policy", "fair"]) == 0
+        assert main(["bench", "starvation", "--observe", "health",
+                     "--set", "policy=fair"]) == 0
         out = capsys.readouterr().out
-        assert "quiet" in out and "FIRED" not in out
+        assert "no alerts" in out and "FIRED" not in out
 
     def test_health_writes_selfcontained_dashboard(self, tmp_path,
                                                    capsys):
-        out_file = tmp_path / "health.html"
-        assert main(["health", "--scenario", "starvation",
-                     "--html", str(out_file)]) == 0
-        page = out_file.read_text()
+        assert main(["bench", "starvation", "--observe", "health",
+                     "--out", str(tmp_path)]) == 0
+        page = (tmp_path / "starvation.health.html").read_text()
         assert page.startswith("<!DOCTYPE html>")
         assert "http" not in page
 
     def test_health_custom_slo_spec(self, tmp_path, capsys):
+        from repro.telemetry import SloSpec, run_health
         spec = tmp_path / "slo.json"
         spec.write_text(json.dumps({"slos": [], "anomaly": []}))
-        assert main(["health", "--scenario", "t2",
-                     "--slo", str(spec), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["slos"] == []
+        _result, payload = run_health("starvation",
+                                      spec=SloSpec.load(spec))
+        assert payload["slos"] == [] and payload["anomalies"] == []
 
     def test_health_bad_inputs_exit_two(self, capsys):
-        assert main(["health", "--scenario", "nope"]) == 2
+        assert main(["bench", "nope", "--observe", "health"]) == 2
         assert "unknown" in capsys.readouterr().err
-        assert main(["health", "--scenario", "starvation",
-                     "--window", "1500"]) == 2
+        assert main(["bench", "starvation", "--observe", "health",
+                     "--set", "window_ns=1500"]) == 2
         assert "multiple" in capsys.readouterr().err
-        assert main(["health", "--scenario", "t2",
-                     "--policy", "fair"]) == 2
-        assert "starvation" in capsys.readouterr().err
+        assert main(["bench", "t2", "--observe", "health",
+                     "--set", "policy=fair"]) == 2
+        assert "policy" in capsys.readouterr().err
+        assert main(["bench", "t2", "--observe", "healthy"]) == 2
+        assert "healthy" in capsys.readouterr().err
 
     def test_health_feedback_surfaces_the_action_log(self, capsys):
-        assert main(["health", "--scenario", "starvation",
-                     "--feedback", "default"]) == 0
+        assert main(["bench", "starvation", "--observe", "health",
+                     "--set", "feedback=default"]) == 0
         out = capsys.readouterr().out
         assert "control: 1 action(s)" in out
         assert "rule rescue-quiet" in out
@@ -156,30 +161,28 @@ class TestHealthCli:
 
     def test_health_feedback_json_carries_control_section(self, capsys):
         from repro.telemetry import validate_health_report
-        assert main(["health", "--scenario", "starvation",
-                     "--feedback", "default", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = _observed(capsys, "starvation", "health",
+                            "--set", "feedback=default")["starvation"]
         assert validate_health_report(payload) >= 2
         control = payload["control"]
         assert control["policy"]["source"] == "default"
         assert [a["t"] for a in control["actions"]] == [14_000.0]
 
     def test_health_feedback_bad_inputs_exit_two(self, capsys, tmp_path):
-        assert main(["health", "--scenario", "starvation",
-                     "--feedback", str(tmp_path / "nope.json")]) == 2
+        assert main(["bench", "starvation", "--set",
+                     f"feedback={tmp_path / 'nope.json'}"]) == 2
         assert "cannot read" in capsys.readouterr().err
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"rules": []}))
-        assert main(["health", "--scenario", "starvation",
-                     "--feedback", str(bad)]) == 2
+        assert main(["bench", "starvation", "--set",
+                     f"feedback={bad}"]) == 2
         assert "rules" in capsys.readouterr().err
-        assert main(["health", "--scenario", "t2",
-                     "--feedback", "default"]) == 2
-        assert "no default feedback policy" in capsys.readouterr().err
+        assert main(["bench", "t2", "--set", "feedback=default"]) == 2
+        assert "feedback" in capsys.readouterr().err
 
     def test_health_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit):
-            main(["health", "--help"])
+            main(["bench", "--help"])
         out = capsys.readouterr().out
         assert "exit codes:" in out
         assert "bad input" in out
@@ -190,7 +193,7 @@ class TestListCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "table2_hierarchy" in out
-        assert "scenario" in out
+        assert "--observe" in out
         assert "repro bench" in out
 
     def test_list_json_is_schema_stable(self, capsys):
@@ -200,8 +203,8 @@ class TestListCli:
         assert "flit_rtt" in names
         assert "t2" in names
         for row in rows:
-            assert set(row) == {"name", "kind", "description",
-                                "params", "outputs"}
+            assert set(row) == {"name", "description", "params",
+                                "outputs"}
 
 
 @pytest.fixture
@@ -242,6 +245,15 @@ class TestBenchCli:
         captured = capsys.readouterr()
         assert "parameter 'ops' must be >= 2" in captured.err
         assert "Infinity" not in captured.out
+
+    @pytest.mark.parametrize("argv", [
+        ["fabric_health", "--set", "interval_ns=0"],
+        ["control_loop", "--set", "interval_ns=0"],
+        ["t2", "--observe", "health", "--set", "interval_ns=-500"],
+    ], ids=["fabric_health", "control_loop", "t2-observed"])
+    def test_bench_rejects_non_positive_interval(self, argv, capsys):
+        assert main(["bench", *argv]) == 2
+        assert "interval_ns must be > 0" in capsys.readouterr().err
 
     def test_bench_broken_invariant_exits_one(self, broken_experiment,
                                               capsys):

@@ -28,7 +28,7 @@ from repro.control import (
 from repro.pcie.credits import (CreditDomain, RampUpPolicy,
                                 StaticEqualPolicy, WeightedSharePolicy)
 from repro.sim import Environment
-from repro.telemetry.health import HealthError, run_health
+from repro.telemetry.health import run_health
 
 ALERT_NS = 14_000.0
 
@@ -358,8 +358,10 @@ class TestClosedLoopStarvation:
         assert nofeed.summary == plain.summary
 
     def test_feedback_wired_for_starvation_only(self):
+        # t2 registers no actuator; the starvation policy's names one,
+        # so the first window refuses the policy.
         policy = FeedbackPolicy(default_feedback_policy("starvation"))
-        with pytest.raises(HealthError, match="starvation scenario"):
+        with pytest.raises(ControlError, match="credits.egress0"):
             run_health("t2", feedback=policy)
 
 
@@ -382,3 +384,61 @@ class TestClosedLoopXswitch:
         assert "feedback" not in summary
         assert sorted(summary["cases"]) == [
             "fair congested", "fifo congested", "fifo quiet"]
+
+
+# --------------------------------------------------------------------------
+# any experiment: actuators registered on the run context
+# --------------------------------------------------------------------------
+
+@pytest.fixture
+def pool_experiment():
+    """A throwaway experiment that registers one credit actuator."""
+    from repro.experiments import ExperimentDef, register, registry
+    from repro.sim import run_proc
+
+    def run(ctx):
+        env = ctx.env("pool")
+        domain = CreditDomain(env, budget=8, policy=RampUpPolicy(),
+                              rebalance_ns=1_000.0, name="pool")
+        domain.register("a")
+        domain.register("b")
+        domain.start()
+        ctx.add_actuator(env, CreditActuator(domain))
+
+        def traffic():
+            for _ in range(200):
+                yield domain.acquire("a")
+                yield env.timeout(40.0)
+                domain.release("a")
+
+        run_proc(env, traffic())
+        return {"rebalance_ns": domain.rebalance_ns}
+
+    name = "test_only_pool"
+    register(ExperimentDef(name=name, description="test only",
+                           params={}, run=run))
+    yield name
+    del registry._REGISTRY[name]
+
+
+class TestAnyExperimentTakesFeedback:
+    POLICY = {"rules": [
+        {"name": "slow-rebalance",
+         "when": {"kind": "gauge_level", "gauge": "credits.pool.a.granted",
+                  "above": 0.0},
+         "then": {"actuator": "credits.pool",
+                  "set": {"rebalance_ns": 4_000.0}},
+         "max_firings": 1}]}
+
+    def test_policy_acts_through_actuators_registered_on_ctx(
+            self, pool_experiment):
+        result, report = run_health(pool_experiment,
+                                    feedback=FeedbackPolicy(self.POLICY))
+        actions = report["control"]["actions"]
+        assert [a["actuator"] for a in actions] == ["credits.pool"]
+        assert actions[0]["t"] == 2_000.0
+        assert result.summary == {"rebalance_ns": 4_000.0}
+
+    def test_unobserved_run_ignores_the_actuator(self, pool_experiment):
+        from repro.experiments import run_summary
+        assert run_summary(pool_experiment) == {"rebalance_ns": 1_000.0}

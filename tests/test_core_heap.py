@@ -106,6 +106,23 @@ class TestFreeList:
             spans.append((addr, addr + rounded))
 
 
+class TestTelemetryProbes:
+    def test_two_hosts_heaps_probe_the_same_bin_name(self):
+        # Every host's heap has a fam0 bin; each gets its own series.
+        env = Environment(telemetry=True)
+        cluster = build_cluster(env, ClusterSpec(hosts=2))
+        orch = MovementOrchestrator(env)
+        for host in cluster.hosts.values():
+            heap = UnifiedHeap(env, host, orch.attach_host(host))
+            heap.add_bin("fam0", start=host.remote_base("fam0"),
+                         size=1 << 20, tier="cpuless-numa",
+                         is_remote=True)
+        probes = [name for name, _track, _fn in env.telemetry.probes
+                  if name.startswith("heap.")]
+        assert probes == ["heap.host0.bin.fam0.allocated_bytes",
+                          "heap.host1.bin.fam0.allocated_bytes"]
+
+
 class TestAllocation:
     def test_prefers_local_tier(self):
         env = Environment()

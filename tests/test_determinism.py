@@ -11,14 +11,14 @@ different event count here.
 
 import pytest
 
-from repro.experiments import run_summary
+from repro.experiments import RunContext, run_summary
 from repro.experiments.defs.fabric import one_way_latency
 from repro.sim import total_events_processed
 
 
 def _counted(fn, *args):
     before = total_events_processed()
-    result = fn(*args)
+    result = fn(RunContext({}), *args)
     return result, total_events_processed() - before
 
 

@@ -14,6 +14,7 @@ from repro.experiments import (
     registry,
     render,
     run_experiment,
+    run_scenario,
     run_summary,
 )
 
@@ -22,9 +23,7 @@ class TestRegistry:
     def test_names_cover_benches_and_scenarios(self):
         names = registry.names()
         assert "table2_hierarchy" in names
-        assert "t2" in names
-        assert registry.names(kind="scenario") == \
-            ["interleave", "starvation", "t2"]
+        assert {"interleave", "starvation", "t2"} <= set(names)
         assert len(names) >= 25
 
     def test_get_unknown_raises_with_choices(self):
@@ -34,9 +33,11 @@ class TestRegistry:
         assert "table2_hierarchy" in str(err.value)
 
     def test_get_kind_mismatch_raises(self):
-        with pytest.raises(UnknownExperimentError) as err:
-            registry.get("table2_hierarchy", kind="scenario")
-        assert "unknown scenario" in str(err.value)
+        # run_scenario runs the single-environment timelines; an
+        # experiment without their observer parameters is refused.
+        with pytest.raises(ExperimentError) as err:
+            run_scenario("table2_hierarchy")
+        assert "causal_sample" in str(err.value)
 
     def test_unknown_experiment_is_a_value_error(self):
         # Pre-registry callers catch ValueError; keep that contract.
@@ -47,9 +48,8 @@ class TestRegistry:
         rows = registry.describe()
         assert [row["name"] for row in rows] == registry.names()
         for row in rows:
-            assert row["kind"] in ("bench", "scenario")
             assert row["description"]
-            assert "summary" in row["outputs"]
+            assert row["outputs"] == list(registry.ALL_OUTPUTS)
             for param in row["params"].values():
                 assert set(param) == {"type", "default", "help"}
 
@@ -147,9 +147,8 @@ class TestSpec:
 
     def test_scenario_supports_all_outputs(self):
         spec = ExperimentSpec(experiment="t2",
-                              outputs=("summary", "metrics",
-                                       "attribution"))
-        assert spec.resolve().kind == "scenario"
+                              outputs=registry.ALL_OUTPUTS)
+        assert spec.resolve().name == "t2"
 
 
 class TestRunner:
@@ -181,7 +180,7 @@ class TestRunner:
             experiment="t2", outputs=("summary", "metrics")))
         outputs = result["outputs"]
         assert set(outputs) == {"summary", "metrics"}
-        assert outputs["metrics"]["count"] > 0
+        assert outputs["metrics"]["t2"]["count"] > 0
 
     def test_render_falls_back_to_json(self, capsys):
         # Scenario experiments have no table renderer.
@@ -189,8 +188,7 @@ class TestRunner:
         assert '"k": 1' in capsys.readouterr().out
 
     def test_run_scenario_still_raises_value_error(self):
-        from repro.telemetry.scenarios import run_scenario
         with pytest.raises(ValueError) as err:
             run_scenario("nope")
-        assert "unknown scenario 'nope'" in str(err.value)
+        assert "unknown experiment 'nope'" in str(err.value)
         assert "t2" in str(err.value)

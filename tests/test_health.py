@@ -1,6 +1,6 @@
 """Tests for repro.telemetry.health: windowed series, SLO burn-rate
-alerting, anomaly detection, the `repro health` report schema, the
-dashboard, and the streaming layer's bit-identity guarantee."""
+alerting, anomaly detection, the ``health`` observer's report schema,
+the dashboard, and the streaming layer's bit-identity guarantee."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import json
 
 import pytest
 
+from repro.control import FeedbackPolicy, default_feedback_policy
+from repro.experiments import ExperimentError, run_scenario
 from repro.sim import Environment
 from repro.telemetry import (
     CausalRecorder,
@@ -15,7 +17,6 @@ from repro.telemetry import (
     HealthMonitor,
     SloSpec,
     Telemetry,
-    TimelineSampler,
     default_slo_spec,
     render_dashboard,
     run_health,
@@ -23,7 +24,6 @@ from repro.telemetry import (
 )
 from repro.telemetry.attribution import collect_transactions
 from repro.telemetry.causal import CATEGORIES
-from repro.telemetry.scenarios import run_scenario, starvation_build
 
 #: The golden-pinned §3 C5 alert edge: quiet flow bursts at 12,000 ns,
 #: the first whole window containing its stall closes at 14,000 ns.
@@ -173,10 +173,10 @@ class TestMonitorWiring:
                        interval_ns=1_000.0)
 
     def test_policy_knob_is_starvation_only(self):
-        with pytest.raises(HealthError, match="starvation"):
+        with pytest.raises(ExperimentError, match="policy"):
             run_health("t2", policy="fair")
-        with pytest.raises(ValueError, match="rampup"):
-            starvation_build("greedy")
+        with pytest.raises(ExperimentError, match="rampup"):
+            run_health("starvation", policy="greedy")
 
     def test_windows_tile_sim_time(self, starvation_report):
         windows = starvation_report["windows"]
@@ -195,17 +195,12 @@ class TestMonitorWiring:
         assert total > 0
 
     def test_subscriber_sees_every_window(self):
-        telemetry = Telemetry(causal=CausalRecorder())
-        monitor = HealthMonitor(telemetry, scenario="starvation",
-                                window_ns=2_000.0)
-        seen = []
-        monitor.subscribe(lambda window: seen.append(window["index"]))
-        env = Environment(telemetry=telemetry)
-        TimelineSampler(env, interval_ns=1_000.0).start()
-        starvation_build("rampup")(env)
-        monitor.finalize(env.now)
-        assert seen == [w["index"] for w in monitor.windows]
-        assert len(seen) >= 2
+        # A feedback policy's control plane subscribes to the
+        # monitor's closed windows.
+        result, report = run_health("starvation", feedback=FeedbackPolicy(
+            default_feedback_policy("starvation")))
+        assert result.plane.windows_seen == len(result.monitor.windows)
+        assert len(report["windows"]) >= 2
 
     def test_finalize_is_idempotent(self):
         telemetry = Telemetry(causal=CausalRecorder())

@@ -1,7 +1,7 @@
 """Cross-module end-to-end scenarios.
 
 These tests exercise realistic combinations — lossy links under real
-traffic, tracing through the whole stack, the full UniFabric facade
+traffic, causal tracing through the whole stack, the full UniFabric facade
 with memkind + futures + tasks together, and a multi-host contention
 scenario — the kind of integration coverage unit tests cannot give.
 """
@@ -21,7 +21,9 @@ from repro.core import (
 from repro.fabric import Channel, Packet, PacketKind
 from repro.infra import ClusterSpec, FamSpec, build_cluster
 from repro.pcie import FabricManager, PortRole, Topology
-from repro.sim import Environment, SimRng, Tracer
+from repro.experiments import RunContext
+from repro.sim import Environment, SimRng
+from repro.telemetry.attribution import collect_transactions
 
 
 def run(env, gen, horizon=100_000_000_000):
@@ -77,42 +79,43 @@ class TestLossyLinks:
         assert up.retransmissions > 0
 
 
+def _remote_read_spans():
+    """One remote read under causal tracing: its spans by start time,
+    and the switch's grant marks."""
+    ctx = RunContext({}, observe=("why",))
+    env = ctx.env("e2e")
+    host = build_cluster(env, ClusterSpec(hosts=1)).host(0)
+
+    def go():
+        yield from host.mem.access(host.remote_base("fam0"), False)
+
+    run(env, go())
+    (txn,) = collect_transactions(env.telemetry.causal)
+    return sorted(txn.spans, key=lambda span: span.t0), txn.marks
+
+
 class TestTracingThroughTheStack:
     def test_tracer_sees_all_layers(self):
-        env = Environment()
-        tracer = Tracer()
-        cluster = build_cluster(env, ClusterSpec(hosts=1),
-                                tracer=tracer)
-        host = cluster.host(0)
-
-        def go():
-            yield from host.mem.access(host.remote_base("fam0"), False)
-
-        run(env, go())
-        kinds = {record.kind for record in tracer.records}
-        assert "phys.tx" in kinds
-        assert "link.rx" in kinds
-        assert "switch.fwd" in kinds
-        assert "port.tx" in kinds and "port.rx" in kinds
+        spans, marks = _remote_read_spans()
+        sites = {span.site for span in spans}
+        categories = {span.category for span in spans}
+        assert "link.host0->sw0.txq" in sites        # the port's queue
+        assert "link.host0->sw0.serialize" in sites   # the link
+        assert "link.sw0->fam0.wire" in sites         # the phys wire
+        assert "pcie.sw0.p1.egress" in sites          # the switch
+        assert {"queueing", "serialization", "wire"} <= categories
+        assert [site for _t, _kind, site in marks] \
+            == ["pcie.sw0.p1.egress"]
 
     def test_trace_reconstructs_request_path(self):
-        env = Environment()
-        tracer = Tracer()
-        cluster = build_cluster(env, ClusterSpec(hosts=1),
-                                tracer=tracer)
-        host = cluster.host(0)
-
-        def go():
-            yield from host.mem.access(host.remote_base("fam0"), False)
-
-        run(env, go())
+        spans, _marks = _remote_read_spans()
         # The request leaves the host port before the switch forwards
         # it, and the switch forwards it before the device receives it.
-        tx_times = [r.time for r in tracer.filter("port.tx")
-                    if r.port == "host0"]
-        fwd_times = [r.time for r in tracer.filter("switch.fwd")]
-        rx_times = [r.time for r in tracer.filter("port.rx")
-                    if r.port == "fam0"]
+        tx_times = [s.t0 for s in spans if s.site.startswith(
+            "link.host0->sw0")]
+        fwd_times = [s.t0 for s in spans if s.site.startswith("pcie.sw0")]
+        rx_times = [s.t1 for s in spans if s.site.startswith(
+            "link.sw0->fam0")]
         assert tx_times and fwd_times and rx_times
         assert min(tx_times) < min(fwd_times) < max(rx_times)
 

@@ -1,15 +1,15 @@
 """Tests for repro.telemetry: metrics, spans, Perfetto export, sampler,
-the Tracer bridge, and the telemetry-on/off bit-identity guarantee."""
+and the telemetry-on/off bit-identity guarantee."""
 
 import json
 
 import pytest
 
-from repro.sim import Environment, Store, Tracer
+from repro.experiments import names, run_scenario
+from repro.sim import Environment, Store
 from repro.telemetry import (ChromeTraceError, Counter, Gauge, Histogram,
                              MetricRegistry, Telemetry, TimelineSampler,
                              span, to_chrome_trace, validate_chrome_trace)
-from repro.telemetry.scenarios import run_scenario, scenario_names
 
 
 class TestMetricRegistry:
@@ -397,48 +397,12 @@ class TestTimelineSampler:
         assert sampler.samples_taken == 2   # one loop, not two
 
 
-class TestTracerBridge:
-    def test_ring_buffer_caps_records(self):
-        tracer = Tracer(capacity=3)
-        for i in range(10):
-            tracer.record(float(i), "tick", i=i)
-        assert len(tracer.records) == 3
-        assert [r.i for r in tracer.records] == [7, 8, 9]
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(capacity=0)
-
-    def test_unbounded_list_by_default(self):
-        tracer = Tracer()
-        assert tracer.records == []
-        tracer.record(1.0, "tick")
-        assert tracer.count("tick") == 1
-
-    def test_records_route_through_telemetry(self):
-        env = Environment(telemetry=True)
-        tracer = Tracer(telemetry=env.telemetry)
-        tracer.record(5.0, "link.retry", link="l0")
-        instants = [e for e in env.telemetry.events if e[0] == "i"]
-        assert len(instants) == 1
-        assert instants[0][1] == 5.0
-        assert instants[0][3] == "link.retry"
-        counter = env.telemetry.registry.get("trace.link.retry")
-        assert counter.value == 1
-
-    def test_disabled_tracer_skips_telemetry_too(self):
-        env = Environment(telemetry=True)
-        tracer = Tracer(enabled=False, telemetry=env.telemetry)
-        tracer.record(1.0, "x")
-        assert env.telemetry.events == []
-
-
 class TestScenarios:
     def test_scenario_names(self):
-        assert scenario_names() == ["interleave", "starvation", "t2"]
+        assert {"interleave", "starvation", "t2"} <= set(names())
 
     def test_unknown_scenario_raises(self):
-        with pytest.raises(ValueError, match="unknown scenario"):
+        with pytest.raises(ValueError, match="unknown experiment"):
             run_scenario("nope")
 
     def test_t2_walk_shows_the_hierarchy(self):
@@ -460,7 +424,7 @@ class TestScenarios:
         assert stalls is not None and stalls.value > 0
 
     def test_scenarios_export_valid_traces(self):
-        for name in scenario_names():
+        for name in ("interleave", "starvation", "t2"):
             result = run_scenario(name)
             count = validate_chrome_trace(result.chrome_trace())
             assert count > 0

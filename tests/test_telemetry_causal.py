@@ -18,7 +18,7 @@ from repro.telemetry.attribution import (SpanRecord, TransactionTrace,
 from repro.telemetry.causal import (ARBITRATION, CATEGORIES, CREDIT_STALL,
                                     PROCESSING, QUEUEING, SERIALIZATION)
 from repro.telemetry.compare import ComparisonError, compare_payloads
-from repro.telemetry.scenarios import run_scenario
+from repro.experiments import run_scenario
 
 
 # --------------------------------------------------------------------------
@@ -454,36 +454,43 @@ class TestCompareCli:
 
 
 # --------------------------------------------------------------------------
-# the why CLI
+# the why observer on the CLI
 # --------------------------------------------------------------------------
+
+def _why(capsys, name, *extra):
+    assert main(["bench", name, "--observe", "why", "--json",
+                 *extra]) == 0
+    return json.loads(capsys.readouterr().out)["outputs"]["why"][name]
+
 
 class TestWhyCli:
     def test_json_output_validates(self, capsys):
-        assert main(["why", "--scenario", "starvation", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = _why(capsys, "starvation")
         assert validate_attribution(payload) > 0
         assert payload["scenario"] == "starvation"
         assert payload["summary"]["quiet_stall_ns"] > 0
 
     def test_human_output_and_waterfall(self, capsys):
-        assert main(["why", "--scenario", "starvation", "--txn", "0"]) == 0
+        assert main(["bench", "starvation", "--observe", "why"]) == 0
         out = capsys.readouterr().out
-        assert "credit_stall" in out
-        assert "txn 0:" in out
-        assert "egress0.serialize" in out
+        assert "why[starvation]:" in out
+        assert "quiet: credit_stall" in out
+        waterfall = _why(capsys, "starvation")["transactions"][0]
+        assert "egress0.serialize" in [segment["site"] for segment
+                                       in waterfall["critical_path"]]
 
     def test_unknown_scenario_exits_two(self, capsys):
-        assert main(["why", "--scenario", "nope"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
+        assert main(["bench", "nope", "--observe", "why"]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
 
     def test_txn_out_of_range_exits_two(self, capsys):
-        assert main(["why", "--scenario", "t2", "--txn", "9999"]) == 2
-        assert "--txn" in capsys.readouterr().err
+        # An out-of-range why setting is bad input, named on stderr.
+        assert main(["bench", "t2", "--observe", "why",
+                     "--set", "causal_sample=0"]) == 2
+        assert "causal_sample" in capsys.readouterr().err
 
     def test_sampled_run_traces_fewer(self, capsys):
-        assert main(["why", "--scenario", "starvation", "--json",
-                     "--sample", "16"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = _why(capsys, "starvation", "--set", "causal_sample=16")
         assert payload["trace"]["sample"] == 16
         assert payload["trace"]["started"] < payload["trace"]["roots_seen"]
 
@@ -509,8 +516,9 @@ class TestHistogramPercentiles:
         assert snapshot["p99"] is None
 
     def test_metrics_cli_json_includes_percentiles(self, capsys):
-        assert main(["metrics", "t2", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        assert main(["bench", "t2", "--observe", "metrics", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)["outputs"][
+            "metrics"]["t2"]
         histograms = [entry for entry in payload["metrics"].values()
                       if entry["kind"] == "histogram"]
         assert histograms

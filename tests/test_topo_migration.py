@@ -4,7 +4,7 @@ The hand-wired t2 and interleave builders were replaced by committed
 descriptor shapes compiled through :func:`repro.topo.compile_topology`.
 These tests keep verbatim copies of the *legacy* wiring code and assert
 the migrated scenarios produce byte-identical output documents —
-summary, Chrome trace, metrics snapshot, and the ``repro why``
+summary, Chrome trace, metrics snapshot, and the ``why``
 attribution report — so the migration is provably a pure refactor.
 
 The starvation scenario never had a fabric topology (it exercises a
@@ -24,12 +24,9 @@ from repro.infra.host import HostServer
 from repro.mem.dram import DramDevice
 from repro.mem.nodes import CpulessExpander
 from repro.pcie import FabricManager, PortRole, Topology
+from repro.experiments import RunContext, get
 from repro.sim import Environment, run_proc
 from repro.telemetry.core import span
-from repro.telemetry.scenarios import (
-    TELEMETRY_SCENARIOS,
-    run_scenario_build,
-)
 
 
 # --------------------------------------------------------------------------
@@ -150,9 +147,10 @@ def _legacy_build_interleave(env: Environment) -> Dict[str, Any]:
 # --------------------------------------------------------------------------
 
 
-def _documents(name, build) -> Dict[str, str]:
+def _documents(name, run) -> Dict[str, str]:
     """Every output document of one scenario run, as canonical JSON."""
-    result = run_scenario_build(name, build, causal=True)
+    ctx = RunContext(get(name).defaults(), observe=("why",))
+    (result,) = ctx.finish(run(ctx))
     return {
         "summary": json.dumps(result.summary, sort_keys=True),
         "chrome_trace": json.dumps(result.chrome_trace(),
@@ -165,8 +163,8 @@ def _documents(name, build) -> Dict[str, str]:
 
 
 def _assert_identical(name, legacy_build):
-    migrated = _documents(name, TELEMETRY_SCENARIOS[name])
-    legacy = _documents(name, legacy_build)
+    migrated = _documents(name, get(name).run)
+    legacy = _documents(name, lambda ctx: legacy_build(ctx.env(name)))
     for document in ("summary", "chrome_trace", "metrics",
                      "attribution"):
         assert migrated[document] == legacy[document], \
@@ -183,6 +181,6 @@ def test_interleave_scenario_bit_identical_to_hand_wired_builder():
 
 def test_starvation_scenario_is_run_stable():
     # No fabric topology to migrate; pin determinism run-to-run.
-    one = _documents("starvation", TELEMETRY_SCENARIOS["starvation"])
-    two = _documents("starvation", TELEMETRY_SCENARIOS["starvation"])
+    one = _documents("starvation", get("starvation").run)
+    two = _documents("starvation", get("starvation").run)
     assert one == two
