@@ -19,13 +19,13 @@ invariants instead of sampling them:
 * :mod:`repro.analysis.sanitizers` — opt-in runtime sanitizers hooked
   into the simulation kernel via ``Environment(sanitize=True)``:
   credit conservation, event lifecycle, same-timestamp write-write
-  races, and a drain-time deadlock reporter.
-* :mod:`repro.analysis.runners` — canonical sanitized experiment runs
-  for ``repro check --sanitize <experiment>``.
+  races, and a drain-time deadlock reporter.  ``repro bench
+  <experiment> --observe sanitize`` runs any registered experiment
+  under them.
 
-All heads surface through ``python -m repro check`` (also installed
-as the ``repro`` console script): ``--lint``, ``--program``,
-``--sanitize``, ``--explain``.
+The static heads surface through ``python -m repro check`` (also
+installed as the ``repro`` console script): ``--lint``, ``--program``,
+``--explain``.
 """
 
 from .lint import LintCheck, Violation, run_lint, violations_to_json

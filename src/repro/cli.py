@@ -443,10 +443,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from .control import ControlError
     from .experiments import (ExperimentError, ExperimentSpec, get,
                               render, run_experiment)
-    from .telemetry.health import HealthError
+    from .experiments.registry import OBSERVERS
+    from .telemetry.health import HealthError, SloSpec
     observe = [name for name in args.observe.split(",") if name]
     try:
         defn = get(args.experiment)
+        unknown = [name for name in observe if name not in OBSERVERS]
+        if unknown or len(set(observe)) != len(observe):
+            raise ExperimentError(
+                f"--observe takes distinct observers from "
+                f"{', '.join(OBSERVERS)}; got {args.observe!r}")
+        slo = None
+        if args.slo:
+            if "health" not in observe:
+                raise ExperimentError("--slo needs --observe health")
+            slo = SloSpec.load(args.slo)
         overrides = {}
         for item in args.set:
             key, eq, text = item.partition("=")
@@ -467,12 +478,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             profiler = cProfile.Profile()
             profiler.enable()
             try:
-                result = run_experiment(spec)
+                result = run_experiment(spec, slo)
             finally:
                 profiler.disable()
                 profiler.dump_stats(args.profile)
         else:
-            result = run_experiment(spec)
+            result = run_experiment(spec, slo)
     except (ExperimentError, HealthError, ControlError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -605,7 +616,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                "  2  bad input (unknown experiment, parameter or "
                "observer; malformed value;\n"
                "     window_ns/interval_ns mismatch; bad feedback "
-               "policy)")
+               "policy or SLO spec)")
     bench.add_argument("experiment",
                        help="experiment name (see `repro list`)")
     bench.add_argument("--set", action="append", default=[],
@@ -623,6 +634,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "every environment: trace, metrics, why, "
                             "health, sanitize (one document per "
                             "environment in the result)")
+    bench.add_argument("--slo", metavar="SPEC.json", default=None,
+                       help="with --observe health: a custom SLO spec "
+                            "for every health monitor (default: the "
+                            "experiment's built-in objectives)")
     bench.add_argument("--out", metavar="DIR", default=None,
                        help="also write each observer document to "
                             "DIR/<label>.<observer>.json (Chrome traces "

@@ -49,6 +49,11 @@ _OBSERVER_PARAMS = {
                            "sample 1-in-N transaction roots"),
 }
 
+#: The credit policy the health documents of ``t2`` and ``interleave``
+#: name.  Neither has a credit domain; the label is the one their
+#: pinned health documents have always carried.
+_DOCUMENT_POLICY = "rampup"
+
 
 # --------------------------------------------------------------------------
 # t2: the Table 2 hierarchy walk
@@ -57,7 +62,7 @@ _OBSERVER_PARAMS = {
 @experiment("t2", "Timeline: the Table 2 hierarchy walk, one span per level",
             params=dict(_OBSERVER_PARAMS))
 def run_t2(ctx) -> Dict[str, Any]:
-    env = ctx.env("t2")
+    env = ctx.env("t2", policy=_DOCUMENT_POLICY)
     # The fabric comes from the committed t2_star shape (which the
     # tests pin equal to the descriptor a ClusterSpec(hosts=1) derives).
     cluster = build_cluster(env, ClusterSpec(
@@ -139,7 +144,7 @@ def run_starvation(ctx) -> Dict[str, Any]:
         raise ExperimentError(
             f"unknown starvation policy {ctx.policy!r}; choose from "
             f"{', '.join(sorted(STARVATION_POLICIES))}")
-    env = ctx.env("starvation",
+    env = ctx.env("starvation", policy=ctx.policy,
                   feedback=ctx.feedback_policy(_default_rescue))
     domain = CreditDomain(env, budget=32,
                           policy=STARVATION_POLICIES[ctx.policy](),
@@ -220,7 +225,7 @@ def run_starvation(ctx) -> Dict[str, Any]:
             "(C3)",
             params=dict(_OBSERVER_PARAMS))
 def run_interleave(ctx) -> Dict[str, Any]:
-    env = ctx.env("interleave")
+    env = ctx.env("interleave", policy=_DOCUMENT_POLICY)
     # The committed interleave shape: reader + writer upstream of one
     # FIFO switch, the device behind a narrow x4 link.  Compiling it
     # is byte-identical to the historical hand-wired builder (pinned).

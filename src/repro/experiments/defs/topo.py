@@ -49,8 +49,11 @@ _SLOW_DEVICE_NS = 500.0
 _FAST_DEVICE_NS = 10.0
 _FLOOD_WORKERS = 8
 
-# The closed-loop case revokes the flood's edge-link credits down to
-# this many.
+# Observed cases: 1,000 ns health windows sampled every 500 ns; the
+# closed-loop case revokes the flood's edge-link credits down to this
+# many.
+_WINDOW_NS = 1_000.0
+_INTERVAL_NS = 500.0
 _RESCUE_GRANTED = 2
 
 
@@ -146,7 +149,8 @@ def run_xswitch_case(ctx, label: str, descriptor: TopologyDescriptor,
     change model timings (pinned bit-identity), so the case's latency
     stats stay comparable with the bare runs.
     """
-    env = ctx.env(label, feedback=feedback)
+    env = ctx.env(label, feedback=feedback, window_ns=_WINDOW_NS,
+                  interval_ns=_INTERVAL_NS)
     case_desc = dataclasses.replace(descriptor, scheduler=scheduler)
     topo = compile_topology(case_desc, env).topology
     victim_host, flood_host, victim_dev, hot_dev = \
@@ -230,13 +234,7 @@ def render_xswitch_starvation(summary: Dict[str, Any],
                                   "flood writes at the hot device"),
             "feedback": Param(str, "off",
                               "closed-loop rescue case: off, default, "
-                              "or a feedback-policy JSON path"),
-            "window_ns": Param(float, 1_000.0,
-                               "health window width (sim ns) when "
-                               "monitored"),
-            "interval_ns": Param(float, 500.0,
-                                 "sampler cadence (sim ns) when "
-                                 "observed")},
+                              "or a feedback-policy JSON path")},
     render=render_xswitch_starvation,
     invariants=(
         # Victim and flood share only the spine-to-spine hop; the

@@ -14,9 +14,10 @@ for:
   the health monitor and acting through the actuators the experiment
   registers with :meth:`RunContext.add_actuator`.
 
-Observer settings are the experiment's own parameters when it
-declares them (``interval_ns``, ``window_ns``, ``causal_sample``) and
-the telemetry defaults otherwise.  Every observer is a pure observer,
+Observer settings are the ones an experiment passes to
+:meth:`RunContext.env`, else its own parameters when it declares them
+(``interval_ns``, ``window_ns``, ``causal_sample``), else the
+telemetry defaults.  Every observer is a pure observer,
 so observing never changes a summary; only a feedback policy acts on
 the model.  An unobserved environment is a bare ``Environment()`` the
 context does not keep, and the observer modules are imported only
@@ -43,7 +44,8 @@ _CAUSAL = frozenset(("why", "health"))
 class Observation:
     """One environment of a run and the observers attached to it."""
 
-    def __init__(self, name: str, env: Environment, policy: str,
+    def __init__(self, name: str, env: Environment,
+                 policy: Optional[str] = None,
                  interval_ns: Optional[float] = None, monitor: Any = None,
                  plane: Any = None) -> None:
         self.name = name
@@ -125,13 +127,14 @@ class RunContext:
     (``ctx["hosts"]``).  ``observe`` names the observers attached to
     every environment the run opens; ``feedback`` (a
     :class:`~repro.control.FeedbackPolicy`) and ``slo`` (a
-    :class:`~repro.telemetry.health.SloSpec`) apply to every health
-    monitor.  ``retain`` keeps unobserved environments too, for
-    callers that read them back.
+    :class:`~repro.telemetry.health.SloSpec`, ``repro bench --slo``)
+    apply to every health monitor, nested runs included.  ``retain``
+    keeps unobserved environments too, for callers that read them
+    back.
     """
 
-    __slots__ = ("params", "seed", "observe", "feedback", "slo", "retain",
-                 "observations", "_by_env")
+    __slots__ = ("params", "seed", "observe", "slo", "retain",
+                 "observations", "_feedback", "_by_env")
 
     def __init__(self, params: Dict[str, Any], seed: int = 0,
                  observe=(), feedback: Any = None, slo: Any = None,
@@ -144,8 +147,8 @@ class RunContext:
         self.params = params
         self.seed = seed
         self.observe = frozenset(observe)
-        self.feedback = feedback
         self.slo = slo
+        self._feedback = feedback
         self.retain = retain
         self.observations: List[Observation] = []
         self._by_env: Dict[int, Observation] = {}
@@ -161,24 +164,30 @@ class RunContext:
 
     # -- environments --------------------------------------------------------
 
-    def env(self, label: str, *, feedback: Any = None) -> Environment:
+    def env(self, label: str, *, feedback: Any = None,
+            policy: Optional[str] = None,
+            window_ns: Optional[float] = None,
+            interval_ns: Optional[float] = None) -> Environment:
         """A fresh environment with this run's observers attached.
 
         ``feedback`` (default: the context's) puts the environment
         under the health monitor and a control plane running that
-        policy.
+        policy.  ``policy`` is the credit policy its health report
+        names.  ``window_ns``/``interval_ns`` fix the health window and
+        sampler cadence for this environment, over the experiment's
+        parameters of those names.
         """
         if feedback is None:
-            feedback = self.feedback
+            feedback = self._feedback
         observe = self.observe
         if feedback is not None:
             observe = observe | {"health"}
         if not observe:
             env = Environment()
             if self.retain:
-                self._keep(Observation(label, env, self._policy()))
+                self._keep(Observation(label, env, policy))
             return env
-        interval_ns = monitor = plane = telemetry = None
+        monitor = plane = telemetry = None
         if observe & _TELEMETRY:
             from ..telemetry.causal import CausalRecorder
             from ..telemetry.core import Telemetry
@@ -186,9 +195,12 @@ class RunContext:
                                             HealthMonitor, check_cadence)
             from ..telemetry.sampler import (DEFAULT_INTERVAL_NS,
                                              TimelineSampler)
-            interval_ns = self.params.get("interval_ns",
-                                          DEFAULT_INTERVAL_NS)
-            window_ns = self.params.get("window_ns", DEFAULT_WINDOW_NS)
+            if interval_ns is None:
+                interval_ns = self.params.get("interval_ns",
+                                              DEFAULT_INTERVAL_NS)
+            if window_ns is None:
+                window_ns = self.params.get("window_ns",
+                                            DEFAULT_WINDOW_NS)
             check_cadence(interval_ns,
                           window_ns if "health" in observe else None)
             causal = None
@@ -210,7 +222,8 @@ class RunContext:
                           telemetry=telemetry)
         if telemetry is not None:
             TimelineSampler(env, interval_ns=interval_ns).start()
-        self._keep(Observation(label, env, self._policy(), interval_ns,
+        self._keep(Observation(label, env, policy,
+                               interval_ns if telemetry is not None else None,
                                monitor, plane))
         return env
 
@@ -239,18 +252,16 @@ class RunContext:
 
     def nested(self, name: str, **params: Any) -> "RunContext":
         """Run experiment ``name`` inside this run, every environment
-        under the health monitor; returns its finished context."""
+        under the health monitor (with this run's feedback policy and
+        SLO spec); returns its finished context."""
         defn = get(name)
         child = RunContext(defn.resolve_params(params), self.seed,
-                           observe=self.observe | {"health"})
+                           observe=self.observe | {"health"},
+                           feedback=self._feedback, slo=self.slo)
         child.finish(defn.run(child))
         for observation in child.observations:
             self._keep(observation)
         return child
-
-    def _policy(self) -> str:
-        # The credit policy a health report names.
-        return self.params.get("policy", "rampup")
 
     def _keep(self, observation: Observation) -> None:
         self.observations.append(observation)

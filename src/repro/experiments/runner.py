@@ -24,13 +24,16 @@ RESULT_SCHEMA = 1
 RESULT_TOOL = "repro-experiments"
 
 
-def run_experiment(spec: ExperimentSpec) -> Dict[str, Any]:
-    """Run a validated spec; returns the schema-stable result dict."""
+def run_experiment(spec: ExperimentSpec, slo: Any = None) \
+        -> Dict[str, Any]:
+    """Run a validated spec; returns the schema-stable result dict.
+    ``slo`` (a :class:`~repro.telemetry.health.SloSpec`) replaces the
+    default SLO spec of every health monitor."""
     defn = spec.resolve()
     params = defn.resolve_params(spec.params)
     ctx = RunContext(params, spec.seed,
                      observe=[o for o in spec.outputs
-                              if o != OUTPUT_SUMMARY])
+                              if o != OUTPUT_SUMMARY], slo=slo)
     summary = defn.run(ctx)
     ctx.finish(summary)
     return {"schema": RESULT_SCHEMA,

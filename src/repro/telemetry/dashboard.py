@@ -310,8 +310,11 @@ def render_dashboard(report: Dict[str, Any]) -> str:
     body: List[str] = []
     body.append(f'<h1>repro health &mdash; '
                 f'{html.escape(report["scenario"])}</h1>')
-    body.append(f'<p class="sub">policy {html.escape(report["policy"])}'
-                f' &middot; window {_fmt(report["window_ns"])} ns'
+    policy = report["policy"]
+    body.append('<p class="sub">'
+                + (f'policy {html.escape(policy)} &middot; '
+                   if policy is not None else '')
+                + f'window {_fmt(report["window_ns"])} ns'
                 f' &middot; sampler {_fmt(report["interval_ns"])} ns'
                 f' &middot; trace sample 1/{report["trace"]["sample"]}'
                 '</p>')

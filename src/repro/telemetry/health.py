@@ -575,12 +575,13 @@ class HealthMonitor:
 
     # -- the report --------------------------------------------------------
 
-    def build_report(self, policy: str = "rampup",
+    def build_report(self, policy: Optional[str] = None,
                      interval_ns: float = DEFAULT_INTERVAL_NS,
                      summary: Optional[Dict[str, Any]] = None,
                      control: Optional[Dict[str, Any]] = None
                      ) -> Dict[str, Any]:
-        """The schema-stable ``health`` observer document."""
+        """The schema-stable ``health`` observer document.  ``policy``
+        names the run's credit policy (None when the run has none)."""
         recorder = self.telemetry.causal
         windows = [{"index": w["index"], "t0": round(w["t0"], 3),
                     "t1": round(w["t1"], 3), "final": w["final"]}

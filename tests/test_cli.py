@@ -132,12 +132,13 @@ class TestHealthCli:
         assert "http" not in page
 
     def test_health_custom_slo_spec(self, tmp_path, capsys):
-        from repro.telemetry import SloSpec, run_health
         spec = tmp_path / "slo.json"
         spec.write_text(json.dumps({"slos": [], "anomaly": []}))
-        _result, payload = run_health("starvation",
-                                      spec=SloSpec.load(spec))
-        assert payload["slos"] == [] and payload["anomalies"] == []
+        assert main(["bench", "starvation", "--observe", "health",
+                     "--slo", str(spec), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        report = payload["outputs"]["health"]["starvation"]
+        assert report["slos"] == [] and report["anomalies"] == []
 
     def test_health_bad_inputs_exit_two(self, capsys):
         assert main(["bench", "nope", "--observe", "health"]) == 2
@@ -254,6 +255,20 @@ class TestBenchCli:
     def test_bench_rejects_non_positive_interval(self, argv, capsys):
         assert main(["bench", *argv]) == 2
         assert "interval_ns must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--observe", "summary"], "distinct observers"),
+        (["--observe", "why,why"], "distinct observers"),
+        (["--observe", "nope"], "distinct observers"),
+        (["--slo", "slo.json"], "--slo needs --observe health"),
+        (["--observe", "health", "--slo", "missing.json"],
+         "cannot read slo spec"),
+    ], ids=["summary", "duplicate", "unknown", "slo-unobserved",
+            "slo-unreadable"])
+    def test_bench_rejects_bad_observer_input(self, argv, message,
+                                              capsys):
+        assert main(["bench", "t2", *argv]) == 2
+        assert message in capsys.readouterr().err
 
     def test_bench_broken_invariant_exits_one(self, broken_experiment,
                                               capsys):

@@ -8,8 +8,7 @@ import json
 
 import pytest
 
-from repro.control import FeedbackPolicy, default_feedback_policy
-from repro.experiments import ExperimentError, run_scenario
+from repro.experiments import ExperimentError, RunContext, get, run_scenario
 from repro.sim import Environment
 from repro.telemetry import (
     CausalRecorder,
@@ -195,12 +194,20 @@ class TestMonitorWiring:
         assert total > 0
 
     def test_subscriber_sees_every_window(self):
-        # A feedback policy's control plane subscribes to the
-        # monitor's closed windows.
-        result, report = run_health("starvation", feedback=FeedbackPolicy(
-            default_feedback_policy("starvation")))
-        assert result.plane.windows_seen == len(result.monitor.windows)
-        assert len(report["windows"]) >= 2
+        seen = []
+
+        class Subscribing(RunContext):
+            def env(self, label, **kwargs):
+                env = super().env(label, **kwargs)
+                self.observation(env).monitor.subscribe(
+                    lambda window: seen.append(window["index"]))
+                return env
+
+        defn = get("starvation")
+        ctx = Subscribing(defn.defaults(), observe=("health",))
+        monitor = ctx.finish(defn.run(ctx))[0].monitor
+        assert seen == [w["index"] for w in monitor.windows]
+        assert len(seen) >= 2
 
     def test_finalize_is_idempotent(self):
         telemetry = Telemetry(causal=CausalRecorder())
