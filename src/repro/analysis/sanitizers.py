@@ -18,6 +18,8 @@ that watches four invariant families while a model runs:
   :class:`~repro.sim.resources.Store` / :class:`~repro.sim.resources.
   Resource` at the same timestamp: deterministic today, but the order
   is an accident of sequence numbers, so any refactor can flip it.
+  A chain of ``call_later`` callbacks that stands in for a process
+  writes as a :class:`Writer` named like that process.
 * **Drain-time deadlocks** — when the event queue drains while
   processes are still alive, each blocked process is named along with
   the event/resource it waits on.
@@ -36,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-__all__ = ["Finding", "RuntimeSanitizer", "SanitizerError"]
+__all__ = ["Finding", "RuntimeSanitizer", "SanitizerError", "Writer"]
 
 
 class SanitizerError(AssertionError):
@@ -57,6 +59,40 @@ class Finding:
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
+
+
+class Writer:
+    """The writer one callback chain stands for in write-race findings.
+
+    A process is the writer of every Store/Resource mutation it makes
+    (``env.active_process``).  A callback runs with no process, so a
+    chain of callbacks that replaces one, such as a switch forward,
+    runs each step through :meth:`wrap`, which makes this object the
+    active writer for the call.  One Writer per chain, named like the
+    process it replaces, keeps two chains writing at one instant a
+    race, as two processes would be; without it both would write as
+    the same ``None``.
+    """
+
+    __slots__ = ("env", "name")
+
+    def __init__(self, env: Any, name: str) -> None:
+        self.env = env
+        self.name = name
+
+    def wrap(self, fn: Any) -> Any:
+        """``fn`` made to run with this writer active."""
+        env = self.env
+
+        def run(*args: Any) -> Any:
+            outer = env._active_process
+            env._active_process = self
+            try:
+                return fn(*args)
+            finally:
+                env._active_process = outer
+
+        return run
 
 
 class _DeadCallbacks(list):
@@ -190,6 +226,10 @@ class RuntimeSanitizer:
             event.callbacks = _DeadCallbacks(
                 self, _describe_event(event, self.name_of))
         self._ordinals.pop(id(event), None)
+
+    def writer(self, name: str) -> Writer:
+        """A fresh writer for one callback chain (see :class:`Writer`)."""
+        return Writer(self.env, name)
 
     def on_write(self, obj: Any, opname: str) -> None:
         """A Store/Resource state mutation; detect same-time racers."""

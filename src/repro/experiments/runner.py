@@ -12,6 +12,7 @@ bit-identical observed or not (pinned by tests).
 
 from __future__ import annotations
 
+import gc
 from typing import Any, Dict, Optional
 
 from .observe import RunContext
@@ -36,13 +37,21 @@ def run_experiment(spec: ExperimentSpec, slo: Any = None) \
                               if o != OUTPUT_SUMMARY], slo=slo)
     summary = defn.run(ctx)
     ctx.finish(summary)
-    return {"schema": RESULT_SCHEMA,
-            "tool": RESULT_TOOL,
-            "experiment": defn.name,
-            "params": params,
-            "seed": spec.seed,
-            "outputs": {"summary": summary, **ctx.documents()},
-            "invariants": defn.check(summary, params)}
+    result = {"schema": RESULT_SCHEMA,
+              "tool": RESULT_TOOL,
+              "experiment": defn.name,
+              "params": params,
+              "seed": spec.seed,
+              "outputs": {"summary": summary, **ctx.documents()},
+              "invariants": defn.check(summary, params)}
+    # The result is plain data, so the run's environments are garbage
+    # now, and cyclic: live daemon processes and the components their
+    # frames hold reference each other.  Collect them here, so
+    # back-to-back runs (sweeps, the benchmark) peak at one run's
+    # memory, not at however many the collector's schedule lets pile up.
+    del ctx
+    gc.collect()
+    return result
 
 
 def run_summary(name: str, seed: int = 0, **params: Any) \

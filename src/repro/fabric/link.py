@@ -108,10 +108,7 @@ class LinkLayer:
         # link to its scalar path (allocators must see per-flit
         # interleaving).
         self._managed = False
-        # Credit returns take a callback fast path whenever the event
-        # chain is unobservable; sanitized and observed runs keep the
-        # scalar credit-return process.
-        self._fast_credit = env._sanitizer is None and self._tel is None
+        self._san = env.sanitizer
 
         self.control_lane_enabled = control_lane
         if control_lane:
@@ -156,7 +153,7 @@ class LinkLayer:
         """
         if self.control_lane_enabled and flit.packet.channel is Channel.CONTROL:
             yield from self._transmit_reliably(self._control_phys, flit)
-            self.env.process(self._propagate(flit))
+            self._propagate(flit)
             return
         credit = self._credit_pools[flit.vc].get(1)
         if self._causal is not None and flit.packet.trace is not None:
@@ -164,17 +161,32 @@ class LinkLayer:
                               self._site_credit)
         yield credit
         yield from self._transmit_reliably(self.phys, flit)
-        self.env.process(self._propagate(flit))
+        self._propagate(flit)
 
-    def _propagate(self, flit: Flit) -> Generator[Event, None, None]:
+    def _propagate(self, flit: Flit) -> None:
+        """Put a serialized flit on the wire; it arrives by callback.
+
+        The causal wire span opens now and closes on arrival.  The
+        callback stands in for a propagation process: its start hook
+        is credited here and its completion on arrival (see
+        ``Environment.credit_elided``).
+        """
+        env = self.env
         wire = None
         if self._causal is not None and flit.packet.trace is not None:
-            wire = self._causal.begin(flit.packet.trace, self.env.now,
+            wire = self._causal.begin(flit.packet.trace, env.now,
                                       WIRE, self._site_wire)
-        yield self.env.timeout(self.params.propagation_ns)
+        arrive = self._arrive
+        if self._san is not None:
+            arrive = self._san.writer("_propagate").wrap(arrive)
+        env.credit_elided(1)
+        env.call_later(self.params.propagation_ns, arrive, flit, wire)
+
+    def _arrive(self, flit: Flit, wire: Optional[int]) -> None:
         if wire is not None:
             self._causal.end(flit.packet.trace, self.env.now, wire)
         self._deliver(flit)
+        self.env.credit_elided(1)
 
     # -- credit management (exposed to allocators / the arbiter) ----------
 
@@ -207,34 +219,21 @@ class LinkLayer:
         self._rx_occupancy -= 1
         if flit.packet.channel is Channel.CONTROL and self.control_lane_enabled:
             return  # control lane is credit-free
-        if self._fast_credit:
-            # One future hook + the ContainerPut replace the scalar
-            # four-event credit-return process (start hook, timeout,
-            # put, completion); the put lands at the identical time.
-            # The two elided events are credited where the scalar path
-            # would have dispatched them — the start hook here, the
-            # process completion inside the delayed hook — so a run
-            # that ends with credit returns still pending counts the
-            # same events either way.
-            env = self.env
-            pool = self._credit_pools[flit.vc]
-
-            def _put(event, env=env, pool=pool):
-                pool.put(1)
-                env.credit_elided(1)
-
-            env._schedule_hook_at(env.now + self.credit_update_ns,
-                                  _put, True, None)
-            env.credit_elided(1)
-            return
-        self.env.process(self._return_credit(flit.vc),
-                         name=f"{self.name}.credit-return")
+        # The credit lands after the update cadence by callback; as in
+        # `_propagate`, the start hook and completion of the process it
+        # stands in for are credited here and in the callback.  It
+        # needs no sanitizer writer: it writes only a Container, which
+        # the write-race rule does not watch.
+        env = self.env
+        env.credit_elided(1)
+        env.call_later(self.credit_update_ns, self._put_credit,
+                       self._credit_pools[flit.vc])
 
     # -- internals ---------------------------------------------------------
 
-    def _return_credit(self, vc: int) -> Generator[Event, None, None]:
-        yield self.env.timeout(self.credit_update_ns)
-        yield self._credit_pools[vc].put(1)
+    def _put_credit(self, pool: Container) -> None:
+        pool.put(1)
+        self.env.credit_elided(1)
 
     def _sender(self, vc: int) -> Generator[Event, None, None]:
         queue = self._tx_queues[vc]
@@ -251,7 +250,7 @@ class LinkLayer:
                             self._site_credit)
             yield credit
             yield from self._transmit_reliably(self.phys, flit)
-            self.env.process(self._propagate(flit))
+            self._propagate(flit)
 
     def _control_sender(self) -> Generator[Event, None, None]:
         causal = self._causal
@@ -261,7 +260,7 @@ class LinkLayer:
                 causal.end(flit.packet.trace, self.env.now, flit.cspan)
                 flit.cspan = None
             yield from self._transmit_reliably(self._control_phys, flit)
-            self.env.process(self._propagate(flit))
+            self._propagate(flit)
 
     def _transmit_reliably(self, phys: PhysicalLayer,
                            flit: Flit) -> Generator[Event, None, None]:

@@ -17,13 +17,16 @@ Timing model per forwarded flit:
   link at link bandwidth.
 
 Because every stage is pipelined, throughput is set by link bandwidth,
-not by the 90 ns latency.
+not by the 90 ns latency.  The pipeline crossing is a kernel callback
+(``Environment.call_later``), not a process per flit; see
+:meth:`FabricSwitch._forward`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+from functools import partial
 from typing import Dict, Generator, List, Optional
 
 try:
@@ -92,6 +95,7 @@ class FabricSwitch:
         # branch when observability is off.
         self._tel = tel = env.telemetry
         self._causal = tel.causal if tel is not None else None
+        self._san = env.sanitizer
         if tel is not None:
             registry = tel.registry
             self._m_forwarded = registry.counter(f"pcie.{name}.flits_forwarded")
@@ -157,7 +161,8 @@ class FabricSwitch:
     # -- data path -----------------------------------------------------------
 
     def _ingress(self, port: SwitchPort) -> Generator[Event, None, None]:
-        slots = Resource(self.env, capacity=self.ingress_buffer)
+        env = self.env
+        slots = Resource(env, capacity=self.ingress_buffer)
         while True:
             flit: Flit = yield port.in_link.rx.get()
             request = slots.request()
@@ -172,12 +177,26 @@ class FabricSwitch:
             # link and, transitively, switches further up.
             port.in_link.consume(flit)
             port.flits_in += 1
-            self.env.process(self._forward(flit, port, slots, request),
-                             name=f"{self.name}.fwd")
+            forward = self._forward
+            if self._san is not None:
+                forward = self._san.writer(f"{self.name}.fwd").wrap(forward)
+            env.credit_elided(1)
+            env.call_later(self.port_latency_ns, forward, flit, port,
+                           slots, request)
 
     def _forward(self, flit: Flit, ingress: SwitchPort,
-                 slots: Resource, request) -> Generator[Event, None, None]:
-        yield self.env.timeout(self.port_latency_ns)
+                 slots: Resource, request) -> None:
+        """The flit crossed the pipeline: route, then drop or stage it.
+
+        Runs as a ``call_later`` callback standing in for a forwarding
+        process, whose start hook ``_ingress`` credits and whose
+        completion is credited once the flit is staged or dropped
+        (``Environment.credit_elided``).  Where that process would
+        block, on the egress credit domain and then on the staging
+        queue, the rest runs as a continuation attached to the event it
+        would have waited on, in the slot its resume would have taken,
+        so same-instant order is unchanged.
+        """
         try:
             egress_index = self._route(flit)
         except KeyError:
@@ -186,23 +205,39 @@ class FabricSwitch:
                 self._m_drops.inc(time=self.env.now)
                 self._tel.instant("switch.drop", track=self._track,
                                   packet=repr(flit.packet))
+            self.env.credit_elided(1)
             return
         egress = self.ports[egress_index]
         egress.pending += 1
         flit.flow = f"in{ingress.index}"
         domain = self.credit_domains.get(egress_index)
-        if domain is not None:
-            if flit.flow not in domain.flow_names():
-                domain.register(flit.flow)
-            yield domain.acquire(flit.flow, trace=flit.packet.trace)
+        if domain is None:
+            self._stage(flit, egress, slots, request)
+            return
+        if flit.flow not in domain.flow_names():
+            domain.register(flit.flow)
+        self._then(domain.acquire(flit.flow, trace=flit.packet.trace),
+                   partial(self._stage, flit, egress, slots, request))
+
+    def _stage(self, flit: Flit, egress: SwitchPort, slots: Resource,
+               request, _acquired: Optional[Event] = None) -> None:
         push = egress.scheduler.push(flit)
         if self._causal is not None and flit.packet.trace is not None:
             # Blocked at a full staging queue: still queueing, charged
             # to the egress scheduler's site.
             self._causal.wait(flit.packet.trace, push, QUEUEING,
                               egress.scheduler.site)
-        yield push
+        self._then(push, partial(self._staged, slots, request))
+
+    def _staged(self, slots: Resource, request, _pushed: Event) -> None:
         slots.release(request)
+        self.env.credit_elided(1)
+
+    def _then(self, event: Event, continuation) -> None:
+        """Continue a forward when ``event`` fires, as its writer."""
+        if self._san is not None:
+            continuation = self.env.active_process.wrap(continuation)
+        event._attach(continuation)
 
     def _route(self, flit: Flit) -> int:
         """Pick the egress port; adaptive mode takes the least loaded.

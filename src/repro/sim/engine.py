@@ -49,8 +49,21 @@ None of this changes observable scheduling: pooled events consume the
 same sequence numbers as freshly allocated ones, so the
 ``(time, priority, seq)`` order of a run is bit-identical to the
 pre-fast-path kernel.  ``Environment.stats`` exposes kernel counters
-(events processed, events/sec of wall-clock, peak queue depth) for the
-perf-regression harness in ``benchmarks/run_all.py``.
+(events processed and elided, events/sec of wall-clock, peak queue
+depth, event-pool hits); ``perfbench/`` records them per layer.
+
+Callbacks
+---------
+
+Model code whose process would only say "after ``d``, do X" calls
+:meth:`Environment.call_later` instead: one pooled hook in the bucket
+``env.timeout(d)`` would use, no generator, no start hook, no
+completion event.  The fabric's fixed-delay handoffs (link
+propagation, credit return, the switch's port-latency forward) run
+this way on every path, observed and sanitized alike, and credit the
+start hook and completion their process would have dispatched through
+:meth:`Environment.credit_elided`, so event counts are those of the
+process-per-handoff model.
 """
 
 from __future__ import annotations
@@ -186,6 +199,19 @@ class Event:
         self._value = exception
         self.env._schedule(self, NORMAL)
         return self
+
+    def _attach(self, callback: Callable[["Event"], None]) -> None:
+        """Attach ``callback`` where a process waiting here would go.
+
+        The waiter slot while it is free and no callback came first,
+        else the end of ``callbacks``: a continuation attached here
+        fires exactly where a process's resume would have.  The event
+        must not have fired yet.
+        """
+        if self._waiter is None and not self.callbacks:
+            self._waiter = callback
+        else:
+            self.callbacks.append(callback)
 
     def __repr__(self) -> str:
         state = "processed" if self._processed else (
@@ -328,6 +354,7 @@ class Process(Event):
                 next_event = self._throw(event._value)
         except StopIteration as stop:
             env._active_process = None
+            self._finish()
             if self._value is _PENDING:
                 self._ok = True
                 self._value = stop.value
@@ -335,6 +362,7 @@ class Process(Event):
             return
         except BaseException as exc:
             env._active_process = None
+            self._finish()
             if self._value is _PENDING:
                 self._ok = False
                 self._value = exc
@@ -359,6 +387,17 @@ class Process(Event):
             return
         self._wait_slow(next_event)
 
+    def _finish(self) -> None:
+        """Drop the bound methods of a generator that has returned.
+
+        ``_resume_cb`` closes a ``Process`` -> bound method -> ``Process``
+        cycle, so without this every finished process would wait for
+        the cyclic collector instead of dying with its last reference.
+        A dead process is never attached or resumed again (a stale
+        wakeup returns on ``_value`` before touching these).
+        """
+        self._resume_cb = self._send = self._throw = None
+
     def _wait_slow(self, next_event: Any) -> None:
         """Rare wait path: non-events, foreign and processed events."""
         if not isinstance(next_event, Event):
@@ -375,6 +414,7 @@ class Process(Event):
                 # refuse to continue a misbehaving process.
                 self._generator.close()
                 failed_ok, failed_value = False, error
+            self._finish()
             if self._value is _PENDING:
                 self._ok = failed_ok
                 self._value = failed_value
@@ -398,7 +438,7 @@ class _Condition(Event):
     value from creation, so ``triggered`` alone cannot be used here.
     """
 
-    __slots__ = ("events", "_unfired", "_fired", "_check_cb")
+    __slots__ = ("events", "_unfired", "_fired")
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
@@ -407,7 +447,9 @@ class _Condition(Event):
             raise SimulationError("events from different environments")
         self._unfired = 0
         self._fired = 0
-        self._check_cb = self._check
+        # Bound once for the loop, but not kept: a stored bound method
+        # would make every condition a reference cycle.
+        check = self._check
         failed = None
         for event in self.events:
             if event.callbacks is None or event._processed:
@@ -418,7 +460,7 @@ class _Condition(Event):
                 self._fired += 1
             else:
                 self._unfired += 1
-                event.callbacks.append(self._check_cb)
+                event.callbacks.append(check)
         if failed is not None:
             self.fail(failed)
         else:
@@ -509,8 +551,8 @@ class Environment:
         self._busy_seconds = 0.0
         self._pool_hits = 0
         self._pool_misses = 0
-        # Events a fabric fast path elided but credited (see
-        # credit_elided): counted into events_processed for bit-identity.
+        # Events a handoff callback or the egress sweep elided but
+        # credited (see credit_elided), counted into events_processed.
         self._elided = 0
         # Opt-in runtime sanitizers (credit conservation, event
         # lifecycle, write races, drain deadlocks).  `None` keeps every
@@ -540,6 +582,11 @@ class Environment:
 
     @property
     def active_process(self) -> Optional[Process]:
+        """The process being resumed, or None in a plain callback.
+
+        In sanitized runs a callback chain standing in for a process
+        reports its ``repro.analysis.sanitizers.Writer`` here.
+        """
         return self._active_process
 
     @property
@@ -565,8 +612,8 @@ class Environment:
         inside :meth:`run`/:meth:`step` (simulated time never touches a
         wall clock); it is the perf-harness headline number.
         ``events_processed`` includes elided-but-credited events (see
-        :meth:`credit_elided`) so it is bit-identical to a sanitized
-        run of the same model, which takes no fast path;
+        :meth:`credit_elided`), so it counts what a process-per-handoff
+        model without the switch's egress sweep would have dispatched;
         ``events_elided`` says how many were credited.
         """
         busy = self._busy_seconds
@@ -636,12 +683,13 @@ class Environment:
                           ok: bool, value: Any) -> "_Hook":
         """A pooled single-callback wakeup at an absolute future time.
 
-        The fabric fast paths (the switch's egress sweep, the link's
-        credit return) use this to land wakeups on exact precomputed
-        timestamps (``now + (t - now)`` does not round-trip under IEEE
+        The switch's egress sweep (and ``CreditDomain.release_at``)
+        uses this to land wakeups on exact precomputed timestamps
+        (``now + (t - now)`` does not round-trip under IEEE
         arithmetic, so a delay-based wakeup could miss the bucket the
-        scalar path used).  Fires at NORMAL priority, exactly where the
-        scalar path's Timeout would have.  A time before ``now`` is
+        per-flit loop used).  Fires at NORMAL priority, exactly where
+        that loop's Timeout would have.  The sweep runs only when no
+        telemetry or sanitizer is attached.  A time before ``now`` is
         rejected: the queue cannot hold an event in the past.
         """
         if time < self._now:
@@ -670,20 +718,67 @@ class Environment:
         return hook
 
     def credit_elided(self, n: int) -> None:
-        """Account ``n`` scalar-path events a fabric fast path elided.
+        """Account ``n`` events a callback or the egress sweep elided.
 
-        The switch's egress sweep and the link's credit return collapse
-        deterministic event chains (serialize → propagate → deliver per
-        flit, wait → put per credit) into closed-form schedules; the
-        chain length is known exactly, so crediting it keeps
-        ``events_processed`` (and the process-wide total) bit-identical
-        to a sanitized run, which takes the scalar paths, while the
-        wall clock drops.
+        Two things skip events whose number is known exactly: the
+        fabric's fixed-delay handoffs, which run as :meth:`call_later`
+        callbacks on every path instead of processes (each elides a
+        start hook and a completion), and the switch's egress sweep,
+        which serializes a flit run on a closed-form schedule in
+        unobserved, unsanitized runs.  Each caller credits the elided
+        events in the time bucket where the process-per-handoff model
+        dispatched them, so ``events_processed`` (and the process-wide
+        total) keep that model's count, on every path and in runs cut
+        short by a horizon, while the wall clock drops.
         """
         self._elided += n
         self._events_processed += n
         global _total_events
         _total_events += n
+
+    def call_later(self, delay: float, fn: Callable[..., Any],
+                   *args: Any) -> None:
+        """Call ``fn(*args)`` once, ``delay`` from now, without a process.
+
+        One pooled hook lands in the NORMAL list of the bucket
+        ``timeout(delay)`` would use, in insertion order with it, so
+        the call runs exactly where a process's ``yield
+        env.timeout(delay)`` would have resumed.  Costs one event
+        instead of a process's start hook, Timeout and completion.
+        ``fn`` runs with no active process; sanitized callers that
+        write to stores name a writer (``RuntimeSanitizer.writer``).
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        pool = self._hook_pool
+        if pool:
+            hook = pool.pop()
+            hook._processed = False
+            self._pool_hits += 1
+        else:
+            hook = _Hook.__new__(_Hook)
+            hook.env = self
+            hook.callbacks = []
+            hook._scheduled = True
+            self._pool_misses += 1
+        hook._waiter = _call
+        hook._ok = True
+        hook._value = (fn, args)
+        # timeout()'s bucket insertion, inlined as there: hot path.
+        time = self._now + delay
+        if time == self._last_time:
+            self._last_normal.append(hook)
+        else:
+            bucket = self._buckets.get(time)
+            if bucket is None:
+                pool = self._bucket_pool
+                bucket = pool.pop() if pool else ([], [])
+                self._buckets[time] = bucket
+                heappush(self._times, time)
+            self._last_time = time
+            self._last_normal = bucket[1]
+            bucket[1].append(hook)
+        self._pending += 1
 
     # -- factories -------------------------------------------------------
 
@@ -1018,6 +1113,13 @@ class Environment:
         if until is not None and stop != _INF:
             self._now = stop
         return None
+
+
+def _call(hook: _Hook) -> None:
+    """Fire a :meth:`Environment.call_later` hook (its ``_waiter``)."""
+    fn, args = hook._value
+    hook._value = None      # a pooled hook must not pin the arguments
+    fn(*args)
 
 
 def run_proc(env: Environment, gen: Generator,

@@ -3,6 +3,7 @@
 import pytest
 
 import json
+import re
 
 from repro.analysis.sanitizers import RuntimeSanitizer, SanitizerError
 from repro.core import UniFabric
@@ -222,6 +223,54 @@ class TestWriteRace:
         env.process(writer("b", 2.0), name="w-b")
         env.run()
         assert env.sanitizer.clean
+
+    def test_callback_chains_race_as_their_writers(self):
+        # A callback has no process: two same-instant chains race only
+        # if each writes as its own Writer, as two processes would.
+        env = Environment(sanitize=True)
+        san = env.sanitizer
+        named, anonymous = Store(env), Store(env)
+        for tag in ("a", "b"):
+            env.call_later(1.0, san.writer("chain").wrap(named.put), tag)
+            env.call_later(1.0, anonymous.put, tag)
+        env.run()
+        (race,) = san.findings
+        assert f"race on {san.name_of(named)}: put by 'chain' and put " \
+            "by 'chain'" in race.message
+
+
+#: `reliability` under the sanitizer, per environment: (kind, time,
+#: writers).  Stores are masked to `Store#N`: their ordinals count
+#: every object the sanitizer saw first, so they move whenever the
+#: model creates fewer events, while the race itself must not.
+RELIABILITY_RACES = [
+    ("parity1", 143609.84999999954, "'_fetch'", "'_fetch'"),
+    ("parity1", 145331.17499999952, "'sw0.fwd'", "'sw0.fwd'"),
+    ("parity1", 147504.2187499995, "'_fetch'", "'host0.mem.wb'"),
+    ("parity1", 151428.58749999947, "'host0.mem.wb'", "'host0.mem.wb'"),
+    ("parity2", 191119.53749999948, "'_fetch'", "'_fetch'"),
+    ("parity2", 192840.86249999946, "'sw0.fwd'", "'sw0.fwd'"),
+    ("parity2", 193230.11249999946, "'go'", "'host0.mem.wb'"),
+    ("parity2", 193230.11249999946, "'host0.mem.wb'", "'go'"),
+    ("parity2", 195126.56249999945, "'_fetch'", "'host0.mem.wb'"),
+    ("parity2", 195126.56249999945, "'host0.mem.wb'", "'host0.mem.wb'"),
+]
+
+
+def test_reliability_findings_pinned():
+    # Each switch forward is a callback chain; the two same-instant
+    # `sw0.fwd` puts into one staging queue must still be reported.
+    spec = ExperimentSpec("reliability", outputs=("summary", "sanitize"))
+    docs = run_experiment(spec)["outputs"]["sanitize"]
+    found = [(label, finding["kind"], finding["time"],
+              re.sub(r"Store#\d+", "Store#N", finding["message"]))
+             for label, doc in docs.items() for finding in doc["findings"]]
+    assert found == [
+        (label, "write-race", time,
+         f"write-write race on Store#N: put by {first} and put by "
+         f"{second} at the same timestamp; the outcome depends on "
+         "scheduling order only")
+        for label, time, first, second in RELIABILITY_RACES]
 
 
 def _t2_writes(ctx):

@@ -1,13 +1,18 @@
-"""Bit-identity pins for the fabric fast paths.
+"""Bit-identity pins for the fabric's handoff callbacks and egress sweep.
 
-The link's credit-return callback and the switch's batched egress
-sweep promise the same thing: the observable simulation — every
-timestamp, every counter, and ``events_processed`` itself (elided
-events are credited in the time bucket where the scalar path would
-have dispatched them) — is bit-identical to the scalar paths.  A
-sanitized run takes every scalar path, so it is the reference: these
-tests run each model plain and sanitized and compare, including runs
-truncated mid-sweep by a ``run(until=...)`` horizon.
+The fixed-delay handoffs (link propagation, credit return, the switch's
+port-latency forward) run as kernel callbacks on every path, observed
+and sanitized alike.  They credit the start hook and completion of the
+process each one stands in for, in the time bucket where that process
+dispatched them.  So every timestamp, every counter and
+``events_processed`` equal those of the process-per-handoff model.
+Runs of a small switch model, cut short by a ``run(until=...)`` horizon
+or not, are pinned to tuples recorded from that model.
+
+The switch's batched egress sweep runs only without telemetry and
+sanitizer.  A sanitized run takes the per-flit egress loop, so it is
+the sweep's reference: these tests run each model plain and sanitized
+and compare.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from repro.pcie.arbitration import (EgressScheduler, FairVcScheduler,
 from repro.experiments import RunContext, get, run_scenario
 from repro.sim import Environment
 from repro.sim.engine import _POOL_LIMIT
+from repro.telemetry import Telemetry
+from repro.telemetry.causal import CausalRecorder
 
 np = pytest.importorskip("numpy")
 
@@ -45,7 +52,13 @@ def test_scenario_bit_identical_to_sanitized(name):
         results[sanitize] = (summary, env._events_processed, env.now,
                              env.stats["events_elided"])
     assert results[False][:3] == results[True][:3]
-    assert results[True][3] == 0    # sanitized runs never elide
+    plain, sanitized = results[False][3], results[True][3]
+    if name == "interleave":
+        # Both take the handoff callbacks; only the plain run has the
+        # FIFO egress sweep on top.
+        assert plain > sanitized > 0
+    else:
+        assert plain == sanitized
 
 
 def test_interleave_fast_paths_actually_engage():
@@ -72,8 +85,41 @@ def test_link_transport_key_is_size_and_vc():
 # -- switch: batched egress sweep ----------------------------------------
 
 
-def _run_switch(sanitize, until=None, scheduler="fifo", writes=12):
-    env = Environment(sanitize=sanitize)
+#: `_run_switch` results, minus the elided count, recorded from the
+#: process-per-handoff model (a process per propagation, credit return
+#: and forward): (now, events_processed, flits_forwarded, per-port
+#: (index, in, out, pending), per-port phys (flits, bytes)), keyed by
+#: the `run(until=...)` horizon.  The FIFO and fair schedulers agree on
+#: this single-flow model.
+_PINNED = {
+    None: (3470.03125, 49593, 1548, [(0, 1548, 0, 0), (1, 0, 1548, 0)],
+           [(0, 0), (1548, 105264)]),
+    1_000.0: (1000.0, 17090, 425, [(0, 576, 0, 0), (1, 0, 425, 118)],
+              [(0, 0), (425, 28900)]),
+    2_500.0: (2500.0, 39733, 1131, [(0, 1324, 0, 0), (1, 0, 1131, 151)],
+              [(0, 0), (1131, 76908)]),
+    5_000.0: (5000.0, 49593, 1548, [(0, 1548, 0, 0), (1, 0, 1548, 0)],
+              [(0, 0), (1548, 105264)]),
+    9_999.5: (9999.5, 49593, 1548, [(0, 1548, 0, 0), (1, 0, 1548, 0)],
+              [(0, 0), (1548, 105264)]),
+}
+
+
+def _environment(mode):
+    """A plain, telemetry, causal or sanitized environment (no sampler:
+    a sampler's timer would add events of its own)."""
+    if mode == "sanitize":
+        return Environment(sanitize=True)
+    if mode == "telemetry":
+        return Environment(telemetry=Telemetry())
+    if mode == "causal":
+        return Environment(telemetry=Telemetry(causal=CausalRecorder()))
+    assert mode == "plain"
+    return Environment()
+
+
+def _run_switch(mode, until=None, scheduler="fifo", writes=12):
+    env = _environment(mode)
     topo = Topology(env, scheduler=scheduler)
     topo.add_switch("sw0")
     topo.add_endpoint("src")
@@ -109,32 +155,44 @@ def _run_switch(sanitize, until=None, scheduler="fifo", writes=12):
 
 
 def test_switch_fifo_sweep_bit_identical_and_engages():
-    reference = _run_switch(True)
-    swept = _run_switch(False)
-    assert swept[:5] == reference[:5]
-    assert reference[5] == 0
+    reference = _run_switch("sanitize")
+    swept = _run_switch("plain")
+    assert swept[:5] == reference[:5] == _PINNED[None]
     # 8KB posted writes stage long homogeneous runs at the FIFO
-    # egress; the sweep must elide a large share of their events.
-    assert swept[5] > swept[1] * 0.1
+    # egress; the sweep must elide a sizeable share of their events on
+    # top of what the handoff callbacks elide.
+    assert swept[5] - reference[5] > swept[1] * 0.05
 
 
 @pytest.mark.parametrize("until", [1_000.0, 2_500.0, 5_000.0, 9_999.5])
 def test_switch_sweep_truncated_run_bit_identical(until):
-    # A horizon landing mid-sweep must leave counters, port state and
-    # the event count exactly where the scalar path leaves them:
-    # elisions are credited per time bucket, never up front.
-    reference = _run_switch(True, until=until)
-    swept = _run_switch(False, until=until)
-    assert swept[:5] == reference[:5]
+    # A horizon landing mid-sweep or mid-handoff must leave counters,
+    # port state and the event count exactly where the
+    # process-per-handoff model leaves them: elisions are credited per
+    # time bucket, never up front.
+    reference = _run_switch("sanitize", until=until)
+    swept = _run_switch("plain", until=until)
+    assert swept[:5] == reference[:5] == _PINNED[until]
 
 
 def test_switch_fair_scheduler_bit_identical_without_sweep():
     # FairVc service order can be preempted by later pushes, so it is
-    # not batchable: the egress loop must stay scalar (only the
-    # credit-return fast path elides) and stay bit-identical.
-    reference = _run_switch(True, scheduler="fair")
-    plain = _run_switch(False, scheduler="fair")
-    assert plain[:5] == reference[:5]
+    # not batchable: the egress loop stays per-flit, and only the
+    # handoff callbacks elide, the same events on both paths.
+    reference = _run_switch("sanitize", scheduler="fair")
+    plain = _run_switch("plain", scheduler="fair")
+    assert plain == reference
+    assert plain[:5] == _PINNED[None]
+
+
+def test_fair_switch_agrees_under_every_observer():
+    # With the sweep off, plain, telemetry, causal and sanitized runs
+    # execute the same handoff code: everything, the elided count
+    # included, must agree.
+    runs = {mode: _run_switch(mode, scheduler="fair")
+            for mode in ("plain", "telemetry", "causal", "sanitize")}
+    assert len(set(map(repr, runs.values()))) == 1, runs
+    assert runs["plain"][5] > 0
 
 
 def test_only_fifo_scheduler_is_batchable():

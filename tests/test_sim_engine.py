@@ -684,3 +684,75 @@ def test_sanitized_run_sees_on_write_for_every_store_put():
                       (2, "unbounded", "put"), (2, "bounded", "put"),
                       (3, "bounded", "put"), (3, "ordered", "put")]
     assert env.sanitizer.findings == []
+
+
+# -- call_later and process teardown ----------------------------------------
+
+def test_call_later_shares_the_timeout_bucket_in_insertion_order():
+    env = Environment()
+    order = []
+
+    def proc():
+        yield env.timeout(0.1)
+        # 0.1 + 0.2 is not 0.3: the call must land on the float the
+        # timeout lands on, and between the two timeouts it was queued
+        # between.
+        first = env.timeout(0.2)
+        first.callbacks.append(lambda _event: order.append("first"))
+        env.call_later(0.2, lambda tag: order.append((tag, env.now)),
+                       "call")
+        last = env.timeout(0.2)
+        last.callbacks.append(lambda _event: order.append("last"))
+        yield last
+
+    env.process(proc())
+    env.run()
+    assert order == ["first", ("call", 0.1 + 0.2), "last"]
+
+
+def test_call_later_negative_delay_rejected():
+    env = Environment()
+    with pytest.raises(ValueError, match="negative delay"):
+        env.call_later(-1.0, print)
+    assert env.peek() == float("inf")
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_call_later_fires_exactly_once(sanitize):
+    env = Environment(sanitize=sanitize)
+    fired = []
+    env.call_later(2.0, fired.append, "a")
+    env.run()
+    assert fired == ["a"] and env.now == 2.0
+    # A recycled hook carries the new call only.
+    env.call_later(0.0, fired.append, "b")
+    env.process(iter_timeout(env, 5.0))
+    env.run()
+    assert fired == ["a", "b"]
+    assert env.stats["events_processed"] == 2 + 3
+    if sanitize:
+        assert env.sanitizer.findings == []
+
+
+def test_finished_processes_leave_no_cyclic_garbage():
+    # A finished process must die with its last reference: with the
+    # collector off, nothing of N short processes is left for it.
+    import gc
+
+    from repro.sim import Process
+
+    env = Environment()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(200):
+            env.process(iter_timeout(env, 1.0))
+        env.run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if isinstance(obj, Process)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == []
