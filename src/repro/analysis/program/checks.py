@@ -327,7 +327,7 @@ _MUTATORS = frozenset({
 #: a Store.get would already trip the purity rules via its waiters.
 _EVENT_CREATORS = frozenset({
     "event", "timeout", "timeout_at", "process", "schedule",
-    "succeed", "fail", "request", "put", "_trigger",
+    "succeed", "fail", "request", "put", "put_forget", "_trigger",
 })
 
 _PROTOCOL_METHODS = ("peek_ready", "plan_ready_run", "commit_head")

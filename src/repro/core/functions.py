@@ -129,7 +129,7 @@ class FunctionChassis:
                           payload=request.meta.get("payload"))
         if request.meta.get("await", True):
             message.reply_to = self.env.event()
-            function.mailbox.put(message)
+            function.mailbox.put_forget(message)
             try:
                 result = yield message.reply_to
             except Exception as exc:
@@ -138,7 +138,7 @@ class FunctionChassis:
             else:
                 response.meta["result"] = result
         else:
-            function.mailbox.put(message)
+            function.mailbox.put_forget(message)
             response.meta["accepted"] = True
         return response
 
@@ -152,7 +152,7 @@ class FunctionChassis:
             raise KeyError(f"{self.name}: no co-located function {dst!r}")
         yield self.env.timeout(self.coordination_ns)
         self.local_messages += 1
-        function.mailbox.put(message)
+        function.mailbox.put_forget(message)
 
     # -- per-function serial cores -------------------------------------------------
 
@@ -230,7 +230,7 @@ class _CheckpointMixin:
         function._handlers = dict(context.handlers)
         function.mailbox = Store(self.env)
         for message in context.pending:
-            function.mailbox.put(message)
+            function.mailbox.put_forget(message)
         self.functions[context.name] = function
         self.env.process(self._core(function),
                          name=f"{self.name}.{context.name}", daemon=True)

@@ -59,7 +59,8 @@ class MigrationAgent:
                 # the worker when the transaction enters service.
                 trans.attributes["_cspan"] = self._causal.begin(
                     trace, self.env.now, QUEUEING, self._site_queue)
-        self._queue.put((trans.priority, next(self._seq), trans, handle))
+        self._queue.put_forget(
+            (trans.priority, next(self._seq), trans, handle))
 
     def backlog(self) -> int:
         return len(self._queue)

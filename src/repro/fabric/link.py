@@ -202,7 +202,7 @@ class LinkLayer:
             raise ValueError(f"n must be > 0, got {n}")
         self._managed = True
         self._granted[vc] += n
-        self._credit_pools[vc].put(n)
+        self._credit_pools[vc].put_forget(n)
 
     def revoke_credits(self, vc: int, n: int) -> Event:
         """Take back ``n`` credits; completes once they are reclaimable."""
@@ -232,7 +232,7 @@ class LinkLayer:
     # -- internals ---------------------------------------------------------
 
     def _put_credit(self, pool: Container) -> None:
-        pool.put(1)
+        pool.put_forget(1)
         self.env.credit_elided(1)
 
     def _sender(self, vc: int) -> Generator[Event, None, None]:
@@ -294,4 +294,4 @@ class LinkLayer:
             self.max_rx_occupancy, self._rx_occupancy)
         # (max-accumulate commutes with the preceding += — any
         # same-timestamp dispatch order lands on the same peak)
-        self.rx.put(flit)
+        self.rx.put_forget(flit)

@@ -278,7 +278,7 @@ class TransactionPort:
             waiter.succeed(packet)
             return
         if packet.kind in REQUEST_KINDS:
-            self.inbound_requests.put(packet)
+            self.inbound_requests.put_forget(packet)
             return
         # A response without a matching request: the completion of a
         # posted write (benign), or a stale tag.  Count and drop — a

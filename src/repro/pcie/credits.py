@@ -310,7 +310,7 @@ class CreditDomain:
         # If the flow's grant shrank since this credit was taken, the
         # returned credit is retired instead of refilled.
         if pool.level < target:
-            pool.put(1)
+            pool.put_forget(1)
 
     def release_at(self, flow: str, time: float) -> None:
         """Schedule :meth:`release` of one credit at absolute ``time``.
@@ -383,7 +383,7 @@ class CreditDomain:
         for flow, target in targets.items():
             current = self._granted[flow]
             if target > current:
-                self._pools[flow].put(target - current)
+                self._pools[flow].put_forget(target - current)
             elif target < current:
                 # Shrinking is lazy: outstanding credits retire on
                 # release (see `release`), idle ones are drained now.

@@ -44,9 +44,25 @@ optimised:
   hook) take ``Process._wait_slow``.
 * ``Environment.run`` is the one dispatch loop, inlined with bound
   locals; :meth:`Environment.step` is one iteration of it.
+* The at-now list: while ``run`` dispatches a bucket it keeps that
+  bucket's NORMAL list in ``_now_normal``.  ``succeed``/``fail``,
+  process completions and the on-arrival grants of
+  ``repro.sim.resources`` append straight to it instead of a method
+  call and a bucket-dict lookup per event.
+* The put marker: a put whose event nobody looks at (a credit return,
+  a flit landing in a receive buffer, a mailbox message) calls
+  ``Store.put_forget``/``Container.put_forget``.  It grants exactly as
+  ``put`` does but allocates no event; the shared :data:`_PUT_MARK`
+  takes the event's NORMAL slot, and ``run``/``step`` count it as one
+  dispatched event when they reach it.  It is counted there, not at
+  the call, so a run stopping on ``until_event`` ahead of it counts
+  what the event would have, and it is not an elided event.  Resource
+  events (``Request``, ``StorePut``/``StoreGet``,
+  ``ContainerPut``/``ContainerGet``) set their ``Event`` fields inline
+  rather than through ``Event.__init__``.
 
-None of this changes observable scheduling: pooled events consume the
-same sequence numbers as freshly allocated ones, so the
+None of this changes observable scheduling: pooled events and markers
+consume the same sequence numbers as freshly allocated events, so the
 ``(time, priority, seq)`` order of a run is bit-identical to the
 pre-fast-path kernel.  ``Environment.stats`` exposes kernel counters
 (events processed and elided, events/sec of wall-clock, peak queue
@@ -179,11 +195,19 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self, NORMAL)
+        if not self._scheduled:
+            # At-now scheduling, inlined: the hot grant path.
+            self._scheduled = True
+            env = self.env
+            normal = env._now_normal
+            if normal is None:
+                normal = env._bucket(env._now)[NORMAL]
+            normal.append(self)
+            env._pending += 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -191,13 +215,13 @@ class Event:
 
         The exception is re-raised inside every waiting process.
         """
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError(f"{exception!r} is not an exception")
         self._ok = False
         self._value = exception
-        self.env._schedule(self, NORMAL)
+        self.env._schedule_now(self)
         return self
 
     def _attach(self, callback: Callable[["Event"], None]) -> None:
@@ -222,6 +246,28 @@ class Event:
 #: Module-level alias of the pending sentinel for fast access in hot code.
 _PENDING = Event._PENDING
 
+#: The put marker.  An event-free put (``Store.put_forget``,
+#: ``Container.put_forget``) grants on arrival exactly as ``put`` does
+#: but allocates no event: it appends this shared object to the NORMAL
+#: slot the event would have taken.  ``run``/``step`` count it as one
+#: dispatched event when they reach it (never earlier, so a run that
+#: stops on ``until_event`` first does not count it) and fire nothing.
+_PUT_MARK = object()
+
+
+def _bad_delay(delay: Any) -> ValueError:
+    """The error for a delay that is negative or NaN."""
+    if delay < 0:
+        return ValueError(f"negative delay {delay}")
+    return ValueError(f"delay {delay!r} is not a number >= 0")
+
+
+def _bad_time(what: str, time: Any, now: float) -> ValueError:
+    """The error for an absolute time before ``now``, or NaN."""
+    if time < now:
+        return ValueError(f"{what} is in the past (now={now})")
+    return ValueError(f"{what} is not a number")
+
 
 class Timeout(Event):
     """An event that fires after a fixed delay.
@@ -235,13 +281,15 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise _bad_delay(delay)
         super().__init__(env)
         self.delay = delay
         self._ok = True
         self._value = value
-        env._schedule(self, NORMAL, delay)
+        self._scheduled = True
+        env._bucket(env._now + delay)[NORMAL].append(self)
+        env._pending += 1
 
 
 class _Hook(Event):
@@ -358,7 +406,7 @@ class Process(Event):
             if self._value is _PENDING:
                 self._ok = True
                 self._value = stop.value
-                env._schedule(self, NORMAL)
+                env._schedule_now(self)
             return
         except BaseException as exc:
             env._active_process = None
@@ -366,7 +414,7 @@ class Process(Event):
             if self._value is _PENDING:
                 self._ok = False
                 self._value = exc
-                env._schedule(self, NORMAL)
+                env._schedule_now(self)
             return
         env._active_process = None
 
@@ -418,7 +466,7 @@ class Process(Event):
             if self._value is _PENDING:
                 self._ok = failed_ok
                 self._value = failed_value
-                self.env._schedule(self, NORMAL)
+                self.env._schedule_now(self)
             return
         if next_event.env is not self.env:
             raise SimulationError("event belongs to a different environment")
@@ -525,7 +573,7 @@ class Environment:
 
     __slots__ = ("_now", "_times", "_buckets", "_bucket_pool",
                  "_active_process", "_timeout_pool", "_hook_pool",
-                 "_last_time", "_last_normal",
+                 "_last_time", "_last_normal", "_now_normal",
                  "_pending", "_events_processed", "_peak_queue",
                  "_busy_seconds", "_sanitizer", "_telemetry",
                  "_pool_hits", "_pool_misses", "_elided")
@@ -534,6 +582,8 @@ class Environment:
                  sanitize: bool = False,
                  telemetry: Any = None) -> None:
         self._now = float(initial_time)
+        if not self._now == self._now:
+            raise ValueError(f"initial_time {initial_time!r} is NaN")
         self._times: List[float] = []
         self._buckets: Dict[float, tuple] = {}
         self._bucket_pool: List[tuple] = []
@@ -545,6 +595,11 @@ class Environment:
         # NORMAL list directly — the only consumer is timeout().
         self._last_time: Optional[float] = None
         self._last_normal: Optional[list] = None
+        # The at-now list: while run() dispatches a bucket, its NORMAL
+        # list, so work scheduled at the current time (succeed/fail,
+        # process completions, on-arrival grants) appends straight to
+        # it; None outside a dispatch.
+        self._now_normal: Optional[list] = None
         self._pending = 0
         self._events_processed = 0
         self._peak_queue = 0
@@ -641,11 +696,19 @@ class Environment:
             heappush(self._times, time)
         return bucket
 
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
+    def _schedule_now(self, event: Event) -> None:
+        """Schedule ``event`` at NORMAL priority at the current time.
+
+        Appends to the at-now list when a dispatch holds one, else to
+        the current time's bucket; either is the same list.
+        """
         if event._scheduled:
             return
         event._scheduled = True
-        self._bucket(self._now + delay)[priority].append(event)
+        normal = self._now_normal
+        if normal is None:
+            normal = self._bucket(self._now)[NORMAL]
+        normal.append(event)
         self._pending += 1
 
     def _schedule_hook(self, callback: Callable[[Event], None],
@@ -692,9 +755,8 @@ class Environment:
         telemetry or sanitizer is attached.  A time before ``now`` is
         rejected: the queue cannot hold an event in the past.
         """
-        if time < self._now:
-            raise ValueError(f"hook time {time} is in the past "
-                             f"(now={self._now})")
+        if not time >= self._now:
+            raise _bad_time(f"hook time {time}", time, self._now)
         pool = self._hook_pool
         if pool:
             hook = pool.pop()
@@ -748,8 +810,8 @@ class Environment:
         ``fn`` runs with no active process; sanitized callers that
         write to stores name a writer (``RuntimeSanitizer.writer``).
         """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise _bad_delay(delay)
         pool = self._hook_pool
         if pool:
             hook = pool.pop()
@@ -787,8 +849,8 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """A :class:`Timeout` from the free list (allocates only when empty)."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise _bad_delay(delay)
         if self._sanitizer is not None:
             # Sanitized path: full construction so the sanitizer sees
             # the event's whole lifecycle (recycling is disabled too).
@@ -835,9 +897,8 @@ class Environment:
         resume precisely where the scalar event chain would have.
         """
         now = self._now
-        if time < now:
-            raise ValueError(f"timeout_at({time}) is in the past "
-                             f"(now={now})")
+        if not time >= now:
+            raise _bad_time(f"timeout_at({time})", time, now)
         if self._sanitizer is not None:
             # Sanitized path: full construction (no recycling) so the
             # sanitizer sees the whole lifecycle; scheduled by hand to
@@ -932,6 +993,12 @@ class Environment:
             self._retire_bucket(time, bucket)
         self._now = time
         self._pending -= 1
+        global _total_events
+        if event is _PUT_MARK:
+            self._events_processed += 1
+            _total_events += 1
+            self._busy_seconds += perf_counter() - t0
+            return
         callbacks = event.callbacks
         event.callbacks = None
         waiter = event._waiter
@@ -949,7 +1016,6 @@ class Environment:
         if self._sanitizer is not None:
             self._sanitizer.on_processed(event)
         self._events_processed += 1
-        global _total_events
         _total_events += 1
         self._busy_seconds += perf_counter() - t0
         if not fired and not event._ok and not isinstance(event, Process):
@@ -966,8 +1032,8 @@ class Environment:
         first — so wall-clock-style bookkeeping against ``env.now`` is
         branch-independent.
         """
-        if until is not None and until < self._now:
-            raise ValueError(f"until={until} is in the past (now={self._now})")
+        if until is not None and not until >= self._now:
+            raise _bad_time(f"until={until}", until, self._now)
         stop = until if until is not None else _INF
         times = self._times
         buckets = self._buckets
@@ -978,6 +1044,7 @@ class Environment:
         refcount = getrefcount
         max_pooled = _POOL_LIMIT
         pending_sentinel = _PENDING
+        put_mark = _PUT_MARK
         san = self._sanitizer
         check_event = until_event is not None
         processed = 0
@@ -993,6 +1060,7 @@ class Environment:
                 urgent = bucket[0]
                 normal = bucket[1]
                 self._now = time
+                self._now_normal = normal
                 live = self._pending - processed
                 if live > self._peak_queue:
                     # Peak depth is sampled at time-advance granularity.
@@ -1015,6 +1083,9 @@ class Environment:
                         elif ni < nlen:
                             event = normal[ni]
                             ni += 1
+                            if event is put_mark:
+                                processed += 1
+                                continue
                         else:
                             # The cursor caught up with the cached
                             # length: re-measure once in case dispatch
@@ -1024,6 +1095,9 @@ class Environment:
                                 break
                             event = normal[ni]
                             ni += 1
+                            if event is put_mark:
+                                processed += 1
+                                continue
                         callbacks = event.callbacks
                         event.callbacks = None
                         processed += 1
@@ -1079,6 +1153,7 @@ class Environment:
                     # On any exit — drained, until_event, or a raising
                     # callback — drop consumed slots so re-entry never
                     # re-fires a processed event.
+                    self._now_normal = None
                     if ui:
                         del urgent[:ui]
                     if ni:

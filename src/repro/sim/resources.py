@@ -31,9 +31,19 @@ waiter on each side does not fit, and queued ``Request`` waiters imply
 a full resource.  An on-arrival grant therefore calls ``succeed()`` on
 the same events in the same order as the round loop would have, so
 every ``(time, priority, seq)`` slot is unchanged.  (External code may
-*remove* store items — the vectorized link and switch sweeps do — which
-cannot create a grantable waiter, only room for blocked puts; those are
-served by the next trigger, exactly as before.)
+*remove* store items — the switch's egress sweep does — which cannot
+create a grantable waiter, only room for blocked puts; those are served
+by the next trigger, exactly as before.)
+
+A caller that never looks at its put event — the link's credit return
+and receive buffer, a port's inbound request queue, a credit domain's
+refill, the function mailboxes, the movement queue — calls
+``put_forget`` instead of ``put``.  The grant is the same code with the
+shared put marker (``repro.sim.engine._PUT_MARK``) in the NORMAL slot
+the ``StorePut``/``ContainerPut`` would have taken, so the getter it
+serves and the event count are unchanged; sanitized runs still see the
+store write.  A put that would block falls back to a real event, which
+the queue holds until it is served.
 
 Capacities are whole numbers (``Store`` also takes ``float("inf")``),
 and a ``Container`` request larger than the capacity is rejected at the
@@ -45,7 +55,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, List, Optional
 
-from .engine import NORMAL, _PENDING, Environment, Event
+from .engine import NORMAL, _PENDING, _PUT_MARK, Environment, Event
 
 __all__ = [
     "Resource",
@@ -80,17 +90,30 @@ class Request(Event):
     __slots__ = ("resource", "priority", "key")
 
     def __init__(self, resource: "Resource", priority: int = 0) -> None:
-        super().__init__(resource.env)
+        # Event fields set inline (no super().__init__): the hot path.
+        env = self.env = resource.env
+        self.callbacks = []
+        self._waiter = None
+        self._ok = True
+        self._processed = False
+        san = env._sanitizer
+        if san is not None:
+            san.on_created(self)
         self.resource = resource
         self.priority = priority
-        resource._seq += 1
-        self.key = (priority, resource._seq)
         users = resource.users
         if not resource._waiters and len(users) < resource.capacity:
             users.append(self)
             self._value = None
-            resource.env._schedule(self, NORMAL)
+            self._scheduled = True
+            normal = env._now_normal
+            if normal is None:
+                normal = env._bucket(env._now)[NORMAL]
+            normal.append(self)
+            env._pending += 1
         else:
+            self._value = _PENDING
+            self._scheduled = False
             resource._queue_request(self)
 
     def __enter__(self) -> "Request":
@@ -107,7 +130,7 @@ class Request(Event):
 class Resource:
     """A counted resource with ``capacity`` concurrent holders."""
 
-    __slots__ = ("env", "capacity", "users", "_waiters", "_seq")
+    __slots__ = ("env", "capacity", "users", "_waiters")
 
     def __init__(self, env: Environment, capacity: int = 1) -> None:
         if capacity < 1:
@@ -117,7 +140,6 @@ class Resource:
         self.capacity = capacity
         self.users: List[Request] = []
         self._waiters: List[Request] = []
-        self._seq = 0
 
     @property
     def count(self) -> int:
@@ -171,11 +193,21 @@ class Resource:
 
 
 class PriorityResource(Resource):
-    """A resource whose waiters are served lowest priority value first."""
+    """A resource whose waiters are served lowest priority value first.
 
-    __slots__ = ()
+    Only queued requests get a ``key``, ``(priority, arrival)``: the
+    arrival counter orders equal priorities FIFO.
+    """
+
+    __slots__ = ("_seq",)
+
+    def __init__(self, env: Environment, capacity: int = 1) -> None:
+        super().__init__(env, capacity)
+        self._seq = 0
 
     def _queue_request(self, request: Request) -> None:
+        self._seq += 1
+        request.key = (request.priority, self._seq)
         # self._waiters doubles as the heap storage.
         heapq.heappush(self._waiters, (request.key, request))
 
@@ -199,7 +231,17 @@ class StorePut(Event):
     __slots__ = ("item", "store")
 
     def __init__(self, store: "Store", item: Any) -> None:
-        super().__init__(store.env)
+        # Event fields set inline (no super().__init__): the hot path.
+        env = self.env = store.env
+        self.callbacks = []
+        self._waiter = None
+        self._value = _PENDING
+        self._ok = True
+        self._scheduled = False
+        self._processed = False
+        san = env._sanitizer
+        if san is not None:
+            san.on_created(self)
         self.item = item
         self.store = store
         items = store.items
@@ -210,12 +252,15 @@ class StorePut(Event):
             store._put_waiters.append(self)
             store._trigger()
             return
-        env = store.env
-        san = env._sanitizer
         if san is not None:
             san.on_write(store, "put")
         self._value = None
-        env._schedule(self, NORMAL)
+        self._scheduled = True
+        normal = env._now_normal
+        if normal is None:
+            normal = env._bucket(env._now)[NORMAL]
+        normal.append(self)
+        env._pending += 1
         getters = store._get_waiters
         if not getters:
             store._insert(item)
@@ -226,7 +271,9 @@ class StorePut(Event):
         if head.filter is None and head._value is _PENDING:
             del getters[0]
             head._value = item
-            env._schedule(head, NORMAL)
+            head._scheduled = True
+            normal.append(head)
+            env._pending += 1
         else:
             store._insert(item)
             store._serve_gets()
@@ -237,16 +284,30 @@ class StoreGet(Event):
 
     def __init__(self, store: "Store",
                  filter: Optional[Callable[[Any], bool]] = None) -> None:
-        super().__init__(store.env)
+        env = self.env = store.env
+        self.callbacks = []
+        self._waiter = None
+        self._ok = True
+        self._processed = False
+        san = env._sanitizer
+        if san is not None:
+            san.on_created(self)
         self.filter = filter
         self.store = store
         items = store.items
         if items and filter is None and not store._get_waiters:
             self._value = store._take(None)
-            store.env._schedule(self, NORMAL)
+            self._scheduled = True
+            normal = env._now_normal
+            if normal is None:
+                normal = env._bucket(env._now)[NORMAL]
+            normal.append(self)
+            env._pending += 1
             if store._put_waiters:
                 store._trigger()
             return
+        self._value = _PENDING
+        self._scheduled = False
         store._get_waiters.append(self)
         if items or store._put_waiters:
             store._trigger()
@@ -278,6 +339,45 @@ class Store:
 
     def put(self, item: Any) -> StorePut:
         return StorePut(self, item)
+
+    def put_forget(self, item: Any) -> None:
+        """``put`` for a caller that never looks at the put event.
+
+        Grants exactly as :meth:`put` does, but allocates no event: the
+        put marker takes the event's slot (see ``repro.sim.engine``).
+        A put that would block falls back to a real event, which the
+        store keeps until a get makes room.
+        """
+        items = self.items
+        if self._put_waiters or len(items) >= self.capacity or (
+                items and self._get_waiters):
+            StorePut(self, item)
+            return
+        # StorePut's on-arrival grant with the marker in the event's
+        # slot, inlined: this is the hottest put in the fabric.
+        env = self.env
+        san = env._sanitizer
+        if san is not None:
+            san.on_write(self, "put")
+        normal = env._now_normal
+        if normal is None:
+            normal = env._bucket(env._now)[NORMAL]
+        normal.append(_PUT_MARK)
+        env._pending += 1
+        getters = self._get_waiters
+        if not getters:
+            self._insert(item)
+            return
+        head = getters[0]
+        if head.filter is None and head._value is _PENDING:
+            del getters[0]
+            head._value = item
+            head._scheduled = True
+            normal.append(head)
+            env._pending += 1
+        else:
+            self._insert(item)
+            self._serve_gets()
 
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
         return StoreGet(self, filter)
@@ -372,31 +472,47 @@ class PriorityStore(Store):
         return _NOTHING
 
 
-def _check_amount(container: "Container", op: str, amount: float) -> None:
-    if amount <= 0:
-        raise ValueError(f"amount must be > 0, got {amount}")
+def _bad_amount(container: "Container", op: str,
+                amount: float) -> ValueError:
+    """The error for an amount outside ``(0, capacity]`` (NaN too)."""
     if amount > container.capacity:
-        raise ValueError(
+        return ValueError(
             f"Container.{op}({amount}) exceeds capacity "
             f"{container.capacity}: it could never be granted")
+    return ValueError(f"amount must be > 0, got {amount}")
 
 
 class ContainerPut(Event):
     __slots__ = ("amount", "container")
 
     def __init__(self, container: "Container", amount: float) -> None:
-        _check_amount(container, "put", amount)
-        super().__init__(container.env)
+        if not 0 < amount <= container.capacity:
+            raise _bad_amount(container, "put", amount)
+        env = self.env = container.env
+        self.callbacks = []
+        self._waiter = None
+        self._ok = True
+        self._processed = False
+        san = env._sanitizer
+        if san is not None:
+            san.on_created(self)
         self.amount = amount
         self.container = container
         if not container._put_waiters \
                 and container.level + amount <= container.capacity:
             container.level += amount
             self._value = None
-            container.env._schedule(self, NORMAL)
+            self._scheduled = True
+            normal = env._now_normal
+            if normal is None:
+                normal = env._bucket(env._now)[NORMAL]
+            normal.append(self)
+            env._pending += 1
             if container._get_waiters:
                 container._serve_gets()
         else:
+            self._value = _PENDING
+            self._scheduled = False
             container._put_waiters.append(self)
 
 
@@ -404,17 +520,32 @@ class ContainerGet(Event):
     __slots__ = ("amount", "container")
 
     def __init__(self, container: "Container", amount: float) -> None:
-        _check_amount(container, "get", amount)
-        super().__init__(container.env)
+        if not 0 < amount <= container.capacity:
+            raise _bad_amount(container, "get", amount)
+        env = self.env = container.env
+        self.callbacks = []
+        self._waiter = None
+        self._ok = True
+        self._processed = False
+        san = env._sanitizer
+        if san is not None:
+            san.on_created(self)
         self.amount = amount
         self.container = container
         if not container._get_waiters and amount <= container.level:
             container.level -= amount
             self._value = None
-            container.env._schedule(self, NORMAL)
+            self._scheduled = True
+            normal = env._now_normal
+            if normal is None:
+                normal = env._bucket(env._now)[NORMAL]
+            normal.append(self)
+            env._pending += 1
             if container._put_waiters:
                 container._serve_puts()
         else:
+            self._value = _PENDING
+            self._scheduled = False
             container._get_waiters.append(self)
 
 
@@ -443,6 +574,28 @@ class Container:
 
     def put(self, amount: float) -> ContainerPut:
         return ContainerPut(self, amount)
+
+    def put_forget(self, amount: float) -> None:
+        """``put`` for a caller that never looks at the put event.
+
+        Grants exactly as :meth:`put` does, but allocates no event: the
+        put marker takes the event's slot (see ``repro.sim.engine``).
+        A put that would block falls back to a real event.
+        """
+        if not 0 < amount <= self.capacity:
+            raise _bad_amount(self, "put", amount)
+        if self._put_waiters or self.level + amount > self.capacity:
+            ContainerPut(self, amount)
+            return
+        self.level += amount
+        env = self.env
+        normal = env._now_normal
+        if normal is None:
+            normal = env._bucket(env._now)[NORMAL]
+        normal.append(_PUT_MARK)
+        env._pending += 1
+        if self._get_waiters:
+            self._serve_gets()
 
     def get(self, amount: float) -> ContainerGet:
         return ContainerGet(self, amount)

@@ -23,6 +23,7 @@ class GreedyScheduler:
             run.append(self._queues["all"].pop(0))
         self.planned = len(run)
         self.env.timeout(0.0)
+        self.env.credits.put_forget(len(run))
         return run
 
     def commit_head(self):

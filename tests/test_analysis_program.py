@@ -105,6 +105,7 @@ class TestBatchProtocol:
         assert ".pop(...)" in messages          # dequeue while planning
         assert "stores to scheduler state" in messages
         assert ".timeout(...)" in messages      # kernel event in plan
+        assert ".put_forget(...)" in messages   # event-free put too
         assert "pops the *tail*" in messages    # commit/peek mismatch
 
     def test_impure_plan_specifically_flagged(self):

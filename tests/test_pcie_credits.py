@@ -72,6 +72,16 @@ class TestAcquireRelease:
         assert times == [130.0]
         assert dom.available("a") == dom.granted("a")
 
+    def test_release_at_nan_is_rejected_at_the_call(self):
+        env = Environment()
+        dom = CreditDomain(env, budget=2)
+        dom.register("a")
+        with pytest.raises(ValueError, match="nan"):
+            dom.release_at("a", float("nan"))
+        env.run()
+        assert env.now == 0.0
+        assert dom.available("a") == dom.granted("a")
+
     def test_release_respects_shrunken_grant(self):
         env = Environment()
         dom = CreditDomain(env, budget=8, policy=StaticEqualPolicy())

@@ -3,7 +3,8 @@
 Complements the per-module suites with randomized invariants:
 scheduler conservation and ordering, cache bounds, the sparse tag array
 against an eager reference model, resource handoffs against the
-round-based reference model, tag-space safety,
+round-based reference model, event-free puts against put events,
+tag-space safety,
 tag-window backpressure draining, routing reachability on random
 topologies, and scatter/gather extent pairing.
 """
@@ -697,8 +698,8 @@ def run_handoffs(kit, plan, sanitize=False):
                     continue
                 held.append(event)
             elif kind == "steal":
-                # Like the vectorized link and switch sweeps: take the
-                # head item without a trigger.
+                # Like the switch's egress sweep: take the head item
+                # without a trigger.
                 items = stores[op[1]].items
                 log.append((env.now, label, items.pop(0) if items else None))
                 continue
@@ -751,3 +752,92 @@ def test_property_resource_handoffs_match_round_reference(plan):
     assert findings == [(f.kind, f.time) for f in ref_env.sanitizer.findings]
     assert {kind for kind, _ in findings} \
         <= {"write-race", "deadlock", "stale-event"}
+
+
+# -- event-free puts against puts as events -----------------------------------
+
+# Stores: 0 unbounded, 1 bounded at 1, 2 priority-ordered and bounded at 2;
+# one Container of capacity 6.  "put"/"cput" with forget=True are the
+# event-free puts under test; wait=True yields a put event in both runs.
+forget_ops = st.one_of(
+    st.tuples(st.just("put"), st.integers(0, 2), st.integers(0, 9),
+              st.sampled_from(["forget", "forget", "wait"])),
+    st.tuples(st.just("get"), st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(st.just("cput"), st.integers(1, 6),
+              st.sampled_from(["forget", "forget", "wait"])),
+    st.tuples(st.just("cget"), st.integers(1, 6)),
+    st.tuples(st.just("wait"), st.sampled_from([0, 0, 1, 3])))
+
+forget_plans = st.tuples(
+    st.lists(st.tuples(st.integers(0, 2),                  # start time
+                       st.lists(forget_ops, min_size=1, max_size=8)),
+             min_size=1, max_size=4),
+    # Where the first run stops: a horizon, the first client's end (if
+    # it ends), or not at all; the queue is drained afterwards anyway.
+    st.one_of(st.none(), st.just("client0"),
+              st.sampled_from([0.0, 1.0, 2.5, 4.0])))
+
+
+def run_forget_plan(plan, forget, sanitize=False):
+    """Drive stores and a container with ``plan``; every ``forget`` put
+    is event-free if ``forget``, else an event nobody looks at."""
+    clients, cut = plan
+    env = Environment(sanitize=sanitize)
+    stores = [Store(env), Store(env, capacity=1), PriorityStore(env, capacity=2)]
+    container = Container(env, capacity=6, init=3)
+    filters = (None, lambda item: item % 2 == 0, lambda item: item >= 5)
+    log = []
+
+    def client(pid, start, ops):
+        yield env.timeout(start)
+        for i, op in enumerate(ops):
+            kind = op[0]
+            if kind in ("put", "cput"):
+                target, arg = ((stores[op[1]], op[2]) if kind == "put"
+                               else (container, op[1]))
+                if op[-1] == "wait":
+                    event = target.put(arg)
+                else:
+                    (target.put_forget if forget else target.put)(arg)
+                    log.append((env.now, pid, i, kind, None))
+                    continue
+            elif kind == "get":
+                event = stores[op[1]].get(filters[op[2]])
+            elif kind == "cget":
+                event = container.get(op[1])
+            else:
+                event = env.timeout(op[1])
+            value = yield event
+            log.append((env.now, pid, i, kind, value))
+
+    procs = [env.process(client(pid, start, ops), name=f"client{pid}")
+             for pid, (start, ops) in enumerate(clients)]
+    if cut == "client0":
+        env.run(until=50.0, until_event=procs[0])
+    elif cut is not None:
+        env.run(until=cut)
+    cut_state = (env.now, len(log), env.stats["events_processed"])
+    env.run()
+    state = ([(list(s.items), len(s._put_waiters), len(s._get_waiters))
+              for s in stores],
+             (container.level, len(container._put_waiters),
+              len(container._get_waiters)))
+    return env, (log, cut_state, env.stats["events_processed"], state)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(forget_plans)
+def test_property_event_free_puts_match_put_events(plan):
+    # Grant order, the clock at every grant and the event count (at the
+    # cut and after draining) are those of the same plan with every put
+    # an event, in plain and sanitized runs; the sanitizers report the
+    # same findings at the same times.
+    _, result = run_forget_plan(plan, forget=True)
+    _, reference = run_forget_plan(plan, forget=False)
+    assert result == reference
+    env, sanitized = run_forget_plan(plan, forget=True, sanitize=True)
+    ref_env, ref_sanitized = run_forget_plan(plan, forget=False,
+                                             sanitize=True)
+    assert sanitized == ref_sanitized == result
+    assert [(f.kind, f.time) for f in env.sanitizer.findings] \
+        == [(f.kind, f.time) for f in ref_env.sanitizer.findings]

@@ -11,6 +11,8 @@ from repro.sim import (
     Resource,
     SimulationError,
     Store,
+    Timeout,
+    run_proc,
 )
 
 
@@ -756,3 +758,92 @@ def test_finished_processes_leave_no_cyclic_garbage():
         gc.garbage.clear()
         gc.enable()
     assert leaked == []
+
+
+# -- NaN delays and times are rejected ---------------------------------------
+
+NAN = float("nan")
+
+#: Every kernel entry point that takes a delay or a time.
+NAN_CALLS = {
+    "timeout": lambda env: env.timeout(NAN),
+    "Timeout": lambda env: Timeout(env, NAN),
+    "call_later": lambda env: env.call_later(NAN, print),
+    "timeout_at": lambda env: env.timeout_at(NAN),
+    "hook_at": lambda env: env._schedule_hook_at(NAN, print, True, None),
+    "run_until": lambda env: env.run(until=NAN),
+}
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+@pytest.mark.parametrize("call", sorted(NAN_CALLS))
+def test_nan_delay_or_time_rejected(call, sanitize):
+    # A NaN delay used to resume its process at now=nan, after which a
+    # timeout started at the same instant fired later, at 1.0.  The
+    # rejected call leaves the queue intact.
+    env = Environment(sanitize=sanitize)
+    env.process(iter_timeout(env, 5.0))
+    with pytest.raises(ValueError, match="nan"):
+        NAN_CALLS[call](env)
+    env.run()
+    assert env.now == 5.0 and env.stats["events_processed"] == 3
+
+
+def test_initial_time_nan_rejected():
+    with pytest.raises(ValueError, match="nan"):
+        Environment(initial_time=NAN)
+
+
+# -- the put marker ----------------------------------------------------------
+
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_put_marker_counted_when_reached_not_at_call(sanitize):
+    # The process puts and returns in one step: its completion triggers
+    # run_proc's until_event before the put's slot in the same bucket is
+    # reached, so that slot must not count yet, as the put event would
+    # not have.  Draining afterwards reaches it and counts it.
+    def run(forget):
+        env = Environment(sanitize=sanitize)
+        store = Store(env)
+        pool = Container(env, capacity=4)
+
+        def main():
+            yield env.timeout(1.0)
+            if forget:
+                store.put_forget("x")
+                pool.put_forget(1)
+            else:
+                store.put("x")
+                pool.put(1)
+            return env.now
+
+        assert run_proc(env, main()) == 1.0
+        cut = env.stats["events_processed"]
+        env.run()
+        return cut, env.stats["events_processed"], store.items, pool.level
+
+    cut, drained, items, level = run(forget=True)
+    assert (cut, drained, items, level) == run(forget=False)
+    assert drained == cut + 3     # both puts and the completion
+    assert items == ["x"] and level == 1
+
+
+def test_put_marker_is_not_an_elided_event():
+    env = Environment()
+    Store(env).put_forget("x")
+    Container(env, capacity=2).put_forget(2)
+    env.run()
+    assert env.stats["events_processed"] == 2
+    assert env.stats["events_elided"] == 0
+
+
+def test_put_marker_counted_by_step():
+    env = Environment()
+    store = Store(env)
+    store.put_forget("a")
+    got = store.get()
+    env.step()
+    assert env.stats["events_processed"] == 1 and not got.processed
+    env.step()
+    assert got.processed and got.value == "a"
+    assert env.peek() == float("inf")

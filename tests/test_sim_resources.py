@@ -376,9 +376,20 @@ def test_container_request_above_capacity_rejected(op):
     env.run()
 
 
+@pytest.mark.parametrize("op", ["get", "put", "put_forget"])
+def test_container_nan_amount_rejected(op):
+    # A NaN amount used to queue and wait forever.
+    env = Environment()
+    pool = Container(env, capacity=5, init=2)
+    with pytest.raises(ValueError, match="nan"):
+        getattr(pool, op)(float("nan"))
+    assert not pool._get_waiters and not pool._put_waiters
+    assert pool.level == 2 and env.peek() == float("inf")
+
+
 def test_get_after_external_removal_serves_the_blocked_put():
-    # The vectorized link and switch sweeps remove items without a
-    # trigger; the next get must still admit the put they unblocked.
+    # The switch's egress sweep removes items without a trigger; the
+    # next get must still admit the put it unblocked.
     env = Environment()
     store = Store(env, capacity=1)
     log = []
