@@ -28,7 +28,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import multiprocessing
 import os
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -252,6 +251,7 @@ def run_sweep(sweep: SweepSpec, out_dir: str, workers: int = 1,
                 _run_point(out_dir, sweep.to_dict(), index)
                 say(f"  point {index:04d} done")
         else:
+            import multiprocessing      # only a parallel sweep needs it
             context = multiprocessing.get_context("spawn")
             jobs = [(out_dir, sweep.to_dict(), index)
                     for index in pending]

@@ -280,9 +280,14 @@ class LinkLayer:
                 yield self.env.timeout(2 * self.params.propagation_ns)
                 continue
             if self._tel is not None:
-                now = self.env.now
-                self._m_flits.inc(time=now)
-                self._m_bytes.inc(flit.size_bytes, time=now)
+                # Counter.inc inlined: one per-flit bump, no calls.
+                now = self.env._now
+                counter = self._m_flits
+                counter.value += 1.0
+                counter.last_time = now
+                counter = self._m_bytes
+                counter.value += flit.size_bytes
+                counter.last_time = now
             if serialize is not None:
                 self._causal.end(flit.packet.trace, self.env.now,
                                  serialize)

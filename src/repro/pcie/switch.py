@@ -29,11 +29,6 @@ import enum
 from functools import partial
 from typing import Dict, Generator, List, Optional
 
-try:
-    import numpy as _np
-except ImportError:      # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 from .. import params
 from ..fabric.flit import Flit
 from ..fabric.link import LinkLayer
@@ -44,6 +39,20 @@ from .credits import CreditDomain
 from .routing import PbrId, RoutingTable
 
 __all__ = ["FabricSwitch", "PortRole", "SwitchPort"]
+
+
+def _flit_ends(start: float, ser_ns: float, k: int) -> List[float]:
+    """``start`` and the ends of ``k`` back-to-back serializations.
+
+    Chained ``t + ser_ns`` additions, exactly the instants the scalar
+    egress loop's per-flit serialization timeouts reach.
+    """
+    ends = [start]
+    t = start
+    for _ in range(k):
+        t = t + ser_ns
+        ends.append(t)
+    return ends
 
 
 class PortRole(enum.Enum):
@@ -127,8 +136,7 @@ class FabricSwitch:
         # events the sweep elides, and the scheduler's service order
         # must be immune to pushes landing mid-batch.
         port.sweep_ok = (
-            _np is not None
-            and self.env._sanitizer is None
+            self.env._sanitizer is None
             and self._tel is None
             and not self.adaptive_routing
             and port.scheduler.batchable
@@ -279,7 +287,10 @@ class FabricSwitch:
             port.flits_out += 1
             self.flits_forwarded += 1
             if self._tel is not None:
-                self._m_forwarded.inc(time=self.env.now)
+                # Counter.inc inlined: one per-flit bump, no calls.
+                counter = self._m_forwarded
+                counter.value += 1.0
+                counter.last_time = self.env._now
             domain = domain_lookup.get(port.index)
             if domain is not None and flit.flow is not None:
                 domain.release(flit.flow)
@@ -351,7 +362,7 @@ class FabricSwitch:
         wire = phys._wire.request()
         yield wire
         ser_ns = phys.serialization_ns(run[0])
-        ends = _np.cumsum([env.now] + [ser_ns] * k)
+        ends = _flit_ends(env.now, ser_ns, k)
         prop = out.params.propagation_ns
         hook = env._schedule_hook_at
         deliver = out._deliver
@@ -375,7 +386,7 @@ class FabricSwitch:
             env.credit_elided(n)
 
         for i, flit in enumerate(run):
-            t_end = float(ends[i + 1])
+            t_end = ends[i + 1]
 
             # Scalar bucket at ends[i] + prop: propagation Timeout +
             # process completion = 2; the delivery hook is 1 real.
@@ -394,7 +405,7 @@ class FabricSwitch:
                 hook(t_end, _tick, True, None)
         # Scalar bucket at ends[k]: the last ser Timeout + propagate
         # start hook = 2; the resuming Timeout here is 1 real.
-        yield env.timeout_at(float(ends[k]))
+        yield env.timeout_at(ends[k])
         phys._wire.release(wire)
         phys.flits_sent += 1
         phys.bytes_sent += size

@@ -11,11 +11,6 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, TypeVar
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    _np = None
-
 T = TypeVar("T")
 
 __all__ = ["SimRng"]
@@ -74,14 +69,18 @@ class SimRng:
         the stream advances exactly as ``n`` scalar calls would.  This
         is what lets trace generation vectorize without perturbing any
         seeded run.  Returns an ndarray (a plain list without numpy).
+        numpy is imported here, on first use, so runs that never draw a
+        block never load it.
         """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        if _np is None:
+        try:
+            import numpy
+        except ImportError:
             scalar = self._random.random
             return [scalar() for _ in range(n)]
         version, internal, gauss = self._random.getstate()
-        state = _np.random.RandomState()
+        state = numpy.random.RandomState()
         state.set_state(("MT19937", internal[:-1], internal[-1]))
         block = state.random_sample(n)
         _, keys, pos, _, _ = state.get_state()
@@ -100,10 +99,12 @@ class SimRng:
         against unrelated draws elsewhere.  Equivalent to
         ``numpy.random.default_rng(seed)`` for the same seed.
         """
-        if _np is None:  # pragma: no cover - numpy is a baked-in dependency
-            raise RuntimeError("numpy is not available")
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - numpy is a baked-in dependency
+            raise RuntimeError("numpy is not available") from None
         seed = self.seed if tag is None else self.fork(tag).seed
-        return _np.random.default_rng(seed)
+        return numpy.random.default_rng(seed)
 
     # -- domain helpers ---------------------------------------------------
 

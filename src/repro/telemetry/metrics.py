@@ -21,7 +21,13 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricRegistry"]
 
 
 class Counter:
-    """A monotonically increasing count (flits forwarded, bytes moved)."""
+    """A monotonically increasing count (flits forwarded, bytes moved).
+
+    The per-flit sites (``LinkLayer._transmit_reliably``,
+    ``FabricSwitch._egress``) inline :meth:`inc` as a direct bump of
+    ``value`` and ``last_time``; keep :meth:`inc` to exactly those two
+    updates.
+    """
 
     __slots__ = ("name", "value", "last_time")
 

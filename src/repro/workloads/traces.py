@@ -10,6 +10,8 @@ numpy in cacheline-sized chunks, then stream the tuples out lazily.
 The random draws go through :meth:`repro.sim.SimRng.random_block`,
 which advances the underlying Mersenne stream exactly as the scalar
 calls would — a seeded trace is bit-identical with or without numpy.
+numpy is imported only once a generator has chosen its vectorized
+path, so short traces never load it.
 ``uniform`` stays scalar: ``randint`` consumes a data-dependent number
 of raw draws, which no block transplant can reproduce.
 """
@@ -20,11 +22,6 @@ from typing import Iterator, List, Tuple
 
 from .. import params
 from ..sim import SimRng
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    _np = None
 
 __all__ = ["sequential", "uniform", "zipfian", "pointer_chase",
            "phased_working_sets", "read_write_mix", "instrumented"]
@@ -39,16 +36,26 @@ def _align(addr: int) -> int:
     return (addr // LINE) * LINE
 
 
+def _numpy():
+    """numpy, imported on first use; None where it is not installed."""
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - numpy is a baked-in dependency
+        return None
+    return numpy
+
+
 def sequential(base: int, count: int, stride: int = LINE,
                is_write: bool = False) -> Iterator[Tuple[int, bool]]:
     """A streaming scan: base, base+stride, ..."""
     if stride == 0:
         raise ValueError("stride must be non-zero")
-    if _np is not None and count >= 256:
+    np = _numpy() if count >= 256 else None
+    if np is not None:
         start = 0
         while start < count:
             n = min(_CHUNK, count - start)
-            steps = _np.arange(start, start + n, dtype=_np.int64)
+            steps = np.arange(start, start + n, dtype=np.int64)
             addrs = ((base + steps * stride) // LINE) * LINE
             for addr in addrs.tolist():
                 yield addr, is_write
@@ -76,7 +83,8 @@ def zipfian(base: int, span: int, count: int, rng: SimRng,
     if span < LINE:
         raise ValueError("span must cover at least one line")
     lines = span // LINE
-    if _np is None:
+    np = _numpy()
+    if np is None:
         for _ in range(count):
             line = rng.zipf_index(lines, alpha)
             yield base + line * LINE, rng.bernoulli(write_fraction)
@@ -99,10 +107,10 @@ def zipfian(base: int, span: int, count: int, rng: SimRng,
             zipf_draws = block[0::2]
             if adjusted < 1.0:
                 xs = (lines * zipf_draws **
-                      (1.0 / (1.0 - adjusted))).astype(_np.int64)
-                _np.minimum(xs, lines - 1, out=xs)
+                      (1.0 / (1.0 - adjusted))).astype(np.int64)
+                np.minimum(xs, lines - 1, out=xs)
             else:
-                xs = _np.zeros(n, dtype=_np.int64)
+                xs = np.zeros(n, dtype=np.int64)
             addrs = (base + xs * LINE).tolist()
             writes = (block[1::2] < write_fraction).tolist()
             for pair in zip(addrs, writes):
@@ -167,7 +175,7 @@ def read_write_mix(addrs: List[int], rng: SimRng,
                    write_fraction: float = 0.5
                    ) -> Iterator[Tuple[int, bool]]:
     """Stamp a write fraction onto a fixed address list."""
-    if _np is None or len(addrs) < 64:
+    if len(addrs) < 64 or _numpy() is None:
         for addr in addrs:
             yield _align(addr), rng.bernoulli(write_fraction)
         return

@@ -27,13 +27,12 @@ from repro.fabric import Channel, Flit, Packet, PacketKind
 from repro.pcie import FabricManager, PortRole, Topology
 from repro.pcie.arbitration import (EgressScheduler, FairVcScheduler,
                                     FifoScheduler, PriorityScheduler)
+from repro.pcie.switch import _flit_ends
 from repro.experiments import RunContext, get, run_scenario
 from repro.sim import Environment
 from repro.sim.engine import _POOL_LIMIT
 from repro.telemetry import Telemetry
 from repro.telemetry.causal import CausalRecorder
-
-np = pytest.importorskip("numpy")
 
 
 # -- telemetry scenarios: summaries and event counts ---------------------
@@ -255,18 +254,24 @@ def test_timeout_at_lands_on_exact_float():
     env.run()
 
 
-def test_cumsum_reproduces_chained_additions():
-    # The egress sweep's schedule relies on numpy's cumsum accumulating
-    # strictly sequentially, exactly like the scalar loop's repeated
-    # `now += ser_ns` — pin that (awkward floats on purpose).
+def test_flit_end_schedule_reproduces_chained_timeouts():
+    # The egress sweep's running-sum schedule must land on exactly the
+    # instants the scalar loop's back-to-back serialization timeouts
+    # reach — pin it against the kernel (awkward floats on purpose).
     for start, step in [(0.30000000000000004, 0.1),
                         (171649.49999999953, 40.96),
                         (1.0 / 3.0, 2.0 / 7.0)]:
-        ends = np.cumsum([start] + [step] * 16)
-        acc = start
-        for i in range(16):
-            acc = acc + step
-            assert float(ends[i + 1]) == acc
+        env = Environment(initial_time=start)
+        reached = [env.now]
+
+        def serializer():
+            for _ in range(16):
+                yield env.timeout(step)
+                reached.append(env.now)
+
+        env.process(serializer())
+        env.run()
+        assert _flit_ends(start, step, 16) == reached
 
 
 def test_event_pool_counters_exposed_and_bounded():

@@ -1,6 +1,7 @@
 """Tests for statistics and the seeded RNG helpers."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,6 +133,41 @@ class TestSimRng:
         assert all(rng.expovariate(0.1) > 0 for _ in range(100))
         with pytest.raises(ValueError):
             rng.expovariate(0)
+
+    @pytest.mark.parametrize("with_numpy", [True, False],
+                             ids=["numpy", "fallback"])
+    def test_random_block_equals_successive_random_calls(
+            self, monkeypatch, with_numpy):
+        if with_numpy:
+            pytest.importorskip("numpy")
+        else:
+            # A None entry makes `import numpy` fail inside the loader.
+            monkeypatch.setitem(sys.modules, "numpy", None)
+        for n in (0, 1, 5, 1000):
+            blocked, scalar = SimRng(11), SimRng(11)
+            # Start mid-stream: the block must pick up where it is.
+            assert [blocked.random() for _ in range(3)] == \
+                [scalar.random() for _ in range(3)]
+            block = blocked.random_block(n)
+            assert isinstance(block, list) is not with_numpy
+            assert [float(x) for x in block] == \
+                [scalar.random() for _ in range(n)]
+            # ...and leave the stream where the scalar calls would.
+            assert [blocked.random() for _ in range(4)] == \
+                [scalar.random() for _ in range(4)]
+        with pytest.raises(ValueError):
+            SimRng(0).random_block(-1)
+
+    def test_numpy_generator_matches_default_rng(self):
+        np = pytest.importorskip("numpy")
+        rng = SimRng(2024)
+        default_rng = np.random.default_rng
+        assert rng.numpy_generator().random(8).tolist() == \
+            default_rng(rng.seed).random(8).tolist()
+        tagged = rng.numpy_generator("mimo").random(8).tolist()
+        assert tagged == \
+            default_rng(rng.fork("mimo").seed).random(8).tolist()
+        assert tagged != rng.numpy_generator().random(8).tolist()
 
     def test_pareto_bounded_range(self):
         rng = SimRng(7)
