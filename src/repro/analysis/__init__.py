@@ -13,9 +13,9 @@ invariants instead of sampling them:
   FCC001..FCC007; see :mod:`repro.analysis.checks`.
 * :mod:`repro.analysis.program` — the whole-program engine: one
   :class:`~repro.analysis.program.ProjectIndex` over the package, a
-  conservative call graph, and interprocedural rules FCC101..FCC103
-  (determinism taint, static write-race, batch-protocol conformance)
-  with baseline gating and SARIF export.
+  conservative call graph, and interprocedural rules FCC101..FCC102
+  (determinism taint, static write-race) with baseline gating and
+  SARIF export.
 * :mod:`repro.analysis.sanitizers` — opt-in runtime sanitizers hooked
   into the simulation kernel via ``Environment(sanitize=True)``:
   credit conservation, event lifecycle, same-timestamp write-write

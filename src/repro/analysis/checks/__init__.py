@@ -32,7 +32,7 @@ append the class to :data:`CHECKS`.  Fixture-test it in
 ``tests/fixtures/lint/clean.py`` clean).
 
 These rules are all *per-file*.  Their interprocedural closure —
-FCC101..FCC103 over the whole package at once — lives in
+FCC101..FCC102 over the whole package at once — lives in
 :mod:`repro.analysis.program`.
 """
 

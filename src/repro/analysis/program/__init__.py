@@ -17,12 +17,6 @@ it:
   shared attribute reachable from two or more spawned processes with
   no intervening ``yield`` between the acquire (load) and the store:
   the static counterpart of the runtime write-race sanitizer.
-* **FCC103** (``batch-protocol``) — classes participating in the
-  batched-egress protocol (``batchable = True`` or implementing
-  ``peek_ready`` / ``plan_ready_run`` / ``commit_head``) must satisfy
-  the structural rules the switch's elision relies on: a pure plan, no
-  kernel-event creation while planning, and a ``commit_head`` that
-  retires the same queue head ``peek_ready`` inspects.
 
 Results are ordinary :class:`~repro.analysis.lint.Violation` records:
 ``# fcc: allow[...]`` pragmas suppress at the reported line, a

@@ -1,4 +1,4 @@
-"""The whole-program rules: FCC101, FCC102, FCC103.
+"""The whole-program rules: FCC101, FCC102.
 
 ==========  ====================  =====================================
 code        slug                  flags
@@ -13,10 +13,6 @@ code        slug                  flags
                                   intervening ``yield``, in code
                                   reachable from two or more spawned
                                   processes
-``FCC103``  ``batch-protocol``    a scheduler participating in the
-                                  batched-egress protocol violates the
-                                  structural rules the switch sweep's
-                                  elision accounting relies on
 ==========  ====================  =====================================
 
 To add a whole-program rule: subclass :class:`ProgramCheck`, give it
@@ -38,10 +34,10 @@ from ..checks.unordered_iter import UnorderedIterCheck
 from ..checks.wall_clock import WallClockCheck
 from ..lint import LintCheck, Violation
 from .callgraph import CallGraph, SpawnSite, build_callgraph
-from .index import ClassInfo, FunctionInfo, ProjectIndex, build_index
+from .index import FunctionInfo, ProjectIndex, build_index
 
 __all__ = ["ProgramCheck", "DeterminismTaintCheck", "StaticWriteRaceCheck",
-           "BatchProtocolCheck", "PROGRAM_CHECKS", "run_program"]
+           "PROGRAM_CHECKS", "run_program"]
 
 #: the per-file rules whose hits become FCC101 taint *sinks*
 _SINK_CHECKS: Sequence[type] = (SeededRngCheck, WallClockCheck,
@@ -310,223 +306,10 @@ class StaticWriteRaceCheck(ProgramCheck):
                     "dispatch order")
 
 
-# ---------------------------------------------------------------------------
-# FCC103: batch-protocol conformance
-# ---------------------------------------------------------------------------
-
-#: method calls that mutate their receiver — forbidden while planning
-_MUTATORS = frozenset({
-    "pop", "popleft", "append", "appendleft", "remove", "clear",
-    "extend", "insert", "add", "discard", "update", "setdefault",
-    "sort", "reverse",
-})
-
-#: calls that create or trigger kernel events — forbidden while
-#: planning (the sweep's elision ledger assumes a pure plan).  Note
-#: `.get` is deliberately absent: it is ambiguous with dict.get, and
-#: a Store.get would already trip the purity rules via its waiters.
-_EVENT_CREATORS = frozenset({
-    "event", "timeout", "timeout_at", "process", "schedule",
-    "succeed", "fail", "request", "put", "put_forget", "_trigger",
-})
-
-_PROTOCOL_METHODS = ("peek_ready", "plan_ready_run", "commit_head")
-
-
-def _is_trivial(node: ast.AST) -> bool:
-    """A body that only raises / passes (the abstract base shape)."""
-    body = list(getattr(node, "body", []))
-    if body and isinstance(body[0], ast.Expr) \
-            and isinstance(body[0].value, ast.Constant) \
-            and isinstance(body[0].value.value, str):
-        body = body[1:]
-    return all(isinstance(stmt, (ast.Raise, ast.Pass)) for stmt in body)
-
-
-def _rooted_in_self(node: ast.expr) -> bool:
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return isinstance(node, ast.Name) and node.id == "self"
-
-
-def _queue_keys(node: ast.AST) -> Set[object]:
-    """Constant keys used to pick a queue off ``self._queues``."""
-    keys: Set[object] = set()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Subscript) \
-                and isinstance(child.value, ast.Attribute) \
-                and _rooted_in_self(child.value) \
-                and isinstance(child.slice, ast.Constant):
-            keys.add(child.slice.value)
-        elif isinstance(child, ast.Call) \
-                and isinstance(child.func, ast.Attribute) \
-                and child.func.attr == "get" \
-                and _rooted_in_self(child.func.value) \
-                and child.args \
-                and isinstance(child.args[0], ast.Constant):
-            keys.add(child.args[0].value)
-    return keys
-
-
-class BatchProtocolCheck(ProgramCheck):
-    code = "FCC103"
-    slug = "batch-protocol"
-    summary = ("batchable-scheduler protocol violation: impure plan, "
-               "kernel events while planning, or commit/peek mismatch")
-    rationale = (
-        "The switch's batched egress sweep plans a whole head run with "
-        "plan_ready_run, then retires entries one serialization "
-        "boundary at a time with commit_head — and credits the elided "
-        "scalar events to the kernel ledger on the assumption that "
-        "planning observed state without changing it.  A plan that "
-        "mutates the scheduler or creates kernel events desynchronizes "
-        "staging-queue occupancy (and back-pressure instants) from the "
-        "scalar loop, silently breaking the bit-identity contract; a "
-        "commit_head that removes anything but the head peek_ready "
-        "inspected serves flits in a different order than the plan "
-        "promised.")
-    example_fix = (
-        "bad:   def plan_ready_run(self, limit):\n"
-        "           run.append(self._queues['all'].pop(0))  # dequeues "
-        "while planning\n"
-        "good:  plan from queue.items by index (pure), dequeue only in "
-        "commit_head via items.pop(0), one entry per call")
-
-    def _participates(self, index: ProjectIndex,
-                      cls: ClassInfo) -> bool:
-        claimed = cls.class_attrs.get("batchable")
-        if isinstance(claimed, ast.Constant) and claimed.value is True:
-            return True
-        return any(
-            name in cls.methods and not _is_trivial(
-                cls.methods[name].node)
-            for name in _PROTOCOL_METHODS)
-
-    def _purity_violations(self, path: str, func: FunctionInfo,
-                           ) -> Iterator[Violation]:
-        label = func.name
-        for node in ast.walk(func.node):
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (node.targets
-                           if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    if isinstance(target, (ast.Attribute,
-                                           ast.Subscript)) \
-                            and _rooted_in_self(target):
-                        yield self.at(
-                            path, node,
-                            f"{label} stores to scheduler state "
-                            "while planning; the sweep requires a "
-                            "pure plan (mutate only in commit_head)")
-            elif isinstance(node, ast.AugAssign):
-                if isinstance(node.target, (ast.Attribute,
-                                            ast.Subscript)) \
-                        and _rooted_in_self(node.target):
-                    yield self.at(
-                        path, node,
-                        f"{label} mutates scheduler state while "
-                        "planning; the sweep requires a pure plan")
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    if isinstance(target, (ast.Attribute,
-                                           ast.Subscript)) \
-                            and _rooted_in_self(target):
-                        yield self.at(
-                            path, node,
-                            f"{label} deletes scheduler state while "
-                            "planning; the sweep requires a pure plan")
-            elif isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute):
-                attr = node.func.attr
-                if attr in _MUTATORS \
-                        and _rooted_in_self(node.func.value):
-                    yield self.at(
-                        path, node,
-                        f"{label} calls .{attr}(...) on scheduler "
-                        "state while planning; the run must stay "
-                        "staged until commit_head retires it")
-                elif attr in _EVENT_CREATORS:
-                    yield self.at(
-                        path, node,
-                        f"{label} calls .{attr}(...) while planning; "
-                        "a plan must not create or trigger kernel "
-                        "events (the sweep's elision ledger assumes "
-                        "none)")
-            elif isinstance(node, (ast.Yield, ast.YieldFrom)):
-                yield self.at(
-                    path, node,
-                    f"{label} yields: planning must be synchronous "
-                    "inspection, not a process")
-
-    def _commit_violations(self, path: str, func: FunctionInfo,
-                           peek_keys: Set[object],
-                           ) -> Iterator[Violation]:
-        commit_keys = _queue_keys(func.node)
-        if peek_keys and commit_keys and not (peek_keys & commit_keys):
-            yield self.at(
-                path, func.node,
-                f"commit_head retires queue "
-                f"{sorted(map(repr, commit_keys))} but peek_ready "
-                f"inspects {sorted(map(repr, peek_keys))}; the sweep "
-                "would serve a different queue than it planned")
-        for node in ast.walk(func.node):
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr == "pop":
-                if not node.args:
-                    yield self.at(
-                        path, node,
-                        "commit_head pops the *tail* (.pop() with no "
-                        "index); it must retire the head entry "
-                        "peek_ready inspected (.pop(0) / .popleft())")
-                elif not (isinstance(node.args[0], ast.Constant)
-                          and node.args[0].value == 0):
-                    yield self.at(
-                        path, node,
-                        "commit_head removes a non-head entry; the "
-                        "sweep plans head runs, so only .pop(0) / "
-                        ".popleft() keeps plan and service in step")
-
-    def program_violations(self, index: ProjectIndex,
-                           graph: CallGraph) -> Iterator[Violation]:
-        for qualname in sorted(index.classes):
-            cls = index.classes[qualname]
-            if not self._participates(index, cls):
-                continue
-            path = index.modules[cls.module].source.display
-            claimed = cls.class_attrs.get("batchable")
-            claims = isinstance(claimed, ast.Constant) \
-                and claimed.value is True
-            if claims:
-                for name in _PROTOCOL_METHODS:
-                    impl = index.mro_method(qualname, name)
-                    if impl is None or _is_trivial(impl.node):
-                        yield self.at(
-                            path, cls.node,
-                            f"{cls.name} sets batchable = True but "
-                            f"{name} is missing or abstract; the "
-                            "switch sweep would crash or corrupt "
-                            "service order at runtime")
-            for name in ("peek_ready", "plan_ready_run"):
-                impl = cls.methods.get(name)
-                if impl is not None and not _is_trivial(impl.node):
-                    yield from self._purity_violations(path, impl)
-            commit = cls.methods.get("commit_head")
-            if commit is not None and not _is_trivial(commit.node):
-                peek_keys: Set[object] = set()
-                peek = index.mro_method(qualname, "peek_ready")
-                if peek is not None and not _is_trivial(peek.node):
-                    peek_keys = _queue_keys(peek.node)
-                yield from self._commit_violations(path, commit,
-                                                   peek_keys)
-
-
 #: every registered whole-program rule, in code order
 PROGRAM_CHECKS: List[type] = [
     DeterminismTaintCheck,
     StaticWriteRaceCheck,
-    BatchProtocolCheck,
 ]
 
 

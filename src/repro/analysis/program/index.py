@@ -65,8 +65,6 @@ class ClassInfo:
     bases: List[str]              # source-level base expressions
     methods: Dict[str, FunctionInfo] = dataclasses.field(
         default_factory=dict)
-    class_attrs: Dict[str, ast.expr] = dataclasses.field(
-        default_factory=dict)
 
 
 @dataclasses.dataclass
@@ -289,14 +287,6 @@ def _index_module(index: ProjectIndex, info: ModuleInfo) -> None:
                         child, node.name)
                     index.method_index.setdefault(
                         child.name, []).append(cls.qualname)
-                elif isinstance(child, ast.Assign):
-                    for target in child.targets:
-                        if isinstance(target, ast.Name):
-                            cls.class_attrs[target.id] = child.value
-                elif isinstance(child, ast.AnnAssign) \
-                        and child.value is not None \
-                        and isinstance(child.target, ast.Name):
-                    cls.class_attrs[child.target.id] = child.value
 
 
 def build_index(root: Optional[Path] = None,

@@ -548,7 +548,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="machine-readable output (schema-stable)")
     check.add_argument("--program", action="store_true",
                        help="run the whole-program analysis engine "
-                            "(FCC101-103) instead of the per-file lint")
+                            "(FCC101-102) instead of the per-file lint")
     check.add_argument("--sarif", action="store_true",
                        help="with --program: emit SARIF 2.1.0 on stdout")
     check.add_argument("--baseline", metavar="FILE",

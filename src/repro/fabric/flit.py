@@ -147,18 +147,6 @@ class Flit:
     def is_tail(self) -> bool:
         return self.index == self.total - 1
 
-    def transport_key(self) -> tuple:
-        """The (size, VC) signature the switch's egress sweep keys on.
-
-        Flits sharing a transport key serialize at the same per-flit
-        rate and draw credits from the same pool, so a queued run of
-        them has a closed-form schedule.  The switch's batched egress
-        sweep retires exactly such homogeneous head runs and falls back
-        to the scalar per-flit path on the first mismatch (see
-        ARCHITECTURE.md section 13).
-        """
-        return (self.size_bytes, self.vc)
-
     def __repr__(self) -> str:
         return (f"<Flit {self.index + 1}/{self.total} of pkt {self.packet.uid} "
                 f"vc={self.vc} {self.size_bytes}B>")

@@ -103,11 +103,6 @@ class LinkLayer:
                               lambda q=queue: len(q),
                               track=f"link.{name}")
 
-        # `_managed` flips to True the first time an allocator touches
-        # the credit pools; the switch's egress sweep then leaves this
-        # link to its scalar path (allocators must see per-flit
-        # interleaving).
-        self._managed = False
         self._san = env.sanitizer
 
         self.control_lane_enabled = control_lane
@@ -200,7 +195,6 @@ class LinkLayer:
         """Give the sender ``n`` extra credits on ``vc`` (allocator API)."""
         if n <= 0:
             raise ValueError(f"n must be > 0, got {n}")
-        self._managed = True
         self._granted[vc] += n
         self._credit_pools[vc].put_forget(n)
 
@@ -208,7 +202,6 @@ class LinkLayer:
         """Take back ``n`` credits; completes once they are reclaimable."""
         if n <= 0:
             raise ValueError(f"n must be > 0, got {n}")
-        self._managed = True
         self._granted[vc] = max(0, self._granted[vc] - n)
         return self._credit_pools[vc].get(n)
 

@@ -134,33 +134,6 @@ class EgressScheduler:
     def __len__(self) -> int:
         return sum(len(q) for q in self._queues.values())
 
-    #: Whether staged service order is immune to later pushes.  Only
-    #: then may the switch's batched egress sweep pre-compute the order
-    #: of a whole run: FIFO serves strictly by arrival, so a flit pushed
-    #: while a batch is in flight always queues behind it.  Fair and
-    #: priority disciplines can preempt staged entries (a lower virtual
-    #: start time or a higher priority), so they must stay on the
-    #: pop-one-at-a-time path.
-    batchable = False
-
-    def peek_ready(self) -> Optional[object]:
-        """The flit ``pop`` would take next, without taking it."""
-        raise NotImplementedError
-
-    def plan_ready_run(self, limit: int) -> Optional[list]:
-        """A same-size, same-VC head run ``pop`` would serve (or None).
-
-        Pure inspection: nothing is removed.  The sweep retires the
-        planned flits one at a time via :meth:`commit_head`, so queue
-        occupancy — and therefore back-pressure on blocked pushes —
-        evolves exactly as under the scalar loop.
-        """
-        raise NotImplementedError
-
-    def commit_head(self) -> None:
-        """Remove the head entry and re-open its staging slot."""
-        raise NotImplementedError
-
     # -- policy hooks -----------------------------------------------------
 
     def _queue_id(self, flit) -> Hashable:
@@ -182,48 +155,11 @@ class EgressScheduler:
 class FifoScheduler(EgressScheduler):
     """Credit-agnostic single queue; the paper's baseline discipline."""
 
-    batchable = True
-
     def _queue_id(self, flit) -> Hashable:
         return "all"
 
     def _key(self, flit) -> Tuple:
         return ()   # sequence number alone decides: pure FIFO
-
-    def peek_ready(self) -> Optional[object]:
-        queue = self._queues.get("all")
-        if queue is None or len(queue.items) < 2 or queue._get_waiters:
-            return None
-        return queue.items[0][2]
-
-    def plan_ready_run(self, limit: int) -> Optional[list]:
-        """Plan the homogeneous head run, at most ``limit`` flits.
-
-        Homogeneous means same ``size_bytes`` and same VC — the run
-        then serializes at one per-flit rate and draws credits from one
-        pool, which is what lets the caller compute the whole schedule
-        in closed form.  Blocked pushes don't disqualify the sweep:
-        entries stay staged until their :meth:`commit_head`, which
-        serves waiters one slot at a time just like scalar pops would.
-        """
-        items = self._queues["all"].items
-        key = items[0][2].transport_key()
-        n = 1
-        stop = min(limit, len(items))
-        while n < stop and items[n][2].transport_key() == key:
-            n += 1
-        if n < 2:
-            return None
-        return [entry[2] for entry in items[:n]]
-
-    def commit_head(self) -> None:
-        # FIFO `_on_pop` is a no-op, so dropping the entry leaves no
-        # policy state behind.  Re-triggering the store serves exactly
-        # one blocked push (one slot just opened) — the push event
-        # fires at the same instant the scalar pop would have fired it.
-        queue = self._queues["all"]
-        queue.items.pop(0)
-        queue._trigger()
 
 
 class FairVcScheduler(EgressScheduler):

@@ -312,20 +312,6 @@ class CreditDomain:
         if pool.level < target:
             pool.put_forget(1)
 
-    def release_at(self, flow: str, time: float) -> None:
-        """Schedule :meth:`release` of one credit at absolute ``time``.
-
-        The switch's batched egress sweep retires a whole flit run on a
-        closed-form schedule, but each flit's credit must still return
-        at the instant the scalar path would have released it (the end
-        of its serialization) — later acquires may be blocked on it.
-        Costs one pooled hook per flit; the acquire path, where the
-        credit constraint actually bites, is untouched.  A ``time``
-        before ``now`` raises ``ValueError``.
-        """
-        self.env._schedule_hook_at(
-            time, lambda event: self.release(flow), True, None)
-
     # -- control plane --------------------------------------------------------
 
     def start(self) -> None:

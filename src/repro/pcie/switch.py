@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from functools import partial
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Optional
 
 from .. import params
 from ..fabric.flit import Flit
@@ -39,20 +39,6 @@ from .credits import CreditDomain
 from .routing import PbrId, RoutingTable
 
 __all__ = ["FabricSwitch", "PortRole", "SwitchPort"]
-
-
-def _flit_ends(start: float, ser_ns: float, k: int) -> List[float]:
-    """``start`` and the ends of ``k`` back-to-back serializations.
-
-    Chained ``t + ser_ns`` additions, exactly the instants the scalar
-    egress loop's per-flit serialization timeouts reach.
-    """
-    ends = [start]
-    t = start
-    for _ in range(k):
-        t = t + ser_ns
-        ends.append(t)
-    return ends
 
 
 class PortRole(enum.Enum):
@@ -74,7 +60,6 @@ class SwitchPort:
     flits_out: int = 0
     pending: int = 0      # flits routed here but not yet on the wire
     buffer_site: str = "" # causal site label for ingress-buffer waits
-    sweep_ok: bool = False  # static half of the egress-sweep predicate
 
 
 class FabricSwitch:
@@ -131,17 +116,6 @@ class FabricSwitch:
         if self._causal is not None:
             port.buffer_site = f"pcie.{self.name}.in{index}.buffer"
             port.scheduler.site = f"pcie.{self.name}.p{index}.egress"
-        # Static half of the batched-egress predicate (see `_egress`):
-        # nothing may be able to observe the per-flit intermediate
-        # events the sweep elides, and the scheduler's service order
-        # must be immune to pushes landing mid-batch.
-        port.sweep_ok = (
-            self.env._sanitizer is None
-            and self._tel is None
-            and not self.adaptive_routing
-            and port.scheduler.batchable
-            and out_link.error_rate == 0.0
-            and not out_link.control_lane_enabled)
         self.ports[index] = port
         if self._tel is not None:
             # The issue-shaped hierarchical names: queue_depth counts
@@ -275,12 +249,6 @@ class FabricSwitch:
     def _egress(self, port: SwitchPort) -> Generator[Event, None, None]:
         domain_lookup = self.credit_domains
         while True:
-            if port.sweep_ok:
-                domain = domain_lookup.get(port.index)
-                run = self._gather_sweep(port, domain)
-                if run is not None:
-                    yield from self._transmit_sweep(port, run, domain)
-                    continue
             flit = yield from port.scheduler.pop()
             yield from port.out_link.transmit_direct(flit)
             port.pending -= 1
@@ -294,128 +262,6 @@ class FabricSwitch:
             domain = domain_lookup.get(port.index)
             if domain is not None and flit.flow is not None:
                 domain.release(flit.flow)
-
-    def _gather_sweep(self, port: SwitchPort,
-                      domain: Optional[CreditDomain]) -> Optional[list]:
-        """Runtime half of the egress-sweep predicate + the bulk take.
-
-        Returns a homogeneous staged run only when the scalar loop
-        could not have blocked anywhere inside it: a link credit per
-        flit is already available (with nobody else waiting on the
-        pool), the wire is idle, no allocator manages the link's
-        credits, and — on credit-domain ports — no flow is currently
-        stalled dry (the credit-constrained regime stays on the scalar
-        path untouched).
-        """
-        first = port.scheduler.peek_ready()
-        if first is None:
-            return None
-        out = port.out_link
-        if out._managed:
-            return None
-        wire = out.phys._wire
-        if wire.users or wire._waiters:
-            return None
-        pool = out._credit_pools[first.vc]
-        if pool._get_waiters or pool._put_waiters:
-            return None
-        level = int(pool.level)
-        if level < 2:
-            return None
-        if domain is not None and any(
-                p._get_waiters for p in domain._pools.values()):
-            return None
-        return port.scheduler.plan_ready_run(level)
-
-    def _transmit_sweep(self, port: SwitchPort, run: list,
-                        domain: Optional[CreditDomain],
-                        ) -> Generator[Event, None, None]:
-        """Serialize a staged run with one closed-form schedule.
-
-        Equivalent of k iterations of the scalar loop body (pop →
-        ``transmit_direct`` → counters → domain release), which per
-        flit costs 7 events: the pop StoreGet, the credit ContainerGet,
-        the wire grant, the serialization Timeout, the ``_propagate``
-        start hook, the propagation Timeout, and the propagation
-        process completion.  The sweep spends one bulk credit get + one
-        wire grant up front, then per serialization boundary one ledger
-        hook (which applies the flit's counter side effects at its
-        exact scalar service time), per flit one delivery hook, and one
-        final Timeout.  Elisions are credited *in the same time bucket*
-        where the scalar loop would have dispatched them, so a run cut
-        short by the simulation horizon still counts events
-        identically.  On credit-domain ports each flit's credit returns
-        via :meth:`CreditDomain.release_at` at its scalar release time
-        (one extra real hook per boundary, one fewer elision).
-        """
-        env = self.env
-        out = port.out_link
-        phys = out.phys
-        scheduler = port.scheduler
-        k = len(run)
-        size = run[0].size_bytes
-        # The scalar pop dequeues the head — and thereby re-opens one
-        # staging slot — *before* taking the credit; keep that order so
-        # a blocked push fires at the identical instant.
-        scheduler.commit_head()
-        yield out._credit_pools[run[0].vc].get(float(k))
-        wire = phys._wire.request()
-        yield wire
-        ser_ns = phys.serialization_ns(run[0])
-        ends = _flit_ends(env.now, ser_ns, k)
-        prop = out.params.propagation_ns
-        hook = env._schedule_hook_at
-        deliver = out._deliver
-        # Scalar T0 bucket: pop get + credit get + wire grant = 3; the
-        # sweep paid two real events just above.
-        env.credit_elided(1)
-        # Scalar bucket at each inner boundary ends[i], i < k: the ser
-        # Timeout, the propagate start hook, and the next flit's pop
-        # get / credit get / wire grant = 5.  The ledger hook is 1 real
-        # (+ the release_at hook on domain ports).
-        tick_elided = 3 if domain is not None else 4
-
-        def _tick(event, self=self, port=port, phys=phys, size=size,
-                  scheduler=scheduler, env=env, n=tick_elided):
-            phys.flits_sent += 1
-            phys.bytes_sent += size
-            port.pending -= 1
-            port.flits_out += 1
-            self.flits_forwarded += 1
-            scheduler.commit_head()
-            env.credit_elided(n)
-
-        for i, flit in enumerate(run):
-            t_end = ends[i + 1]
-
-            # Scalar bucket at ends[i] + prop: propagation Timeout +
-            # process completion = 2; the delivery hook is 1 real.
-            def _arrive(event, flit=flit, deliver=deliver, env=env):
-                deliver(flit)
-                env.credit_elided(1)
-
-            hook(t_end + prop, _arrive, True, None)
-            if i + 1 < k:
-                # Scalar order within the boundary bucket: the domain
-                # release (and any credit refill it triggers) precedes
-                # the next pop's dequeue, which precedes the next
-                # credit get — hook insertion order reproduces it.
-                if domain is not None and flit.flow is not None:
-                    domain.release_at(flit.flow, t_end)
-                hook(t_end, _tick, True, None)
-        # Scalar bucket at ends[k]: the last ser Timeout + propagate
-        # start hook = 2; the resuming Timeout here is 1 real.
-        yield env.timeout_at(ends[k])
-        phys._wire.release(wire)
-        phys.flits_sent += 1
-        phys.bytes_sent += size
-        port.pending -= 1
-        port.flits_out += 1
-        self.flits_forwarded += 1
-        last = run[-1]
-        if domain is not None and last.flow is not None:
-            domain.release(last.flow)
-        env.credit_elided(1)
 
     # -- inspection -------------------------------------------------------------
 

@@ -606,8 +606,8 @@ class Environment:
         self._busy_seconds = 0.0
         self._pool_hits = 0
         self._pool_misses = 0
-        # Events a handoff callback or the egress sweep elided but
-        # credited (see credit_elided), counted into events_processed.
+        # Events a handoff callback elided but credited (see
+        # credit_elided), counted into events_processed.
         self._elided = 0
         # Opt-in runtime sanitizers (credit conservation, event
         # lifecycle, write races, drain deadlocks).  `None` keeps every
@@ -668,8 +668,8 @@ class Environment:
         wall clock); it is the perf-harness headline number.
         ``events_processed`` includes elided-but-credited events (see
         :meth:`credit_elided`), so it counts what a process-per-handoff
-        model without the switch's egress sweep would have dispatched;
-        ``events_elided`` says how many were credited.
+        model would have dispatched; ``events_elided`` says how many
+        were credited.
         """
         busy = self._busy_seconds
         return {
@@ -741,57 +741,17 @@ class Environment:
         self._pending += 1
         return hook
 
-    def _schedule_hook_at(self, time: float,
-                          callback: Callable[[Event], None],
-                          ok: bool, value: Any) -> "_Hook":
-        """A pooled single-callback wakeup at an absolute future time.
-
-        The switch's egress sweep (and ``CreditDomain.release_at``)
-        uses this to land wakeups on exact precomputed timestamps
-        (``now + (t - now)`` does not round-trip under IEEE
-        arithmetic, so a delay-based wakeup could miss the bucket the
-        per-flit loop used).  Fires at NORMAL priority, exactly where
-        that loop's Timeout would have.  The sweep runs only when no
-        telemetry or sanitizer is attached.  A time before ``now`` is
-        rejected: the queue cannot hold an event in the past.
-        """
-        if not time >= self._now:
-            raise _bad_time(f"hook time {time}", time, self._now)
-        pool = self._hook_pool
-        if pool:
-            hook = pool.pop()
-            hook._ok = ok
-            hook._value = value
-            hook._processed = False
-            hook.callbacks.append(callback)
-            self._pool_hits += 1
-        else:
-            hook = _Hook.__new__(_Hook)
-            hook.env = self
-            hook.callbacks = [callback]
-            hook._waiter = None
-            hook._ok = ok
-            hook._value = value
-            hook._processed = False
-            hook._scheduled = True
-            self._pool_misses += 1
-        self._bucket(time)[NORMAL].append(hook)
-        self._pending += 1
-        return hook
-
     def credit_elided(self, n: int) -> None:
-        """Account ``n`` events a callback or the egress sweep elided.
+        """Account ``n`` events a handoff callback elided.
 
-        Two things skip events whose number is known exactly: the
-        fabric's fixed-delay handoffs, which run as :meth:`call_later`
-        callbacks on every path instead of processes (each elides a
-        start hook and a completion), and the switch's egress sweep,
-        which serializes a flit run on a closed-form schedule in
-        unobserved, unsanitized runs.  Each caller credits the elided
-        events in the time bucket where the process-per-handoff model
-        dispatched them, so ``events_processed`` (and the process-wide
-        total) keep that model's count, on every path and in runs cut
-        short by a horizon, while the wall clock drops.
+        The fabric's fixed-delay handoffs run as :meth:`call_later`
+        callbacks on every path instead of processes, so they skip
+        events whose number is known exactly (each elides a start hook
+        and a completion).  Each caller credits the elided events in
+        the time bucket where the process-per-handoff model dispatched
+        them, so ``events_processed`` (and the process-wide total) keep
+        that model's count, on every path and in runs cut short by a
+        horizon, while the wall clock drops.
         """
         self._elided += n
         self._events_processed += n
@@ -885,55 +845,6 @@ class Environment:
             self._last_time = time
             self._last_normal = bucket[1]
             bucket[1].append(timeout)
-        self._pending += 1
-        return timeout
-
-    def timeout_at(self, time: float, value: Any = None) -> Timeout:
-        """A :class:`Timeout` firing exactly at absolute ``time``.
-
-        ``timeout(time - now)`` schedules at ``now + (time - now)``,
-        which under IEEE rounding is not always ``time``; this lands on
-        the exact float, which the switch's egress sweep needs to
-        resume precisely where the scalar event chain would have.
-        """
-        now = self._now
-        if not time >= now:
-            raise _bad_time(f"timeout_at({time})", time, now)
-        if self._sanitizer is not None:
-            # Sanitized path: full construction (no recycling) so the
-            # sanitizer sees the whole lifecycle; scheduled by hand to
-            # land on the exact absolute time.
-            timeout = Timeout.__new__(Timeout)
-            timeout.env = self
-            timeout.callbacks = []
-            timeout._waiter = None
-            timeout._ok = True
-            timeout._value = value
-            timeout._processed = False
-            timeout._scheduled = True
-            timeout.delay = time - now
-            self._sanitizer.on_created(timeout)
-            self._bucket(time)[NORMAL].append(timeout)
-            self._pending += 1
-            return timeout
-        pool = self._timeout_pool
-        if pool:
-            timeout = pool.pop()
-            timeout._value = value
-            timeout._processed = False
-            self._pool_hits += 1
-        else:
-            timeout = Timeout.__new__(Timeout)
-            timeout.env = self
-            timeout.callbacks = []
-            timeout._waiter = None
-            timeout._ok = True
-            timeout._value = value
-            timeout._processed = False
-            timeout._scheduled = True
-            self._pool_misses += 1
-        timeout.delay = time - now
-        self._bucket(time)[NORMAL].append(timeout)
         self._pending += 1
         return timeout
 

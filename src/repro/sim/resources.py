@@ -30,10 +30,10 @@ getter coexists with a queued item, the first pending ``Container``
 waiter on each side does not fit, and queued ``Request`` waiters imply
 a full resource.  An on-arrival grant therefore calls ``succeed()`` on
 the same events in the same order as the round loop would have, so
-every ``(time, priority, seq)`` slot is unchanged.  (External code may
-*remove* store items — the switch's egress sweep does — which cannot
-create a grantable waiter, only room for blocked puts; those are served
-by the next trigger, exactly as before.)
+every ``(time, priority, seq)`` slot is unchanged.  (Code that
+*removes* store items from outside cannot create a grantable waiter,
+only room for blocked puts; those are served by the next trigger,
+exactly as before.)
 
 A caller that never looks at its put event — the link's credit return
 and receive buffer, a port's inbound request queue, a credit domain's

@@ -97,27 +97,6 @@ class TestStaticWriteRace:
         assert run_program(FIXTURES / "race_clean") == []
 
 
-class TestBatchProtocol:
-    def test_bad_fixture_trips_fcc103(self):
-        violations = run_program(FIXTURES / "batch_bad")
-        assert codes(violations) == ["FCC103"]
-        messages = " | ".join(v.message for v in violations)
-        assert ".pop(...)" in messages          # dequeue while planning
-        assert "stores to scheduler state" in messages
-        assert ".timeout(...)" in messages      # kernel event in plan
-        assert ".put_forget(...)" in messages   # event-free put too
-        assert "pops the *tail*" in messages    # commit/peek mismatch
-
-    def test_impure_plan_specifically_flagged(self):
-        violations = run_program(FIXTURES / "batch_bad")
-        plan_hits = [v for v in violations
-                     if "plan_ready_run" in v.message]
-        assert len(plan_hits) >= 2
-
-    def test_clean_fixture_is_clean(self):
-        assert run_program(FIXTURES / "batch_clean") == []
-
-
 class TestBaseline:
     def test_split_known_vs_new(self):
         violations = run_program(FIXTURES / "race_bad")
@@ -162,12 +141,14 @@ class TestBaseline:
 
 class TestSarif:
     def test_sarif_structure(self):
-        violations = run_program(FIXTURES / "batch_bad")
+        violations = sorted(run_program(FIXTURES / "taint_bad")
+                            + run_program(FIXTURES / "race_bad"))
         doc = violations_to_sarif(violations)
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"FCC101", "FCC102", "FCC103"} <= rule_ids
+        assert {"FCC101", "FCC102"} <= rule_ids
+        assert {r["ruleId"] for r in run["results"]} == {"FCC101", "FCC102"}
         assert len(run["results"]) == len(violations)
         for result in run["results"]:
             assert result["level"] == "error"
@@ -215,11 +196,13 @@ class TestProgramCli:
         assert "FCC102" in capsys.readouterr().out
 
     def test_program_json_schema(self, capsys):
-        main(["check", "--program", "--json",
-              str(FIXTURES / "batch_bad")])
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["tool"] == "fcc-check-program"
-        assert payload["count"] == len(payload["violations"]) > 0
+        for fixture, code in [("taint_bad", "FCC101"),
+                              ("race_bad", "FCC102")]:
+            main(["check", "--program", "--json", str(FIXTURES / fixture)])
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["tool"] == "fcc-check-program"
+            assert payload["count"] == len(payload["violations"]) > 0
+            assert {v["code"] for v in payload["violations"]} == {code}
 
     def test_program_sarif_parses(self, capsys):
         main(["check", "--program", "--sarif",
@@ -231,9 +214,9 @@ class TestProgramCli:
         assert main(["check", "--sarif"]) == 2
 
     def test_explain_known_code(self, capsys):
-        assert main(["check", "--explain", "FCC103"]) == 0
+        assert main(["check", "--explain", "FCC102"]) == 0
         out = capsys.readouterr().out
-        assert "batch-protocol" in out
+        assert "static-write-race" in out
         assert "example fix:" in out
 
     def test_explain_every_registered_code(self, capsys):
@@ -246,4 +229,13 @@ class TestProgramCli:
             assert check.slug in out
 
     def test_explain_unknown_code_exits_two(self, capsys):
-        assert main(["check", "--explain", "FCC999"]) == 2
+        # The code one past the last whole-program rule is free (the
+        # retired batch-protocol rule held it) and must not resolve.
+        from repro.analysis.program.checks import all_program_checks
+        last = max(int(check.code[3:]) for check in all_program_checks())
+        for code in ("FCC999", f"FCC{last + 1}"):
+            assert main(["check", "--explain", code]) == 2
+            err = capsys.readouterr().err
+            assert f"unknown rule {code!r}" in err
+            assert "registered: FCC001" in err
+            assert err.rstrip().endswith("FCC101, FCC102")

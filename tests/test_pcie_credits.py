@@ -46,42 +46,6 @@ class TestAcquireRelease:
         env.run(until=1_000)
         assert times == [0, 0, 50]
 
-    def test_release_at_in_the_past_is_rejected_at_the_call(self):
-        env = Environment()
-        dom = CreditDomain(env, budget=2)
-        dom.register("a")
-        errors, times = [], []
-
-        def proc():
-            yield dom.acquire("a")
-            yield env.timeout(100)
-            try:
-                dom.release_at("a", 50.0)
-            except ValueError as exc:
-                errors.append(str(exc))
-            dom.release_at("a", 120.0)
-            yield env.timeout(30)
-            times.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert len(errors) == 1
-        assert "50.0" in errors[0] and "now=100.0" in errors[0]
-        # The rejected call left the kernel intact: the run drained and
-        # the valid release landed.
-        assert times == [130.0]
-        assert dom.available("a") == dom.granted("a")
-
-    def test_release_at_nan_is_rejected_at_the_call(self):
-        env = Environment()
-        dom = CreditDomain(env, budget=2)
-        dom.register("a")
-        with pytest.raises(ValueError, match="nan"):
-            dom.release_at("a", float("nan"))
-        env.run()
-        assert env.now == 0.0
-        assert dom.available("a") == dom.granted("a")
-
     def test_release_respects_shrunken_grant(self):
         env = Environment()
         dom = CreditDomain(env, budget=8, policy=StaticEqualPolicy())

@@ -698,8 +698,8 @@ def run_handoffs(kit, plan, sanitize=False):
                     continue
                 held.append(event)
             elif kind == "steal":
-                # Like the switch's egress sweep: take the head item
-                # without a trigger.
+                # Remove the head item from outside the store, without
+                # a trigger.
                 items = stores[op[1]].items
                 log.append((env.now, label, items.pop(0) if items else None))
                 continue

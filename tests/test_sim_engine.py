@@ -14,6 +14,7 @@ from repro.sim import (
     Timeout,
     run_proc,
 )
+from repro.sim.engine import _POOL_LIMIT
 
 
 def test_timeout_advances_clock():
@@ -256,19 +257,6 @@ def test_run_until_past_time_rejected():
     env.run()
     with pytest.raises(ValueError):
         env.run(until=5)
-
-
-def test_absolute_time_hook_in_the_past_rejected():
-    env = Environment()
-    env.process(iter_timeout(env, 10))
-    env.run()
-    fired = []
-    with pytest.raises(ValueError, match=r"5\.0.*now=10\.0"):
-        env._schedule_hook_at(5.0, fired.append, True, None)
-    # The rejected hook never reached the queue; a valid one still fires.
-    env._schedule_hook_at(12.0, fired.append, True, None)
-    env.run()
-    assert env.now == 12.0 and len(fired) == 1
 
 
 def iter_timeout(env, delay):
@@ -547,6 +535,25 @@ def test_environment_stats_counters():
     assert stats["pooled_timeouts"] >= 1
 
 
+def test_event_pool_counters_exposed_and_bounded():
+    env = Environment()
+    procs = _POOL_LIMIT + 64
+
+    def looper():
+        for _ in range(5):
+            yield env.timeout(1.0)
+
+    for _ in range(procs):
+        env.process(looper())
+    env.run()
+    stats = env.stats
+    assert stats["pool_hits"] > 0
+    # More concurrent timeouts than the pool holds: some must allocate.
+    assert stats["pool_misses"] > 0
+    assert stats["pooled_timeouts"] <= _POOL_LIMIT
+    assert stats["pooled_hooks"] <= _POOL_LIMIT
+
+
 def test_run_proc_exported_from_sim():
     from repro.sim import run_proc
 
@@ -769,8 +776,6 @@ NAN_CALLS = {
     "timeout": lambda env: env.timeout(NAN),
     "Timeout": lambda env: Timeout(env, NAN),
     "call_later": lambda env: env.call_later(NAN, print),
-    "timeout_at": lambda env: env.timeout_at(NAN),
-    "hook_at": lambda env: env._schedule_hook_at(NAN, print, True, None),
     "run_until": lambda env: env.run(until=NAN),
 }
 

@@ -9,6 +9,7 @@ wakeup hook, so the live-object count across a long run stays flat.
 
 import gc
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,3 +78,23 @@ def test_microbench_runs_and_reports_rate():
     assert stats["events_per_sec"] > 0
     assert stats["busy_seconds"] > 0
     assert stats["peak_queue_depth"] >= 50
+
+
+# -- benchmark harness: BENCH numbering tolerates gaps -------------------
+
+
+def test_next_bench_path_walks_numbering_gaps(tmp_path):
+    repo = Path(__file__).resolve().parent.parent
+    if str(repo / "benchmarks") not in sys.path:
+        sys.path.insert(0, str(repo / "benchmarks"))
+    from run_all import next_bench_path
+
+    assert next_bench_path(tmp_path).name == "BENCH_1.json"
+    (tmp_path / "BENCH_1.json").write_text("{}")
+    (tmp_path / "BENCH_3.json").write_text("{}")      # gap at 2
+    assert next_bench_path(tmp_path).name == "BENCH_4.json"
+    (tmp_path / "BENCH_4.json").write_text("{}")
+    (tmp_path / "BENCH_5b.json").write_text("{}")     # non-numeric squatter
+    assert next_bench_path(tmp_path).name == "BENCH_5.json"
+    (tmp_path / "BENCH_5.json").write_text("{}")
+    assert next_bench_path(tmp_path).name == "BENCH_6.json"

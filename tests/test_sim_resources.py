@@ -388,7 +388,7 @@ def test_container_nan_amount_rejected(op):
 
 
 def test_get_after_external_removal_serves_the_blocked_put():
-    # The switch's egress sweep removes items without a trigger; the
+    # Code outside the store may remove items without a trigger; the
     # next get must still admit the put it unblocked.
     env = Environment()
     store = Store(env, capacity=1)
