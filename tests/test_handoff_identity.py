@@ -139,6 +139,17 @@ def test_switch_truncated_run_bit_identical(until):
     assert plain[:5] == _PINNED[until]
 
 
+def test_switch_fair_scheduler_bit_identical():
+    # FairVc service order can be preempted by later pushes; its egress
+    # loop serves flit by flit like every other, and on this single-flow
+    # model it lands on the FIFO pins, cut short or not.
+    for until in _PINNED:
+        reference = _run_switch("sanitize", until=until, scheduler="fair")
+        plain = _run_switch("plain", until=until, scheduler="fair")
+        assert plain == reference, until
+        assert plain[:5] == _PINNED[until], until
+
+
 @pytest.mark.parametrize("scheduler", ["fifo", "fair", "priority"])
 def test_fair_switch_agrees_under_every_observer(scheduler):
     # Plain, telemetry, causal and sanitized runs execute the same
