@@ -33,7 +33,7 @@ from ..checks.rng_use import SeededRngCheck
 from ..checks.unordered_iter import UnorderedIterCheck
 from ..checks.wall_clock import WallClockCheck
 from ..lint import LintCheck, Violation
-from .callgraph import CallGraph, SpawnSite, build_callgraph
+from .callgraph import CallGraph, build_callgraph
 from .index import FunctionInfo, ProjectIndex, build_index
 
 __all__ = ["ProgramCheck", "DeterminismTaintCheck", "StaticWriteRaceCheck",

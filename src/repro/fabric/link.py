@@ -18,7 +18,7 @@ Implements what section 2.1 describes for the Flex Bus link layer:
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from .. import params
 from ..sim import Container, Environment, Event, SimRng, Store
@@ -115,48 +115,117 @@ class LinkLayer:
             self._control_phys = PhysicalLayer(env, ctrl_bw,
                                                name=f"{name}.ctrl")
             self._control_queue: Store = Store(env)
-            env.process(self._control_sender(), name=f"{name}.ctrl-tx",
-                        daemon=True)
+            env.process(self.transmit_loop(self._control_queue.get),
+                        name=f"{name}.ctrl-tx", daemon=True)
         for vc in range(vcs):
-            env.process(self._sender(vc), name=f"{name}.tx{vc}", daemon=True)
+            env.process(self.transmit_loop(self._tx_queues[vc].get),
+                        name=f"{name}.tx{vc}", daemon=True)
 
     # -- sending ----------------------------------------------------------
 
     def send(self, flit: Flit) -> Event:
         """Enqueue a flit for transmission; fires when queued (not sent)."""
+        if self.control_lane_enabled and flit.packet.channel is Channel.CONTROL:
+            queue = self._control_queue
+        elif 0 <= flit.vc < self.vcs:
+            queue = self._tx_queues[flit.vc]
+        else:
+            raise ValueError(f"flit VC {flit.vc} out of range")
         if self._causal is not None and flit.packet.trace is not None:
-            # Residency in the tx queue, closed by the sender loop when
-            # it dequeues the flit (HoL time behind earlier flits).
+            # Residency in the tx queue, closed by the transmit loop
+            # when it dequeues the flit (HoL time behind earlier flits).
             flit.cspan = self._causal.begin(
                 flit.packet.trace, self.env.now, QUEUEING, self._site_txq)
-        if self.control_lane_enabled and flit.packet.channel is Channel.CONTROL:
-            return self._control_queue.put(flit)
-        if not 0 <= flit.vc < self.vcs:
-            raise ValueError(f"flit VC {flit.vc} out of range")
-        return self._tx_queues[flit.vc].put(flit)
+        return queue.put(flit)
 
     def tx_backlog(self, vc: int) -> int:
         return len(self._tx_queues[vc])
 
-    def transmit_direct(self, flit: Flit) -> Generator[Event, None, None]:
-        """Synchronously push one flit: credit, then wire.
+    def transmit_loop(self, take: Callable[[], Event],
+                      taken: Optional[Callable[[Any], Optional[Flit]]] = None,
+                      done: Optional[Callable[[Flit], None]] = None
+                      ) -> Generator[Event, Any, None]:
+        """Put flits on this link's wire, one whole hop per iteration.
 
-        Used by switch egress pipelines so *their* scheduler — not the
-        link's per-VC queues — decides wire order.  The caller blocks
-        until the flit has been serialized (and so observes link-level
-        backpressure directly); propagation overlaps with the next flit.
+        The link's VC and control-lane senders and every switch egress
+        run this loop.  ``take()`` returns the event to wait on for the
+        next flit.  Its value is the flit or, when ``taken`` is given,
+        what ``taken(value)`` turns into the flit; ``None`` means there
+        is nothing to send yet, so take again.  Each flit then:
+
+        * closes its queue span;
+        * takes a data credit, unless it is a control-lane flit, which
+          rides the credit-free control lane;
+        * holds the wire for its serialization time, and after a CRC
+          error waits the NAK round trip and serializes again;
+        * bumps the counters and propagates;
+        * is handed to ``done(flit)``, if given.
+
+        The caller blocks until the flit has been serialized, so it
+        sees link-level backpressure directly; propagation overlaps
+        with the next flit.
         """
-        if self.control_lane_enabled and flit.packet.channel is Channel.CONTROL:
-            yield from self._transmit_reliably(self._control_phys, flit)
+        env = self.env
+        causal = self._causal
+        tel = self._tel
+        control_lane = self.control_lane_enabled
+        pools = self._credit_pools
+        while True:
+            flit = yield take()
+            if taken is not None:
+                flit = taken(flit)
+                if flit is None:
+                    continue
+            trace = flit.packet.trace if causal is not None else None
+            if causal is not None and flit.cspan is not None:
+                causal.end(trace, env.now, flit.cspan)
+                flit.cspan = None
+            if control_lane and flit.packet.channel is Channel.CONTROL:
+                phys = self._control_phys
+            else:
+                phys = self.phys
+                credit = pools[flit.vc].get(1)
+                if trace is not None:
+                    causal.wait(trace, credit, CREDIT_STALL,
+                                self._site_credit)
+                yield credit
+            serialize = None
+            if trace is not None:
+                # Retries included: NAK round-trips are serialization cost.
+                serialize = causal.begin(trace, env.now, SERIALIZATION,
+                                         self._site_serialize)
+            wire = phys.wire
+            while True:
+                request = wire.request()
+                try:
+                    yield request
+                    yield env.timeout(phys.serialization_ns(flit))
+                finally:
+                    wire.release(request)
+                phys.flits_sent += 1
+                phys.bytes_sent += flit.size_bytes
+                if not (self.error_rate
+                        and self.rng.bernoulli(self.error_rate)):
+                    break
+                self.retransmissions += 1
+                if tel is not None:
+                    self._m_retries.inc(time=env.now)
+                # The NAK round-trip before the flit is re-serialized.
+                yield env.timeout(2 * self.params.propagation_ns)
+            if tel is not None:
+                # Counter.inc inlined: one per-flit bump, no calls.
+                now = env._now
+                counter = self._m_flits
+                counter.value += 1.0
+                counter.last_time = now
+                counter = self._m_bytes
+                counter.value += flit.size_bytes
+                counter.last_time = now
+            if serialize is not None:
+                causal.end(trace, env.now, serialize)
             self._propagate(flit)
-            return
-        credit = self._credit_pools[flit.vc].get(1)
-        if self._causal is not None and flit.packet.trace is not None:
-            self._causal.wait(flit.packet.trace, credit, CREDIT_STALL,
-                              self._site_credit)
-        yield credit
-        yield from self._transmit_reliably(self.phys, flit)
-        self._propagate(flit)
+            if done is not None:
+                done(flit)
 
     def _propagate(self, flit: Flit) -> None:
         """Put a serialized flit on the wire; it arrives by callback.
@@ -227,64 +296,6 @@ class LinkLayer:
     def _put_credit(self, pool: Container) -> None:
         pool.put_forget(1)
         self.env.credit_elided(1)
-
-    def _sender(self, vc: int) -> Generator[Event, None, None]:
-        queue = self._tx_queues[vc]
-        pool = self._credit_pools[vc]
-        causal = self._causal
-        while True:
-            flit = yield queue.get()
-            if causal is not None and flit.cspan is not None:
-                causal.end(flit.packet.trace, self.env.now, flit.cspan)
-                flit.cspan = None
-            credit = pool.get(1)
-            if causal is not None and flit.packet.trace is not None:
-                causal.wait(flit.packet.trace, credit, CREDIT_STALL,
-                            self._site_credit)
-            yield credit
-            yield from self._transmit_reliably(self.phys, flit)
-            self._propagate(flit)
-
-    def _control_sender(self) -> Generator[Event, None, None]:
-        causal = self._causal
-        while True:
-            flit = yield self._control_queue.get()
-            if causal is not None and flit.cspan is not None:
-                causal.end(flit.packet.trace, self.env.now, flit.cspan)
-                flit.cspan = None
-            yield from self._transmit_reliably(self._control_phys, flit)
-            self._propagate(flit)
-
-    def _transmit_reliably(self, phys: PhysicalLayer,
-                           flit: Flit) -> Generator[Event, None, None]:
-        serialize = None
-        if self._causal is not None and flit.packet.trace is not None:
-            # Retries included: NAK round-trips are serialization cost.
-            serialize = self._causal.begin(
-                flit.packet.trace, self.env.now, SERIALIZATION,
-                self._site_serialize)
-        while True:
-            yield from phys.serialize(flit)
-            if self.error_rate and self.rng.bernoulli(self.error_rate):
-                self.retransmissions += 1
-                if self._tel is not None:
-                    self._m_retries.inc(time=self.env.now)
-                # The NAK round-trip before the flit is re-serialized.
-                yield self.env.timeout(2 * self.params.propagation_ns)
-                continue
-            if self._tel is not None:
-                # Counter.inc inlined: one per-flit bump, no calls.
-                now = self.env._now
-                counter = self._m_flits
-                counter.value += 1.0
-                counter.last_time = now
-                counter = self._m_bytes
-                counter.value += flit.size_bytes
-                counter.last_time = now
-            if serialize is not None:
-                self._causal.end(flit.packet.trace, self.env.now,
-                                 serialize)
-            return
 
     def _deliver(self, flit: Flit) -> None:
         self._rx_occupancy += 1

@@ -2,17 +2,17 @@
 
 Models what section 2.1 describes: framing/(de-)serialization of flits
 at the configured lane width and transfer rate, 68 B / 256 B flit modes,
-and x4/x8/x16 bifurcation.  The physical layer is a pure timing model —
-it owns the wire (a unit resource: one flit serializes at a time) and
-charges serialization plus propagation delay per flit.
+and x4/x8/x16 bifurcation.  The physical layer is a pure timing model:
+it owns the wire (a unit resource: one flit serializes at a time), counts
+what was serialized onto it and knows the serialization time of a flit.
+The link layer's transmit loop (``LinkLayer.transmit_loop``) holds the
+wire for that time; propagation then overlaps with the next flit.
 """
 
 from __future__ import annotations
 
-from typing import Generator
-
 from .. import params
-from ..sim import Environment, Event, Resource
+from ..sim import Environment, Resource
 from .flit import Flit
 
 __all__ = ["PhysicalLayer", "bifurcate"]
@@ -21,10 +21,9 @@ __all__ = ["PhysicalLayer", "bifurcate"]
 class PhysicalLayer:
     """Timing model for one unidirectional physical link.
 
-    ``transmit`` is a process-style generator: it acquires the wire,
-    waits the serialization time of the flit, releases the wire, then
-    waits the propagation delay.  Back-to-back flits therefore pipeline
-    correctly (the wire frees before the previous flit lands).
+    A sender holds :attr:`wire` for :meth:`serialization_ns` per flit
+    and then bumps :attr:`flits_sent` and :attr:`bytes_sent`; the wire
+    frees before the flit lands, so back-to-back flits pipeline.
     """
 
     def __init__(self, env: Environment, link_params: params.LinkParams,
@@ -39,7 +38,7 @@ class PhysicalLayer:
         self.env = env
         self.params = link_params
         self.name = name
-        self._wire = Resource(env, capacity=1)
+        self.wire = Resource(env, capacity=1)
         self.flits_sent = 0
         self.bytes_sent = 0
 
@@ -49,19 +48,6 @@ class PhysicalLayer:
 
     def serialization_ns(self, flit: Flit) -> float:
         return self.params.serialization_ns(flit.size_bytes)
-
-    def serialize(self, flit: Flit) -> Generator[Event, None, None]:
-        """Acquire the wire and push one flit's bits onto it."""
-        with self._wire.request() as grant:
-            yield grant
-            yield self.env.timeout(self.serialization_ns(flit))
-        self.flits_sent += 1
-        self.bytes_sent += flit.size_bytes
-
-    def transmit(self, flit: Flit) -> Generator[Event, None, None]:
-        """Serialize one flit onto the wire and propagate it."""
-        yield from self.serialize(flit)
-        yield self.env.timeout(self.params.propagation_ns)
 
     def utilization(self, elapsed_ns: float) -> float:
         """Fraction of the elapsed window the wire spent serializing."""

@@ -22,7 +22,7 @@ moral equivalent of virtual-output/VC queues in a real switch):
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Generator, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from ..sim import Environment, Event, Store
 from ..telemetry.causal import ARBITRATION, QUEUEING
@@ -51,6 +51,7 @@ class EgressScheduler:
         self._queues: Dict[Hashable, Store] = {}
         self._seq = itertools.count()
         self._arrival: Optional[Event] = None
+        self._taking: Optional[Hashable] = None  # queue of the pending take
         self.enqueued = 0
         # Causal tracing (cached, one is-None branch when off).  The
         # switch stamps `site` at attach time; `_head_ts` remembers,
@@ -88,28 +89,39 @@ class EgressScheduler:
             put_event.callbacks.append(_staged)
         return put_event
 
-    def pop(self) -> Generator[Event, None, object]:
-        """Take the flit whose queue head has the lowest key."""
-        while True:
-            best_queue = None
-            best_entry = None
-            best_id = None
-            for queue_id, queue in self._queues.items():
-                if not queue.items:
-                    continue
-                head = queue.items[0]
-                if best_entry is None or head[:2] < best_entry[:2]:
-                    best_queue, best_entry = queue, head
-                    best_id = queue_id
-            if best_queue is not None:
-                entry = yield best_queue.get()
-                self._on_pop(entry)
-                if self._causal is not None:
-                    self._record_grant(best_id, entry[2])
-                return entry[2]
-            self._arrival = self.env.event()
-            yield self._arrival
+    def take(self) -> Event:
+        """The event to wait on for the next flit to serve.
+
+        A ``get`` on the queue whose head has the lowest key or, with
+        every queue empty, an event that fires on the next arrival.
+        Hand its value to :meth:`taken`.
+        """
+        best_queue = None
+        best_entry = None
+        for queue_id, queue in self._queues.items():
+            if not queue.items:
+                continue
+            head = queue.items[0]
+            if best_entry is None or head[:2] < best_entry[:2]:
+                best_queue, best_entry = queue, head
+                self._taking = queue_id
+        if best_queue is not None:
+            return best_queue.get()
+        self._arrival = self.env.event()
+        return self._arrival
+
+    def taken(self, value) -> Optional[object]:
+        """The flit that ``take()``'s event delivered, now in service.
+
+        ``None`` after an arrival wake: take again.
+        """
+        if value is None:
             self._arrival = None
+            return None
+        self._on_pop(value)
+        if self._causal is not None:
+            self._record_grant(self._taking, value[2])
+        return value[2]
 
     def _record_grant(self, queue_id: Hashable, flit) -> None:
         """Split a traced flit's scheduler time at the head boundary."""

@@ -67,12 +67,16 @@ class RoutingTable:
         self._exact: Dict[int, List[int]] = {}
         self._domains: Dict[int, List[int]] = {}
         self._default: Optional[int] = None
+        # global id -> candidates, filled by `route`; every route change
+        # clears it.
+        self._memo: Dict[int, List[int]] = {}
 
     def add_endpoint(self, dst: PbrId, egress_port: int) -> None:
         """Install an exact (PBR) route (appends an ECMP candidate)."""
         ports = self._exact.setdefault(dst.global_id, [])
         if egress_port not in ports:
             ports.append(egress_port)
+        self._memo.clear()
 
     def add_domain(self, domain: int, egress_port: int) -> None:
         """Install an HBR route toward a foreign domain."""
@@ -81,9 +85,11 @@ class RoutingTable:
         ports = self._domains.setdefault(domain, [])
         if egress_port not in ports:
             ports.append(egress_port)
+        self._memo.clear()
 
     def set_default(self, egress_port: int) -> None:
         self._default = egress_port
+        self._memo.clear()
 
     def candidates(self, dst: PbrId) -> List[int]:
         """All equal-cost egress ports for ``dst`` (primary first)."""
@@ -97,6 +103,18 @@ class RoutingTable:
         if self._default is not None:
             return [self._default]
         raise KeyError(f"no route to {dst!r} in domain {self.switch_domain}")
+
+    def route(self, global_id: int) -> List[int]:
+        """:meth:`candidates` for a global id, memoized per id.
+
+        The per-flit lookup of a switch: the list is shared between
+        calls, so the caller must not change it.
+        """
+        ports = self._memo.get(global_id)
+        if ports is None:
+            ports = self._memo[global_id] = self.candidates(
+                PbrId.from_global(global_id))
+        return ports
 
     def lookup(self, dst: PbrId) -> int:
         """Return the primary egress port for ``dst``."""

@@ -36,7 +36,7 @@ from ..sim import Environment, Event, Resource
 from ..telemetry.causal import QUEUEING
 from .arbitration import EgressScheduler, make_scheduler
 from .credits import CreditDomain
-from .routing import PbrId, RoutingTable
+from .routing import RoutingTable
 
 __all__ = ["FabricSwitch", "PortRole", "SwitchPort"]
 
@@ -60,6 +60,7 @@ class SwitchPort:
     flits_out: int = 0
     pending: int = 0      # flits routed here but not yet on the wire
     buffer_site: str = "" # causal site label for ingress-buffer waits
+    flow: str = ""        # flow name of flits entering here: "in<N>"
 
 
 class FabricSwitch:
@@ -112,7 +113,7 @@ class FabricSwitch:
             index=index, role=role, in_link=in_link, out_link=out_link,
             scheduler=make_scheduler(self.scheduler_kind, self.env,
                                      capacity=self.scheduler_capacity),
-            peer=peer)
+            peer=peer, flow=f"in{index}")
         if self._causal is not None:
             port.buffer_site = f"pcie.{self.name}.in{index}.buffer"
             port.scheduler.site = f"pcie.{self.name}.p{index}.egress"
@@ -125,8 +126,10 @@ class FabricSwitch:
                 lambda p=port: p.pending, track=self._track)
         self.env.process(self._ingress(port), name=f"{self.name}.in{index}",
                          daemon=True)
-        self.env.process(self._egress(port), name=f"{self.name}.out{index}",
-                         daemon=True)
+        self.env.process(
+            out_link.transmit_loop(port.scheduler.take, port.scheduler.taken,
+                                   partial(self._sent, port)),
+            name=f"{self.name}.out{index}", daemon=True)
         return port
 
     def add_credit_domain(self, egress_index: int,
@@ -191,7 +194,7 @@ class FabricSwitch:
             return
         egress = self.ports[egress_index]
         egress.pending += 1
-        flit.flow = f"in{ingress.index}"
+        flit.flow = ingress.flow
         domain = self.credit_domains.get(egress_index)
         if domain is None:
             self._stage(flit, egress, slots, request)
@@ -228,8 +231,7 @@ class FabricSwitch:
         per-packet, but ordering within the packet matters), so the
         adaptive choice is made on the head flit and remembered.
         """
-        dst = PbrId.from_global(flit.packet.dst)
-        candidates = self.table.candidates(dst)
+        candidates = self.table.route(flit.packet.dst)
         if not self.adaptive_routing or len(candidates) == 1:
             return candidates[0]
         chosen = flit.packet.meta.get("_adaptive_path", {}).get(self.name)
@@ -246,22 +248,23 @@ class FabricSwitch:
             chosen
         return chosen
 
-    def _egress(self, port: SwitchPort) -> Generator[Event, None, None]:
-        domain_lookup = self.credit_domains
-        while True:
-            flit = yield from port.scheduler.pop()
-            yield from port.out_link.transmit_direct(flit)
-            port.pending -= 1
-            port.flits_out += 1
-            self.flits_forwarded += 1
-            if self._tel is not None:
-                # Counter.inc inlined: one per-flit bump, no calls.
-                counter = self._m_forwarded
-                counter.value += 1.0
-                counter.last_time = self.env._now
-            domain = domain_lookup.get(port.index)
-            if domain is not None and flit.flow is not None:
-                domain.release(flit.flow)
+    def _sent(self, port: SwitchPort, flit: Flit) -> None:
+        """A flit left ``port`` on the wire: count it, free its credit.
+
+        The ``done`` hook of the egress link's transmit loop, which
+        serves this port's scheduler.
+        """
+        port.pending -= 1
+        port.flits_out += 1
+        self.flits_forwarded += 1
+        if self._tel is not None:
+            # Counter.inc inlined: one per-flit bump, no calls.
+            counter = self._m_forwarded
+            counter.value += 1.0
+            counter.last_time = self.env._now
+        domain = self.credit_domains.get(port.index)
+        if domain is not None and flit.flow is not None:
+            domain.release(flit.flow)
 
     # -- inspection -------------------------------------------------------------
 

@@ -23,8 +23,8 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricRegistry"]
 class Counter:
     """A monotonically increasing count (flits forwarded, bytes moved).
 
-    The per-flit sites (``LinkLayer._transmit_reliably``,
-    ``FabricSwitch._egress``) inline :meth:`inc` as a direct bump of
+    The per-flit sites (``LinkLayer.transmit_loop``,
+    ``FabricSwitch._sent``) inline :meth:`inc` as a direct bump of
     ``value`` and ``last_time``; keep :meth:`inc` to exactly those two
     updates.
     """

@@ -5,6 +5,8 @@ import pytest
 from repro import params
 from repro.fabric import Channel, LinkLayer, Packet, PacketKind, PhysicalLayer, bifurcate, fragment
 from repro.sim import Environment, SimRng
+from repro.telemetry import Telemetry
+from repro.telemetry.causal import CausalRecorder, TraceContext
 
 
 def mem_write(nbytes=64, channel=Channel.CXL_MEM):
@@ -12,40 +14,44 @@ def mem_write(nbytes=64, channel=Channel.CXL_MEM):
                   nbytes=nbytes)
 
 
+def arrivals(env, link):
+    """Drain ``link`` and record (instant, flit) per arrival."""
+    landed = []
+
+    def drain():
+        while True:
+            flit = yield link.rx.get()
+            link.consume(flit)
+            landed.append((env.now, flit))
+
+    env.process(drain(), daemon=True)
+    return landed
+
+
 class TestPhysicalLayer:
     def test_serialization_time_matches_bandwidth(self):
         env = Environment()
         lp = params.LinkParams(lanes=16, gt_per_s=64.0)
-        phys = PhysicalLayer(env, lp)
-        flit = fragment(mem_write())[0]
-        times = []
-
-        def run():
-            yield from phys.transmit(flit)
-            times.append(env.now)
-
-        env.process(run())
+        link = LinkLayer(env, link_params=lp)
+        landed = arrivals(env, link)
+        link.send(fragment(mem_write())[0])
         env.run()
         expected = 68 / (16 * 64 / 8) + lp.propagation_ns
-        assert times[0] == pytest.approx(expected)
+        assert landed[0][0] == pytest.approx(expected)
 
     def test_wire_serializes_one_flit_at_a_time(self):
+        # One flit per VC: three senders contend for the one wire.
         env = Environment()
         lp = params.LinkParams(lanes=4, gt_per_s=32.0, propagation_ns=0.0)
-        phys = PhysicalLayer(env, lp)
-        done = []
-
-        def run(tag):
-            flit = fragment(mem_write())[0]
-            yield from phys.transmit(flit)
-            done.append((tag, env.now))
-
-        for tag in range(3):
-            env.process(run(tag))
+        link = LinkLayer(env, link_params=lp, vcs=3)
+        landed = arrivals(env, link)
+        for vc in range(3):
+            link.send(fragment(mem_write(), vc=vc)[0])
         env.run()
         ser = 68 / (4 * 32 / 8)
-        finish_times = [t for _, t in done]
+        finish_times = [t for t, _ in landed]
         assert finish_times == pytest.approx([ser, 2 * ser, 3 * ser])
+        assert [flit.vc for _, flit in landed] == [0, 1, 2]
 
     def test_narrow_link_is_slower(self):
         wide = params.LinkParams(lanes=16)
@@ -60,15 +66,12 @@ class TestPhysicalLayer:
 
     def test_utilization_tracking(self):
         env = Environment()
-        phys = PhysicalLayer(env, params.LinkParams())
-
-        def run():
-            for _ in range(10):
-                yield from phys.transmit(fragment(mem_write())[0])
-
-        env.process(run())
+        link = LinkLayer(env)
+        arrivals(env, link)
+        for _ in range(10):
+            link.send(fragment(mem_write())[0])
         env.run()
-        assert 0.0 < phys.utilization(env.now) <= 1.0
+        assert 0.0 < link.phys.utilization(env.now) <= 1.0
 
 
 class TestBifurcate:
@@ -239,3 +242,17 @@ class TestLinkLayerCfc:
             LinkLayer(env, overcommit=0.5)
         with pytest.raises(ValueError):
             LinkLayer(env, error_rate=1.0)
+
+    def test_traced_bad_vc_send_opens_no_span(self):
+        # The VC is checked before the tx-queue span opens: a rejected
+        # flit leaves no dangling begin record and no open span id.
+        recorder = CausalRecorder()
+        env = Environment(telemetry=Telemetry(causal=recorder))
+        link = LinkLayer(env, vcs=2)
+        packet = mem_write()
+        packet.trace = TraceContext(1)
+        flit = fragment(packet, vc=2)[0]
+        with pytest.raises(ValueError, match="VC 2 out of range"):
+            link.send(flit)
+        assert len(recorder.events) == 0
+        assert flit.cspan is None

@@ -19,12 +19,12 @@ from __future__ import annotations
 import pytest
 
 from repro import params
-from repro.fabric import Channel, Packet, PacketKind
-from repro.pcie import FabricManager, PortRole, Topology
+from repro.fabric import Channel, LinkLayer, Packet, PacketKind, fragment
+from repro.pcie import FabricManager, FabricSwitch, PbrId, PortRole, Topology
 from repro.experiments import RunContext, get
-from repro.sim import Environment
+from repro.sim import Environment, SimRng
 from repro.telemetry import Telemetry
-from repro.telemetry.causal import CausalRecorder
+from repro.telemetry.causal import CausalRecorder, TraceContext
 
 
 # -- telemetry scenarios: summaries and event counts ---------------------
@@ -160,3 +160,91 @@ def test_fair_switch_agrees_under_every_observer(scheduler):
     assert len(set(map(repr, runs.values()))) == 1, runs
     assert runs["plain"][:5] == _PINNED[None]
     assert runs["plain"][5] > 0
+
+
+# -- lossy link with a control lane: every transmit path ------------------
+
+
+#: `_run_lossy_switch` results, recorded before the link's VC senders,
+#: its control-lane sender and the switch egress became one transmit
+#: loop: (arrival instant, channel) per flit at the far end of the
+#: egress link; retransmissions on the ingress and egress links;
+#: events processed; events elided.
+_LOSSY_ARRIVALS = (
+    (102.65625, "cxl.io"), (104.78125, "cxl.io"), (106.90625, "cxl.io"),
+    (109.03125, "cxl.io"), (111.15625, "cxl.io"), (115.84375, "cxl.io"),
+    (130.09375, "cxl.io"), (132.21875, "cxl.io"), (134.34375, "cxl.io"),
+    (148.59375, "cxl.io"), (162.84375, "cxl.io"), (164.96875, "cxl.io"),
+    (179.21875, "cxl.io"), (181.34375, "cxl.io"), (183.46875, "cxl.io"),
+    (185.59375, "cxl.io"), (211.96875, "cxl.io"), (238.34375, "cxl.io"),
+    (252.59375, "cxl.io"), (254.71875, "cxl.io"), (256.84375, "cxl.io"),
+    (258.96875, "cxl.io"), (261.09375, "cxl.io"), (263.21875, "cxl.io"),
+    (265.34375, "cxl.io"), (267.46875, "cxl.io"), (294.03125, "control"),
+    (296.15625, "cxl.io"), (298.28125, "cxl.io"), (300.40625, "cxl.io"),
+    (302.53125, "cxl.io"), (329.09375, "control"), (355.65625, "control"),
+)
+_LOSSY_PINNED = (list(_LOSSY_ARRIVALS), 4, 9, 1084, 318)
+
+#: Causal records of the traced run: one per span edge and grant mark.
+_LOSSY_CAUSAL_RECORDS = 491
+
+
+def _run_lossy_switch(env):
+    """Data flits on two VCs and control-lane flits cross a switch.
+
+    Both links into and out of the switch are lossy (fixed seeds) and
+    have a control lane, so the run takes every transmit path: data
+    credits, the credit-free control lane, CRC retries, the link's own
+    senders and the switch egress.  Every packet is traced.
+    """
+    switch = FabricSwitch(env, "sw0")
+    up = LinkLayer(env, name="up", control_lane=True, error_rate=0.1,
+                   rng=SimRng(3))
+    down = LinkLayer(env, name="down", control_lane=True, error_rate=0.2,
+                     rng=SimRng(11), link_params=params.LinkParams(lanes=4))
+    switch.attach(up, LinkLayer(env, name="up.back"),
+                  role=PortRole.UPSTREAM)
+    switch.attach(LinkLayer(env, name="down.back"), down)
+    dst = PbrId(0, 1)
+    switch.table.add_endpoint(dst, 1)
+    arrivals = []
+
+    def sender():
+        for n in range(6):
+            data = Packet(kind=PacketKind.IO_WR, channel=Channel.CXL_IO,
+                          src=0, dst=dst.global_id, nbytes=256,
+                          trace=TraceContext(2 * n + 1))
+            for flit in fragment(data, vc=n % 2):
+                yield up.send(flit)
+            if n % 2 == 0:
+                ctrl = Packet(kind=PacketKind.CTRL_REQ,
+                              channel=Channel.CONTROL, src=0,
+                              dst=dst.global_id,
+                              trace=TraceContext(2 * n + 2))
+                for flit in fragment(ctrl):
+                    yield up.send(flit)
+
+    def receiver():
+        while True:
+            flit = yield down.rx.get()
+            down.consume(flit)
+            arrivals.append((env.now, flit.packet.channel.value))
+
+    env.process(sender())
+    env.process(receiver(), daemon=True)
+    env.run()
+    return (arrivals, up.retransmissions, down.retransmissions,
+            env._events_processed, env.stats["events_elided"])
+
+
+@pytest.mark.parametrize("mode", ["plain", "telemetry", "causal",
+                                  "sanitize"])
+def test_lossy_control_lane_switch_pinned(mode):
+    env = _environment(mode)
+    assert _run_lossy_switch(env) == _LOSSY_PINNED
+    if mode == "causal":
+        records = env.telemetry.causal.events
+        assert len(records) == _LOSSY_CAUSAL_RECORDS
+        opened = {r[3] for r in records if r[0] == "B"}
+        closed = {r[3] for r in records if r[0] == "E"}
+        assert opened == closed

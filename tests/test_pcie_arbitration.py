@@ -15,13 +15,22 @@ def flit(vc=0, size=68, prio=None, dst=1):
     return Flit(packet=pkt, index=0, total=1, size_bytes=size, vc=vc)
 
 
+def serve(scheduler):
+    """Wait for the next flit the way an egress loop does: ``take()``,
+    then ``taken()``, again after an arrival wake."""
+    while True:
+        item = scheduler.taken((yield scheduler.take()))
+        if item is not None:
+            return item
+
+
 def drain(env, scheduler, n):
     """Pre-condition: all pushes already completed (run the env first)."""
     out = []
 
     def run():
         for _ in range(n):
-            item = yield from scheduler.pop()
+            item = yield from serve(scheduler)
             out.append(item)
 
     env.process(run())
@@ -64,6 +73,28 @@ class TestFifoScheduler:
         env = Environment()
         with pytest.raises(ValueError):
             FifoScheduler(env, capacity=0)
+
+    def test_take_on_empty_waits_for_arrival(self):
+        # An empty scheduler hands out an arrival event; its wake
+        # yields no flit, and the next take serves the new head.
+        env = Environment()
+        sched = FifoScheduler(env)
+        staged = flit()
+        woke, served = [], []
+
+        def run():
+            woke.append(sched.taken((yield sched.take())))
+            served.append((yield from serve(sched)))
+
+        def feed():
+            yield env.timeout(5)
+            yield sched.push(staged)
+
+        env.process(run())
+        env.process(feed())
+        env.run()
+        assert woke == [None]
+        assert served == [staged]
 
 
 class TestFairVcScheduler:
