@@ -16,74 +16,29 @@ Quickstart::
     heap = uni.heap("host0")
     obj = heap.allocate(4096)              # lands in the fastest tier
 
+Every name exported here loads its subpackage on first use, so
+``import repro`` itself runs no model code (see ``repro._lazy``).
+
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record.
 """
 
-from . import params
-from .core import (
-    ArbiterClient,
-    ETrans,
-    FabricArbiter,
-    FailureInjector,
-    FunctionChassis,
-    HandlerResult,
-    IdempotentTask,
-    Message,
-    MovementOrchestrator,
-    ScalableFunction,
-    SmartPointer,
-    Task,
-    TaskRuntime,
-    UniFabric,
-    UnifiedHeap,
-)
-from .infra import (
-    Cluster,
-    ClusterSpec,
-    CpuCore,
-    FaaSpec,
-    FamSpec,
-    HostServer,
-    build_cluster,
-)
-from .mem import NodeKind
-from .sim import Environment, SimRng, StatSeries
-from .telemetry import MetricRegistry, Telemetry, TimelineSampler, span
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "params",
-    "ArbiterClient",
-    "ETrans",
-    "FabricArbiter",
-    "FailureInjector",
-    "FunctionChassis",
-    "HandlerResult",
-    "IdempotentTask",
-    "Message",
-    "MovementOrchestrator",
-    "ScalableFunction",
-    "SmartPointer",
-    "Task",
-    "TaskRuntime",
-    "UniFabric",
-    "UnifiedHeap",
-    "Cluster",
-    "ClusterSpec",
-    "CpuCore",
-    "FaaSpec",
-    "FamSpec",
-    "HostServer",
-    "build_cluster",
-    "NodeKind",
-    "Environment",
-    "SimRng",
-    "StatSeries",
-    "MetricRegistry",
-    "Telemetry",
-    "TimelineSampler",
-    "span",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".": ("params",),
+    "core": ("ArbiterClient", "ETrans", "FabricArbiter", "FailureInjector",
+             "FunctionChassis", "HandlerResult", "IdempotentTask",
+             "Message", "MovementOrchestrator", "ScalableFunction",
+             "SmartPointer", "Task", "TaskRuntime", "UniFabric",
+             "UnifiedHeap"),
+    "infra": ("Cluster", "ClusterSpec", "CpuCore", "FaaSpec", "FamSpec",
+              "HostServer", "build_cluster"),
+    "mem": ("NodeKind",),
+    "sim": ("Environment", "SimRng", "StatSeries"),
+    "telemetry": ("MetricRegistry", "Telemetry", "TimelineSampler",
+                  "span"),
+})
+__all__ += ["__version__"]

@@ -160,7 +160,8 @@ class _FunctionWalker(ast.NodeVisitor):
             name = _call_name(arg.annotation)
             if name is None:
                 continue
-            resolved = self.index.resolve(self.func.module, name)
+            resolved = self.index.resolve(self.func.module, name,
+                                          self.func.symbols)
             if resolved in self.index.classes:
                 self.local_types[arg.arg] = resolved
 
@@ -189,7 +190,7 @@ class _FunctionWalker(ast.NodeVisitor):
                         return target.qualname
             dotted = _call_name(func)
             if dotted is not None:
-                resolved = index.resolve(module, dotted)
+                resolved = index.resolve(module, dotted, self.func.symbols)
                 if resolved in index.functions:
                     return resolved
                 if resolved in index.classes:
@@ -206,7 +207,7 @@ class _FunctionWalker(ast.NodeVisitor):
                     return target.qualname
             return None
         if isinstance(func, ast.Name):
-            resolved = index.resolve(module, func.id)
+            resolved = index.resolve(module, func.id, self.func.symbols)
             if resolved in index.functions:
                 return resolved
             if resolved in index.classes:
@@ -259,7 +260,8 @@ class _FunctionWalker(ast.NodeVisitor):
         if isinstance(node.value, ast.Call):
             name = _call_name(node.value.func)
             if name is not None:
-                resolved = self.index.resolve(self.func.module, name)
+                resolved = self.index.resolve(self.func.module, name,
+                                              self.func.symbols)
                 if resolved in self.index.classes:
                     for target in node.targets:
                         if isinstance(target, ast.Name):

@@ -10,13 +10,17 @@ one pass over the package directory:
 * **Symbol resolution** — per module, the mapping from a local name to
   the dotted project symbol it denotes: ``from ..sim import
   Environment`` binds ``Environment`` to ``repro.sim.Environment``;
-  re-exports through ``__init__`` chase one level per hop.
+  re-exports through ``__init__`` chase one level per hop, whether the
+  package imports them or declares them in a ``lazy_exports`` map
+  (:mod:`repro._lazy`).  Imports inside a function body bind in that
+  function's own table (:attr:`FunctionInfo.symbols`).
 * **Functions and classes** — every function/method keyed by its
   qualified name ``module.Class.method`` / ``module.func``, with line
   spans (for mapping per-file violations onto enclosing functions),
   generator-ness, and per-class base-name lists for method lookup.
-* **Import graph** — module -> set of project modules it imports,
-  so tooling can reason about layering without re-parsing.
+* **Import graph** — module -> set of project modules its top level
+  imports (what loading it runs), so tooling can reason about layering
+  without re-parsing.
 
 Everything downstream (call graph, taint, conformance) is derived
 from this object; building it on the full ``repro`` package takes
@@ -48,6 +52,8 @@ class FunctionInfo:
     lineno: int
     end_lineno: int
     is_generator: bool
+    #: local name -> dotted target, for imports inside the body
+    symbols: Dict[str, str] = dataclasses.field(default_factory=dict)
 
     @property
     def display(self) -> str:
@@ -126,13 +132,16 @@ class ProjectIndex:
 
     # -- queries -----------------------------------------------------------
 
-    def resolve(self, module: str, name: str) -> Optional[str]:
+    def resolve(self, module: str, name: str,
+                scope: Optional[Dict[str, str]] = None) -> Optional[str]:
         """Resolve a (possibly dotted) local name to a project symbol.
 
-        Chases import aliases one module at a time, including one-level
-        re-exports through package ``__init__`` modules.  Returns a
-        dotted name present in :attr:`functions`, :attr:`classes`, or
-        :attr:`modules` — or ``None`` for anything outside the project.
+        ``scope`` is the enclosing function's own import table, looked
+        up before the module's.  Chases import aliases one module at a
+        time, including one-level re-exports through package
+        ``__init__`` modules.  Returns a dotted name present in
+        :attr:`functions`, :attr:`classes`, or :attr:`modules` — or
+        ``None`` for anything outside the project.
         """
         seen: Set[Tuple[str, str]] = set()
         while True:
@@ -143,7 +152,10 @@ class ProjectIndex:
             if info is None:
                 return None
             head, _, rest = name.partition(".")
-            target = info.symbols.get(head)
+            target = scope.get(head) if scope else None
+            scope = None
+            if target is None:
+                target = info.symbols.get(head)
             if target is None:
                 # a module-local definition?
                 candidate = f"{module}.{name}"
@@ -233,6 +245,71 @@ def _resolve_relative(module: str, package: str, level: int,
     return ".".join(base)
 
 
+def _bind_import(node: ast.AST, info: ModuleInfo, package: str,
+                 symbols: Dict[str, str], imports: Set[str]) -> None:
+    """Record what an import statement binds, if it names the project."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            if alias.name == package \
+                    or alias.name.startswith(package + "."):
+                local = alias.asname or alias.name.split(".")[0]
+                target = (alias.name if alias.asname
+                          else alias.name.split(".")[0])
+                symbols[local] = target
+                imports.add(alias.name)
+    elif isinstance(node, ast.ImportFrom):
+        base = _resolve_relative(info.name, package, node.level,
+                                 node.module, info.is_package)
+        if base is None or not (base == package
+                                or base.startswith(package + ".")):
+            return
+        imports.add(base)
+        for alias in node.names:
+            if alias.name == "*":
+                continue
+            symbols[alias.asname or alias.name] = f"{base}.{alias.name}"
+
+
+def _lazy_exports(node: ast.AST, module: str) -> Dict[str, str]:
+    """The names a ``... = lazy_exports(__name__, {sub: names})`` binds.
+
+    ``{"engine": ("Environment",)}`` maps ``Environment`` to
+    ``<module>.engine.Environment``; the ``"."`` key exports
+    submodules as themselves.  Anything else yields nothing.
+    """
+    if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+            and len(node.value.args) == 2
+            and isinstance(node.value.args[1], ast.Dict)):
+        return {}
+    callee = _base_name(node.value.func) or ""
+    if callee.rpartition(".")[2] != "lazy_exports":
+        return {}
+    bound: Dict[str, str] = {}
+    exports = node.value.args[1]
+    for key, value in zip(exports.keys, exports.values):
+        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)
+                and isinstance(value, (ast.Tuple, ast.List))):
+            continue
+        home = module if key.value == "." else f"{module}.{key.value}"
+        for name in value.elts:
+            if isinstance(name, ast.Constant) and isinstance(name.value,
+                                                             str):
+                bound[name.value] = f"{home}.{name.value}"
+    return bound
+
+
+def _body_imports(node: ast.AST) -> Iterator[ast.AST]:
+    """Import statements in a function body, nested scopes excluded."""
+    stack: List[ast.AST] = list(ast.iter_child_nodes(node))
+    while stack:
+        child = stack.pop()
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(child))
+
+
 def _index_module(index: ProjectIndex, info: ModuleInfo) -> None:
     module = info.name
     package = index.package
@@ -245,32 +322,17 @@ def _index_module(index: ProjectIndex, info: ModuleInfo) -> None:
             name=node.name, node=node, lineno=node.lineno,
             end_lineno=getattr(node, "end_lineno", node.lineno),
             is_generator=_function_is_generator(node))
+        for statement in _body_imports(node):
+            _bind_import(statement, info, package, func.symbols, set())
         info.functions[local] = func
         index.functions[qualname] = func
         return func
 
     for node in info.tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == package \
-                        or alias.name.startswith(package + "."):
-                    local = alias.asname or alias.name.split(".")[0]
-                    target = (alias.name if alias.asname
-                              else alias.name.split(".")[0])
-                    info.symbols[local] = target
-                    info.imports.add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            base = _resolve_relative(module, package, node.level,
-                                     node.module, info.is_package)
-            if base is None or not (base == package
-                                    or base.startswith(package + ".")):
-                continue
-            info.imports.add(base)
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                info.symbols[alias.asname or alias.name] = \
-                    f"{base}.{alias.name}"
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            _bind_import(node, info, package, info.symbols, info.imports)
+        elif info.is_package and isinstance(node, ast.Assign):
+            info.symbols.update(_lazy_exports(node, module))
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             add_function(node, None)
         elif isinstance(node, ast.ClassDef):

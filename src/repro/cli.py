@@ -43,8 +43,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import params
-from .core import MovementOrchestrator, UnifiedHeap
-from .core.heap import HeapRuntime
 from .fabric import format_table1
 from .infra import ClusterSpec, build_cluster
 from .sim import Environment
@@ -103,6 +101,7 @@ def cmd_table2(_args: argparse.Namespace) -> int:
 
 
 def cmd_demo(_args: argparse.Namespace) -> int:
+    from .core import HeapRuntime, MovementOrchestrator, UnifiedHeap
     env = Environment()
     cluster = build_cluster(env, ClusterSpec(hosts=1))
     host = cluster.host(0)

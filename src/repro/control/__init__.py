@@ -22,25 +22,12 @@ reruns and sweep worker counts, and a plane with no policy leaves
 ``events_processed`` untouched.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-from .actuator import Actuator, ControlError, Knob
-from .actuators import (CreditActuator, HeapActuator, LinkActuator,
-                        MovementActuator)
-from .plane import ControlPlane
-from .policy import (FeedbackPolicy, FeedbackRule,
-                     default_feedback_policy)
-
-__all__ = [
-    "Actuator",
-    "ControlError",
-    "ControlPlane",
-    "CreditActuator",
-    "FeedbackPolicy",
-    "FeedbackRule",
-    "HeapActuator",
-    "Knob",
-    "LinkActuator",
-    "MovementActuator",
-    "default_feedback_policy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "actuator": ("Actuator", "ControlError", "Knob"),
+    "actuators": ("CreditActuator", "HeapActuator", "LinkActuator",
+                  "MovementActuator"),
+    "plane": ("ControlPlane",),
+    "policy": ("FeedbackPolicy", "FeedbackRule", "default_feedback_policy"),
+})

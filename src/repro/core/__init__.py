@@ -13,107 +13,29 @@
 * :mod:`repro.core.unifabric` ties them together.
 """
 
-from .arbiter import ArbiterClient, ArbiterError, FabricArbiter
-from .futures import DistributedFuture, FutureExecutor, gather
-from .memkind import (
-    MEMKIND_DEFAULT,
-    MEMKIND_FABRIC,
-    MEMKIND_FABRIC_COHERENT,
-    MEMKIND_FABRIC_NONCOHERENT,
-    MEMKIND_LOCAL,
-    MemkindAllocator,
-    MemoryKind,
-)
-from .replication import NodeReplicatedObject, ReplicaHandle
-from .reliability import (
-    CentralMemoryManager,
-    ProtectedRegion,
-    ReliabilityError,
-    Shard,
-    ShardState,
-)
-from .etrans import (
-    ElasticTransactionEngine,
-    ETrans,
-    ETransHandle,
-    OWNERSHIP_MODES,
-)
-from .functions import (
-    FunctionChassis,
-    FunctionContext,
-    HandlerResult,
-    Message,
-    ScalableFunction,
-    migrate_function,
-)
-from .heap import (
-    AccessProfiler,
-    FreeList,
-    HeapError,
-    HeapObject,
-    HeapRuntime,
-    MemoryBin,
-    SmartPointer,
-    UnifiedHeap,
-)
-from .idempotent import IdempotentRegion, IdempotentTask, find_regions, is_idempotent
-from .movement import MigrationAgent, MovementOrchestrator, SequentialPrefetcher
-from .runtime import FailureInjector, InjectedFailure, TaskResult, TaskRuntime
-from .taskir import Op, OpKind, Task
-from .unifabric import UniFabric
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArbiterClient",
-    "ArbiterError",
-    "FabricArbiter",
-    "DistributedFuture",
-    "FutureExecutor",
-    "gather",
-    "MEMKIND_DEFAULT",
-    "MEMKIND_FABRIC",
-    "MEMKIND_FABRIC_COHERENT",
-    "MEMKIND_FABRIC_NONCOHERENT",
-    "MEMKIND_LOCAL",
-    "MemkindAllocator",
-    "MemoryKind",
-    "NodeReplicatedObject",
-    "ReplicaHandle",
-    "CentralMemoryManager",
-    "ProtectedRegion",
-    "ReliabilityError",
-    "Shard",
-    "ShardState",
-    "ElasticTransactionEngine",
-    "ETrans",
-    "ETransHandle",
-    "OWNERSHIP_MODES",
-    "FunctionChassis",
-    "FunctionContext",
-    "migrate_function",
-    "HandlerResult",
-    "Message",
-    "ScalableFunction",
-    "AccessProfiler",
-    "FreeList",
-    "HeapError",
-    "HeapObject",
-    "HeapRuntime",
-    "MemoryBin",
-    "SmartPointer",
-    "UnifiedHeap",
-    "IdempotentRegion",
-    "IdempotentTask",
-    "find_regions",
-    "is_idempotent",
-    "MigrationAgent",
-    "MovementOrchestrator",
-    "SequentialPrefetcher",
-    "FailureInjector",
-    "InjectedFailure",
-    "TaskResult",
-    "TaskRuntime",
-    "Op",
-    "OpKind",
-    "Task",
-    "UniFabric",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "arbiter": ("ArbiterClient", "ArbiterError", "FabricArbiter"),
+    "futures": ("DistributedFuture", "FutureExecutor", "gather"),
+    "memkind": ("MEMKIND_DEFAULT", "MEMKIND_FABRIC",
+                "MEMKIND_FABRIC_COHERENT", "MEMKIND_FABRIC_NONCOHERENT",
+                "MEMKIND_LOCAL", "MemkindAllocator", "MemoryKind"),
+    "replication": ("NodeReplicatedObject", "ReplicaHandle"),
+    "reliability": ("CentralMemoryManager", "ProtectedRegion",
+                    "ReliabilityError", "Shard", "ShardState"),
+    "etrans": ("ElasticTransactionEngine", "ETrans", "ETransHandle",
+               "OWNERSHIP_MODES"),
+    "functions": ("FunctionChassis", "FunctionContext", "migrate_function",
+                  "HandlerResult", "Message", "ScalableFunction"),
+    "heap": ("AccessProfiler", "FreeList", "HeapError", "HeapObject",
+             "HeapRuntime", "MemoryBin", "SmartPointer", "UnifiedHeap"),
+    "idempotent": ("IdempotentRegion", "IdempotentTask", "find_regions",
+                   "is_idempotent"),
+    "movement": ("MigrationAgent", "MovementOrchestrator",
+                 "SequentialPrefetcher"),
+    "runtime": ("FailureInjector", "InjectedFailure", "TaskResult",
+                "TaskRuntime"),
+    "taskir": ("Op", "OpKind", "Task"),
+    "unifabric": ("UniFabric",),
+})

@@ -15,55 +15,16 @@ The pieces:
   parameter-sweep driver behind ``repro sweep``.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-from .format import fmt_row, print_table
-from .registry import (
-    ALL_OUTPUTS,
-    ExperimentDef,
-    ExperimentError,
-    Param,
-    UnknownExperimentError,
-    describe,
-    experiment,
-    get,
-    names,
-    register,
-)
-from .observe import RunContext, run_scenario
-from .runner import render, run_experiment, run_summary
-from .spec import ExperimentSpec, SpecError
-from .sweep import (
-    SweepConflictError,
-    SweepSpec,
-    load_sweep_spec,
-    run_sweep,
-    validate_sweep_report,
-)
-
-__all__ = [
-    "ALL_OUTPUTS",
-    "ExperimentDef",
-    "ExperimentError",
-    "ExperimentSpec",
-    "Param",
-    "RunContext",
-    "SpecError",
-    "SweepConflictError",
-    "SweepSpec",
-    "UnknownExperimentError",
-    "describe",
-    "experiment",
-    "fmt_row",
-    "get",
-    "load_sweep_spec",
-    "names",
-    "print_table",
-    "register",
-    "render",
-    "run_experiment",
-    "run_summary",
-    "run_scenario",
-    "run_sweep",
-    "validate_sweep_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "format": ("fmt_row", "print_table"),
+    "registry": ("ALL_OUTPUTS", "ExperimentDef", "ExperimentError", "Param",
+                 "UnknownExperimentError", "describe", "experiment", "get",
+                 "names", "register"),
+    "observe": ("RunContext", "run_scenario"),
+    "runner": ("render", "run_experiment", "run_summary"),
+    "spec": ("ExperimentSpec", "SpecError"),
+    "sweep": ("SweepConflictError", "SweepSpec", "load_sweep_spec",
+              "run_sweep", "validate_sweep_report"),
+})

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from ... import params
-from ...core import UniFabric
 from ...fabric import Channel, Packet, PacketKind
 from ...infra import ClusterSpec, FamSpec, build_cluster
 from ...pcie import (
@@ -339,6 +338,7 @@ def run_arbiter_case(ctx, mode: str, critical_bursts: int = 10,
                      burst_size: int = 8, flood_writes: int = 1200,
                      flood_workers: int = 48,
                      egress_credit_budget: int = 48) -> StatSeries:
+    from ...core import UniFabric
     env = ctx.env(mode)
     scheduler = "priority" if mode == "arbiter" else "fifo"
     # Fast media + a narrow x4 chassis link: the contended resource is

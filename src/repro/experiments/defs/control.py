@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from ...telemetry.health import DEFAULT_WINDOW_NS
-from ...telemetry.sampler import DEFAULT_INTERVAL_NS
+from ...params import HEALTH_WINDOW_NS, SAMPLER_INTERVAL_NS
 from ..format import print_table
 from ..registry import Param, experiment
 
@@ -103,9 +102,9 @@ def render_control_loop(summary: Dict[str, Any],
 @experiment(
     "control_loop",
     "A/B: health-driven credit feedback vs static RampUpPolicy",
-    params={"window_ns": Param(float, DEFAULT_WINDOW_NS,
+    params={"window_ns": Param(float, HEALTH_WINDOW_NS,
                                "tumbling window width (sim ns)"),
-            "interval_ns": Param(float, DEFAULT_INTERVAL_NS,
+            "interval_ns": Param(float, SAMPLER_INTERVAL_NS,
                                  "sampler cadence (sim ns)")},
     render=render_control_loop,
     invariants=(

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from ... import params
-from ...baselines import CommFabricChannel
 from ...fabric import Channel, LinkLayer, Packet, PacketKind, fragment
 from ...infra import ClusterSpec, FamSpec, build_cluster
 from ...pcie import FabricManager, PortRole, Topology
@@ -352,6 +351,7 @@ def fabric_latency(ctx, nbytes: int) -> float:
 
 
 def dma_latency(ctx, nbytes: int) -> float:
+    from ...baselines import CommFabricChannel
     env = ctx.env(f"dma.{nbytes}B")
     nic = CommFabricChannel(env)
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from ...telemetry.health import DEFAULT_WINDOW_NS
-from ...telemetry.sampler import DEFAULT_INTERVAL_NS
+from ...params import HEALTH_WINDOW_NS, SAMPLER_INTERVAL_NS
 from ..format import print_table
 from ..registry import Param, experiment
 
@@ -96,9 +95,9 @@ def render_fabric_health(summary: Dict[str, Any],
     params={"scenario": Param(str, "starvation",
                               "t2, starvation or interleave; "
                               "starvation runs both credit policies"),
-            "window_ns": Param(float, DEFAULT_WINDOW_NS,
+            "window_ns": Param(float, HEALTH_WINDOW_NS,
                                "tumbling window width (sim ns)"),
-            "interval_ns": Param(float, DEFAULT_INTERVAL_NS,
+            "interval_ns": Param(float, SAMPLER_INTERVAL_NS,
                                  "sampler cadence (sim ns)")},
     render=render_fabric_health,
     invariants=(

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from ...core import CentralMemoryManager, NodeReplicatedObject, UniFabric
 from ...fabric import Channel, Packet, PacketKind
 from ...infra import ClusterSpec, FamSpec, build_cluster
-from ...mem import ComaCluster, NodeKind
+from ...mem import NodeKind
 from ...sim import SimRng, StatSeries, run_proc
 from ..format import print_table
 from ..registry import Param, experiment
@@ -66,6 +65,7 @@ def fabric_node_case(ctx, kind: NodeKind, rounds: int = 30,
 def coma_case(ctx, rounds: int = 30,
               shared_lines: int = 8) -> Dict[str, float]:
     """The same ping-pong over a 2-node COMA cluster."""
+    from ...mem import ComaCluster
     env = ctx.env("coma")
     coma = ComaCluster(env, nodes=2, am_capacity_lines=64)
     stats = StatSeries("coma")
@@ -137,6 +137,7 @@ def run_node_types(ctx) -> Dict[str, Any]:
 
 
 def _build_parity_region(ctx, parity: int, shard_bytes: int):
+    from ...core import CentralMemoryManager
     env = ctx.env(f"parity{parity}")
     fams = [FamSpec(name=f"fam{i}", capacity_bytes=1 << 26)
             for i in range(5)]
@@ -257,6 +258,7 @@ def _apply_counter(state, operation):
 
 def run_nr_mode(ctx, mode: str, read_fraction: float, ops: int = 120,
                 structure_lines: int = 8) -> float:
+    from ...core import NodeReplicatedObject, UniFabric
     env = ctx.env(f"{mode}@{read_fraction}")
     cluster = build_cluster(env, ClusterSpec(hosts=2))
     uni = UniFabric(env, cluster)

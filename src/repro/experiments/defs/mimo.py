@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from ...core import ETrans, MovementOrchestrator
 from ...infra import ClusterSpec, FaaSpec, build_cluster
 from ...sim import SimRng, run_proc
 from ..format import print_table
@@ -60,6 +59,7 @@ def run_deployment(ctx, mode: str, config, flops: Dict[str, float],
                    frames: int = 8, faa_speedup: float = 4.0,
                    chunk: int = 4096) -> float:
     """Total time to process ``frames`` frames; returns per-frame ns."""
+    from ...core import ETrans, MovementOrchestrator
     from ...workloads.mimo import KERNEL_ORDER, flops_to_ns
     env = ctx.env(mode)
     cluster = build_cluster(env, ClusterSpec(

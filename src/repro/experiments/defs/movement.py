@@ -4,20 +4,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from ...baselines import CommFabricChannel, StaticPlacementHeap
-from ...core import (
-    ETrans,
-    FailureInjector,
-    FunctionChassis,
-    HandlerResult,
-    MovementOrchestrator,
-    ScalableFunction,
-    SequentialPrefetcher,
-    Task,
-    TaskRuntime,
-    UnifiedHeap,
-)
-from ...core.heap import HeapRuntime
 from ...fabric import Channel, Packet, PacketKind
 from ...infra import ClusterSpec, FaaSpec, build_cluster
 from ...mem import CacheConfig
@@ -39,6 +25,7 @@ __all__ = [
 
 def run_movement_case(ctx, mode: str, lines: int = 512,
                       scans: int = 4) -> float:
+    from ...core import ETrans, MovementOrchestrator, SequentialPrefetcher
     env = ctx.env(mode)
     cluster = build_cluster(env, ClusterSpec(hosts=1))
     host = cluster.host(0)
@@ -120,6 +107,8 @@ HEAP_TINY_CACHES = (
 def run_heap_case(ctx, mode: str, objects: int = 64, object_bytes: int = 8192,
                   hot_objects: int = 6, accesses: int = 1500,
                   local_bin_bytes: int = 96 * 1024) -> StatSeries:
+    from ...baselines import StaticPlacementHeap
+    from ...core import HeapRuntime, MovementOrchestrator, UnifiedHeap
     env = ctx.env(mode)
     cluster = build_cluster(env, ClusterSpec(
         hosts=1, cache_configs=HEAP_TINY_CACHES))
@@ -215,6 +204,7 @@ def run_dp2_heap(ctx) -> Dict[str, Any]:
 
 
 def make_task(regions: int = 24, ops_per_region: int = 8) -> Task:
+    from ...core import Task
     task = Task("pipeline")
     for region in range(regions):
         base = region * 0x2000
@@ -228,6 +218,7 @@ def make_task(regions: int = 24, ops_per_region: int = 8) -> Task:
 def run_failure_case(ctx, recovery: str, rate: float, seed: int = 5,
                      regions: int = 24,
                      ops_per_region: int = 8) -> dict:
+    from ...core import FailureInjector, TaskRuntime
     env = ctx.env(f"{recovery}@{rate}")
     cluster = build_cluster(env, ClusterSpec(hosts=1))
     injector = FailureInjector(rate=rate, rng=SimRng(seed))
@@ -331,6 +322,7 @@ GRAPH_TINY_CACHES = (
 def run_graph_mode(ctx, mode: str, vertices: int = 96,
                    avg_degree: float = 3.0,
                    traversals: int = 4) -> List[float]:
+    from ...core import HeapRuntime, MovementOrchestrator, UnifiedHeap
     from ...workloads import CsrGraph, random_graph
     env = ctx.env(mode)
     cluster = build_cluster(env, ClusterSpec(
@@ -407,6 +399,7 @@ def run_graph_far_memory(ctx) -> Dict[str, Any]:
 
 def comm_fabric_launch(ctx, context_bytes: int = 4096, launches: int = 20,
                        kernel_ns: float = 0.0) -> float:
+    from ...baselines import CommFabricChannel
     env = ctx.env("comm-fabric")
     nic = CommFabricChannel(env)
 
@@ -448,6 +441,7 @@ def fabric_accelerator_launch(ctx, context_bytes: int = 4096,
 def scalable_function_launch(ctx, context_bytes: int = 4096,
                              launches: int = 20,
                              kernel_ns: float = 0.0) -> float:
+    from ...core import FunctionChassis, HandlerResult, ScalableFunction
     env = ctx.env("scalable-function")
     topo = Topology(env)
     topo.add_switch("sw0")

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict
 
 from ... import params
-from ...control import CreditActuator, FeedbackPolicy, default_feedback_policy
 from ...fabric import Channel, Packet, PacketKind
 from ...infra import ClusterSpec, build_cluster
 from ...pcie.credits import (CreditDomain, RampUpPolicy,
@@ -34,16 +33,14 @@ from ...pcie.credits import (CreditDomain, RampUpPolicy,
 from ...sim import run_proc
 from ...telemetry.causal import SERIALIZATION
 from ...telemetry.core import span
-from ...telemetry.health import DEFAULT_WINDOW_NS
-from ...telemetry.sampler import DEFAULT_INTERVAL_NS
 from ...topo import compile_topology, load_shape
 from ..registry import ExperimentError, Param, experiment
 
 #: Observer settings, read by the run context when observed.
 _OBSERVER_PARAMS = {
-    "interval_ns": Param(float, DEFAULT_INTERVAL_NS,
+    "interval_ns": Param(float, params.SAMPLER_INTERVAL_NS,
                          "timeline sampler period (sim ns)"),
-    "window_ns": Param(float, DEFAULT_WINDOW_NS,
+    "window_ns": Param(float, params.HEALTH_WINDOW_NS,
                        "health window width (sim ns)"),
     "causal_sample": Param(int, 1,
                            "sample 1-in-N transaction roots"),
@@ -122,7 +119,8 @@ STARVATION_POLICIES: Dict[str, Callable[[], Any]] = {
 }
 
 
-def _default_rescue() -> FeedbackPolicy:
+def _default_rescue() -> Any:
+    from ...control import FeedbackPolicy, default_feedback_policy
     return FeedbackPolicy(default_feedback_policy("starvation"),
                           source="default")
 
@@ -140,6 +138,7 @@ def _default_rescue() -> FeedbackPolicy:
                               "default, or a feedback-policy JSON "
                               "path")})
 def run_starvation(ctx) -> Dict[str, Any]:
+    from ...control import CreditActuator
     if ctx.policy not in STARVATION_POLICIES:
         raise ExperimentError(
             f"unknown starvation policy {ctx.policy!r}; choose from "

@@ -17,11 +17,14 @@ for:
 Observer settings are the ones an experiment passes to
 :meth:`RunContext.env`, else its own parameters when it declares them
 (``interval_ns``, ``window_ns``, ``causal_sample``), else the
-telemetry defaults.  Every observer is a pure observer,
-so observing never changes a summary; only a feedback policy acts on
-the model.  An unobserved environment is a bare ``Environment()`` the
-context does not keep, and the observer modules are imported only
-when something observes.
+telemetry defaults (``repro.params``).  Every observer is a pure
+observer, so observing never changes a summary; only a feedback policy
+acts on the model.  An unobserved environment is a bare
+``Environment()`` the context does not keep.  No observer module
+(``telemetry.health``, ``sampler``, ``attribution``, ``dashboard``,
+``perfetto``) is imported until something observes:
+``tests/test_import_footprint.py::test_unobserved_fabric_run_loads_no_observer``
+pins this.
 
 After the run, :meth:`RunContext.documents` builds one document per
 requested observer and environment, keyed by the environment's label
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..params import HEALTH_WINDOW_NS, SAMPLER_INTERVAL_NS
 from ..sim import Environment
 from .registry import OBSERVERS, ExperimentError, get
 
@@ -191,16 +195,13 @@ class RunContext:
         if observe & _TELEMETRY:
             from ..telemetry.causal import CausalRecorder
             from ..telemetry.core import Telemetry
-            from ..telemetry.health import (DEFAULT_WINDOW_NS,
-                                            HealthMonitor, check_cadence)
-            from ..telemetry.sampler import (DEFAULT_INTERVAL_NS,
-                                             TimelineSampler)
+            from ..telemetry.health import HealthMonitor, check_cadence
+            from ..telemetry.sampler import TimelineSampler
             if interval_ns is None:
                 interval_ns = self.params.get("interval_ns",
-                                              DEFAULT_INTERVAL_NS)
+                                              SAMPLER_INTERVAL_NS)
             if window_ns is None:
-                window_ns = self.params.get("window_ns",
-                                            DEFAULT_WINDOW_NS)
+                window_ns = self.params.get("window_ns", HEALTH_WINDOW_NS)
             check_cadence(interval_ns,
                           window_ns if "health" in observe else None)
             causal = None

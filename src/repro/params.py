@@ -125,6 +125,19 @@ DRAM_ROW_HIT_NS = 15.0
 DRAM_ROW_MISS_NS = 45.0
 DRAM_BUS_NS_PER_CACHELINE = 3.2
 
+# --------------------------------------------------------------------------
+# Observer defaults (repro.telemetry).  They live here, not in the
+# observer modules, because experiment parameter schemas use them as
+# defaults and an unobserved run must not import an observer.
+# --------------------------------------------------------------------------
+
+# Timeline sampler cadence: fine enough to resolve credit rebalance
+# periods (1-10 us) without dominating small runs.
+SAMPLER_INTERVAL_NS = 1_000.0
+# Health tumbling-window width: one credit rebalance period, so windowed
+# stall shares line up with the control-plane cadence they drive.
+HEALTH_WINDOW_NS = 2_000.0
+
 
 @dataclasses.dataclass(frozen=True)
 class LinkParams:

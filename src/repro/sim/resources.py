@@ -53,7 +53,8 @@ call instead of blocking forever.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, List, Optional
 
 from .engine import NORMAL, _PENDING, _PUT_MARK, Environment, Event
 
@@ -319,6 +320,8 @@ class Store:
     ``put`` blocks when the store is full; ``get`` blocks when empty.
     ``get`` may take a filter predicate to take the first matching item
     (used e.g. to pull a completion for a specific transaction tag).
+    ``items`` is a deque, so taking the head is O(1) however long the
+    queue grows.
     """
 
     __slots__ = ("env", "capacity", "items", "_put_waiters", "_get_waiters")
@@ -330,7 +333,7 @@ class Store:
             _check_whole_capacity(type(self).__name__, capacity)
         self.env = env
         self.capacity = capacity
-        self.items: List[Any] = []
+        self.items: Deque[Any] = deque()
         self._put_waiters: List[StorePut] = []
         self._get_waiters: List[StoreGet] = []
 
@@ -398,13 +401,15 @@ class Store:
         self.items.append(item)
 
     def _take(self, filter: Optional[Callable[[Any], bool]]) -> Any:
+        items = self.items
         if filter is None:
-            if self.items:
-                return self.items.pop(0)
+            if items:
+                return items.popleft()
             return _NOTHING
-        for i, item in enumerate(self.items):
+        for i, item in enumerate(items):
             if filter(item):
-                return self.items.pop(i)
+                del items[i]
+                return item
         return _NOTHING
 
     def _do_get(self, event: StoreGet) -> bool:
@@ -453,8 +458,14 @@ class PriorityStore(Store):
     """A store whose items leave in ascending sort order.
 
     Items must be comparable; use tuples ``(priority, seq, payload)`` to
-    get deterministic FIFO-within-priority behaviour.
+    get deterministic FIFO-within-priority behaviour.  ``items`` is a
+    heap-ordered list.
     """
+
+    def __init__(self, env: Environment,
+                 capacity: float = float("inf")) -> None:
+        super().__init__(env, capacity)
+        self.items: List[Any] = []
 
     def _insert(self, item: Any) -> None:
         heapq.heappush(self.items, item)

@@ -35,49 +35,18 @@ the exact pattern of ``Environment(sanitize=True)``; a telemetry-on
 run is scheduling-identical to a telemetry-off run.
 """
 
-from .attribution import (
-    AttributionError,
-    TDigest,
-    build_report,
-    validate_attribution,
-)
-from .causal import CausalRecorder, TraceContext
-from .core import Telemetry, span
-from .dashboard import render_dashboard
-from .health import (
-    HealthError,
-    HealthMonitor,
-    SloSpec,
-    default_slo_spec,
-    run_health,
-    validate_health_report,
-)
-from .metrics import Counter, Gauge, Histogram, MetricRegistry
-from .perfetto import ChromeTraceError, to_chrome_trace, validate_chrome_trace
-from .sampler import TimelineSampler
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AttributionError",
-    "CausalRecorder",
-    "ChromeTraceError",
-    "Counter",
-    "Gauge",
-    "HealthError",
-    "HealthMonitor",
-    "Histogram",
-    "MetricRegistry",
-    "SloSpec",
-    "TDigest",
-    "Telemetry",
-    "TimelineSampler",
-    "TraceContext",
-    "build_report",
-    "default_slo_spec",
-    "render_dashboard",
-    "run_health",
-    "span",
-    "to_chrome_trace",
-    "validate_chrome_trace",
-    "validate_attribution",
-    "validate_health_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "attribution": ("AttributionError", "TDigest", "build_report",
+                    "validate_attribution"),
+    "causal": ("CausalRecorder", "TraceContext"),
+    "core": ("Telemetry", "span"),
+    "dashboard": ("render_dashboard",),
+    "health": ("HealthError", "HealthMonitor", "SloSpec",
+               "default_slo_spec", "run_health", "validate_health_report"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricRegistry"),
+    "perfetto": ("ChromeTraceError", "to_chrome_trace",
+                 "validate_chrome_trace"),
+    "sampler": ("TimelineSampler",),
+})

@@ -48,20 +48,16 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..params import HEALTH_WINDOW_NS as DEFAULT_WINDOW_NS
+from ..params import SAMPLER_INTERVAL_NS as DEFAULT_INTERVAL_NS
 from .attribution import SpanRecord, TransactionTrace
 from .causal import CATEGORIES
 from .core import Telemetry
 from .metrics import Counter, Gauge, Histogram
-from .sampler import DEFAULT_INTERVAL_NS
 
 __all__ = ["HealthError", "SloSpec", "HealthMonitor", "run_health",
            "check_cadence", "default_slo_spec", "validate_health_report",
            "DEFAULT_WINDOW_NS"]
-
-#: Default tumbling-window width (ns): one credit rebalance period, so
-#: windowed stall shares line up with the control-plane cadence they
-#: will eventually drive.
-DEFAULT_WINDOW_NS = 2_000.0
 
 #: float-noise guard for window-edge comparisons
 _EPS = 1e-9

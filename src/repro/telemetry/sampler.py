@@ -19,11 +19,9 @@ from __future__ import annotations
 
 from typing import Generator
 
-__all__ = ["TimelineSampler"]
+from ..params import SAMPLER_INTERVAL_NS as DEFAULT_INTERVAL_NS
 
-#: Default sampling cadence (ns): fine enough to resolve credit
-#: rebalance periods (1-10 us) without dominating small runs.
-DEFAULT_INTERVAL_NS = 1_000.0
+__all__ = ["TimelineSampler"]
 
 
 class TimelineSampler:

@@ -19,65 +19,17 @@ Committed shapes live in ``repro/topo/shapes/*.json``; ``repro topo
 {list,show,validate}`` is the CLI face.
 """
 
-from .compiler import CompiledFabric, compile_topology
-from .descriptor import (
-    DescriptorError,
-    EndpointSpec,
-    LinkClassSpec,
-    PodSpec,
-    SwitchLinkSpec,
-    SwitchSpec,
-    TopologyDescriptor,
-    load_descriptor,
-)
-from .generators import (
-    GENERATORS,
-    GenParam,
-    Generator,
-    build_generated,
-    chain,
-    dragonfly,
-    fat_tree,
-    generator_names,
-    star,
-)
-from .resolve import (
-    SHAPES_DIR,
-    UnknownTopologyError,
-    load_shape,
-    resolve_topology,
-    shape_names,
-    topology_choices,
-)
-from .verify import VerificationError, ecmp_counts, verify_reachability
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CompiledFabric",
-    "DescriptorError",
-    "EndpointSpec",
-    "GENERATORS",
-    "GenParam",
-    "Generator",
-    "LinkClassSpec",
-    "PodSpec",
-    "SHAPES_DIR",
-    "SwitchLinkSpec",
-    "SwitchSpec",
-    "TopologyDescriptor",
-    "UnknownTopologyError",
-    "VerificationError",
-    "build_generated",
-    "chain",
-    "compile_topology",
-    "dragonfly",
-    "ecmp_counts",
-    "fat_tree",
-    "generator_names",
-    "load_descriptor",
-    "load_shape",
-    "resolve_topology",
-    "shape_names",
-    "star",
-    "topology_choices",
-    "verify_reachability",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "compiler": ("CompiledFabric", "compile_topology"),
+    "descriptor": ("DescriptorError", "EndpointSpec", "LinkClassSpec",
+                   "PodSpec", "SwitchLinkSpec", "SwitchSpec",
+                   "TopologyDescriptor", "load_descriptor"),
+    "generators": ("GENERATORS", "GenParam", "Generator", "build_generated",
+                   "chain", "dragonfly", "fat_tree", "generator_names",
+                   "star"),
+    "resolve": ("SHAPES_DIR", "UnknownTopologyError", "load_shape",
+                "resolve_topology", "shape_names", "topology_choices"),
+    "verify": ("VerificationError", "ecmp_counts", "verify_reachability"),
+})

@@ -5,6 +5,8 @@ and one *clean* mini-package per rule, exercised through the same
 :func:`run_program` entry point the CLI uses.
 """
 
+import importlib
+import inspect
 import json
 import time
 from pathlib import Path
@@ -65,6 +67,58 @@ class TestCallGraph:
         graph = build_callgraph(index)
         reach = graph.reachable_from(iter(["taint_bad.driver.worker"]))
         assert "taint_bad.clockutil.jitter" in reach
+
+
+@pytest.fixture(scope="module")
+def repo_graph():
+    return build_callgraph(build_index())
+
+
+class TestRepoResolution:
+    """The index sees eager re-exports, lazy export maps and imports
+    made inside a function body."""
+
+    def test_every_package_export_resolves_to_its_definition(
+            self, repo_graph):
+        pytest.importorskip("numpy")    # repro.workloads' MIMO names
+        index = repo_graph.index
+        checked = 0
+        for package, info in sorted(index.modules.items()):
+            if not info.is_package:
+                continue
+            module = importlib.import_module(package)
+            for name in getattr(module, "__all__", ()):
+                value = getattr(module, name)
+                if inspect.ismodule(value):
+                    expected = value.__name__
+                elif (inspect.isclass(value) or inspect.isfunction(value)) \
+                        and value.__module__.startswith("repro."):
+                    expected = f"{value.__module__}.{value.__qualname__}"
+                else:
+                    continue            # a constant has no definition site
+                assert index.resolve(package, name) == expected, \
+                    f"{package}.{name}"
+                checked += 1
+        assert checked > 250
+
+    def test_function_scoped_imports_make_edges(self, repo_graph):
+        chain = repo_graph.shortest_chain(
+            "repro.experiments.defs.movement.run_movement_case",
+            "repro.core.movement.MovementOrchestrator.attach_host")
+        assert chain is not None
+        mimo = {e.callee for e in repo_graph.edges
+                if e.caller.startswith("repro.experiments.defs.mimo.")}
+        assert "repro.workloads.mimo.make_frame" in mimo
+        assert "repro.core.unifabric.UniFabric.__init__" in {
+            e.callee for e in repo_graph.callees(
+                "repro.experiments.defs.cfc.run_arbiter_case")}
+
+    def test_lazy_export_map_resolves_through_the_package(self, repo_graph):
+        index = repo_graph.index
+        assert index.resolve("repro", "UniFabric") \
+            == "repro.core.unifabric.UniFabric"
+        assert index.resolve("repro", "params") == "repro.params"
+        assert index.resolve("repro.core", "no_such_name") is None
 
 
 class TestDeterminismTaint:

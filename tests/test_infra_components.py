@@ -303,7 +303,7 @@ class TestStoreEdges:
         env.process(producer())
         env.run(until=100)
         assert got == [("wanted", 10)]
-        assert store.items == ["other"]
+        assert list(store.items) == ["other"]
 
 
 class TestHdmInterleaving:

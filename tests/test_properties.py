@@ -709,7 +709,10 @@ def run_handoffs(kit, plan, sanitize=False):
                 # Remove the head item from outside the store, without
                 # a trigger.
                 items = stores[op[1]].items
-                log.append((env.now, label, items.pop(0) if items else None))
+                head = items[0] if items else None
+                if items:
+                    del items[0]
+                log.append((env.now, label, head))
                 continue
             elif kind == "rel":
                 if held:

@@ -830,7 +830,7 @@ def test_put_marker_counted_when_reached_not_at_call(sanitize):
     cut, drained, items, level = run(forget=True)
     assert (cut, drained, items, level) == run(forget=False)
     assert drained == cut + 3     # both puts and the completion
-    assert items == ["x"] and level == 1
+    assert list(items) == ["x"] and level == 1
 
 
 def test_put_marker_is_not_an_elided_event():

@@ -401,7 +401,7 @@ def test_get_after_external_removal_serves_the_blocked_put():
 
     def consumer():
         yield env.timeout(1)
-        store.items.pop(0)                # "x" leaves without a trigger
+        store.items.popleft()             # "x" leaves without a trigger
         log.append(("got", (yield store.get()), env.now))
 
     env.process(producer())
@@ -432,7 +432,7 @@ def test_clock_dependent_filter_is_served_before_a_new_put():
     env.process(consumer())
     env.run()
     assert log == [("got", "x", 2), ("put y", 2)]
-    assert store.items == ["y"]
+    assert list(store.items) == ["y"]
 
 
 def test_waiting_filtered_getter_keeps_its_turn_over_a_new_get():
