@@ -12,7 +12,9 @@
   ``TaskRuntime(recovery="restart")``.
 """
 
-from .commfabric import CommFabricChannel
-from .static_heap import StaticPlacementHeap
+from .._lazy import lazy_exports
 
-__all__ = ["CommFabricChannel", "StaticPlacementHeap"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "commfabric": ("CommFabricChannel",),
+    "static_heap": ("StaticPlacementHeap",),
+})

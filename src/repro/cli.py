@@ -40,7 +40,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import params
 from .fabric import format_table1
@@ -433,17 +433,32 @@ def _write_documents(out: Path, outputs, observe: List[str]) -> None:
                     render_dashboard(doc))
 
 
+def _run_errors() -> Tuple[type, ...]:
+    """The errors ``bench`` and ``sweep`` report and exit 2 on.
+
+    ``HealthError`` and ``ControlError`` count once their modules are
+    loaded: only the health observer, an SLO spec or a feedback policy
+    loads them, and a run that did not cannot raise them.  An
+    ``except`` clause evaluates this when an exception reaches it, so
+    an unobserved run imports neither module."""
+    from .experiments import ExperimentError
+    errors: List[type] = [ExperimentError]
+    for module, name in (("repro.telemetry.health", "HealthError"),
+                         ("repro.control.actuator", "ControlError")):
+        if module in sys.modules:
+            errors.append(getattr(sys.modules[module], name))
+    return tuple(errors)
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     """Run one registered experiment; print its table (or --json).
 
     Exits 1, naming each on stderr, when the run breaks one of the
     experiment's registered paper-shape invariants or a sanitizer
     reports a finding."""
-    from .control import ControlError
     from .experiments import (ExperimentError, ExperimentSpec, get,
                               render, run_experiment)
     from .experiments.registry import OBSERVERS
-    from .telemetry.health import HealthError, SloSpec
     observe = [name for name in args.observe.split(",") if name]
     try:
         defn = get(args.experiment)
@@ -456,6 +471,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if args.slo:
             if "health" not in observe:
                 raise ExperimentError("--slo needs --observe health")
+            from .telemetry.health import SloSpec
             slo = SloSpec.load(args.slo)
         overrides = {}
         for item in args.set:
@@ -483,7 +499,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 profiler.dump_stats(args.profile)
         else:
             result = run_experiment(spec, slo)
-    except (ExperimentError, HealthError, ControlError) as exc:
+    except _run_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     outputs = result["outputs"]
@@ -510,14 +526,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run (or resume) a declarative sweep into ``--out``."""
-    from .control import ControlError
-    from .experiments import (ExperimentError, load_sweep_spec,
-                              run_sweep)
-    from .telemetry.health import HealthError
+    from .experiments import load_sweep_spec, run_sweep
     try:
         sweep = load_sweep_spec(args.spec)
         run_sweep(sweep, args.out, workers=args.workers, progress=print)
-    except (ExperimentError, HealthError, ControlError) as exc:
+    except _run_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

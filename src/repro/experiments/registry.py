@@ -3,14 +3,21 @@
 An :class:`ExperimentDef` is the declarative description of one
 experiment: a name, a one-line description, a typed parameter schema
 (defaults included), the function that runs it, and the paper-shape
-invariants its summary must satisfy.  Definitions live in
-:mod:`repro.experiments.defs` and register themselves at import time
-via the :func:`experiment` decorator; everything else — ``repro
-bench``/``repro list`` and the sweep driver — resolves experiments
-through this registry instead of hard-coding builders.  A run function
-takes a :class:`~repro.experiments.observe.RunContext` and gets every
-environment from ``ctx.env(label)``, so any experiment can produce
-every output in :data:`ALL_OUTPUTS`.
+invariants its summary must satisfy.  Definitions live in the modules
+of :mod:`repro.experiments.defs` and register themselves when their
+module is imported, via the :func:`experiment` decorator; everything
+else — ``repro bench``/``repro list`` and the sweep driver — resolves
+experiments through this registry instead of hard-coding builders.  A
+run function takes a :class:`~repro.experiments.observe.RunContext`
+and gets every environment from ``ctx.env(label)``, so any experiment
+can produce every output in :data:`ALL_OUTPUTS`.
+
+:func:`get` imports only the module that
+:data:`repro.experiments.defs.INDEX` names for the experiment;
+:func:`names`, :func:`describe` and the unknown-name error import
+every module, so they list every experiment.  An index entry whose
+module does not register the name is an :class:`ExperimentError`
+naming both.
 
 An invariant is a ``(name, predicate)`` pair; ``predicate(summary,
 params)`` returns whether the paper's claim holds on that run.  A
@@ -22,8 +29,11 @@ arithmetic error counts as broken.
 from __future__ import annotations
 
 import dataclasses
+from importlib import import_module
 from typing import (Any, Callable, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
+
+from .defs import INDEX
 
 __all__ = ["Param", "Invariant", "ExperimentDef", "ExperimentError",
            "UnknownExperimentError", "experiment", "register", "get",
@@ -175,29 +185,44 @@ def experiment(name: str, description: str,
     return wrap
 
 
-def _ensure_loaded() -> None:
-    # Definitions self-register on import; cheap after the first call.
-    from . import defs   # noqa: F401
+#: Experiment name -> the ``defs`` module that registers it.
+_HOME = {name: module for module, listed in INDEX.items()
+         for name in listed}
+
+
+def _import_defs(module: str) -> None:
+    import_module(f"{__package__}.defs.{module}")
 
 
 def get(name: str) -> ExperimentDef:
-    """Look up a definition; raises :class:`UnknownExperimentError`."""
-    _ensure_loaded()
+    """Look up a definition, importing only the module that holds it.
+
+    Raises :class:`UnknownExperimentError` for a name the index does
+    not hold, and :class:`ExperimentError` if the indexed module does
+    not register it."""
     defn = _REGISTRY.get(name)
     if defn is None:
-        raise UnknownExperimentError(name)
+        module = _HOME.get(name)
+        if module is None:
+            raise UnknownExperimentError(name)
+        _import_defs(module)
+        defn = _REGISTRY.get(name)
+        if defn is None:
+            raise ExperimentError(
+                f"experiment {name!r} is indexed under "
+                f"{__package__}.defs.{module}, which does not register it")
     return defn
 
 
 def names() -> List[str]:
-    """Sorted registered names."""
-    _ensure_loaded()
+    """Sorted registered names, after importing every ``defs`` module."""
+    for module in INDEX:
+        _import_defs(module)
     return sorted(_REGISTRY)
 
 
 def describe() -> List[Dict[str, Any]]:
     """One row per experiment, for ``repro list`` and docs."""
-    _ensure_loaded()
     return [{"name": name,
              "description": _REGISTRY[name].description,
              "params": {key: {"type": param.type.__name__,

@@ -7,48 +7,17 @@ memory — plus the host-side cache hierarchy that transparently
 accelerates them (difference #1).
 """
 
-from .cache import AccessResult, CacheConfig, SetAssociativeCache, VictimBuffer
-from .coherence import (
-    CoherenceError,
-    Directory,
-    DirectoryEntry,
-    LineState,
-    SnoopAction,
-)
-from .coma import ComaCluster, ComaError, ComaStats
-from .dram import DramDevice
-from .hierarchy import AddressMap, HostMemorySystem, Region, default_cache_configs
-from .nodes import (
-    AccessFault,
-    CcNumaNode,
-    CpulessExpander,
-    MemoryNode,
-    NodeKind,
-    NonCcNumaNode,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AccessResult",
-    "CacheConfig",
-    "SetAssociativeCache",
-    "VictimBuffer",
-    "CoherenceError",
-    "Directory",
-    "DirectoryEntry",
-    "LineState",
-    "SnoopAction",
-    "ComaCluster",
-    "ComaError",
-    "ComaStats",
-    "DramDevice",
-    "AddressMap",
-    "HostMemorySystem",
-    "Region",
-    "default_cache_configs",
-    "AccessFault",
-    "CcNumaNode",
-    "CpulessExpander",
-    "MemoryNode",
-    "NodeKind",
-    "NonCcNumaNode",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": ("AccessResult", "CacheConfig", "SetAssociativeCache",
+              "VictimBuffer"),
+    "coherence": ("CoherenceError", "Directory", "DirectoryEntry",
+                  "LineState", "SnoopAction"),
+    "coma": ("ComaCluster", "ComaError", "ComaStats"),
+    "dram": ("DramDevice",),
+    "hierarchy": ("AddressMap", "HostMemorySystem", "Region",
+                  "default_cache_configs"),
+    "nodes": ("AccessFault", "CcNumaNode", "CpulessExpander", "MemoryNode",
+              "NodeKind", "NonCcNumaNode"),
+})

@@ -50,7 +50,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..params import HEALTH_WINDOW_NS as DEFAULT_WINDOW_NS
 from ..params import SAMPLER_INTERVAL_NS as DEFAULT_INTERVAL_NS
-from .attribution import SpanRecord, TransactionTrace
 from .causal import CATEGORIES
 from .core import Telemetry
 from .metrics import Counter, Gauge, Histogram
@@ -453,7 +452,7 @@ class HealthMonitor:
         # attribution.collect_transactions, fed by the tap instead of
         # an end-of-run ring scan.
         self._txns: Dict[int, Dict[str, Any]] = {}
-        self._open_spans: Dict[int, SpanRecord] = {}
+        self._open_spans: Dict[int, "SpanRecord"] = {}
         self._pending: List[Tuple] = []
         telemetry.causal.tap = self._pending.append
         telemetry.add_ticker(self._tick)
@@ -486,6 +485,7 @@ class HealthMonitor:
         self._finalized = True
 
     def _drain_pending(self) -> None:
+        from .attribution import SpanRecord
         txns, open_spans = self._txns, self._open_spans
         for record in self._pending:
             tag = record[0]
@@ -515,6 +515,7 @@ class HealthMonitor:
         self._pending.clear()
 
     def _close_window(self, t1: float, final: bool = False) -> None:
+        from .attribution import TransactionTrace
         index = len(self.windows)
         t0 = index * self.window_ns
         registry = self.telemetry.registry

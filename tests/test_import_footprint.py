@@ -45,8 +45,9 @@ def loaded_unused():
 """
 
 #: Every package whose exports load lazily.
-PACKAGES = ("repro", "repro.core", "repro.telemetry", "repro.topo",
-            "repro.control", "repro.experiments", "repro.workloads")
+PACKAGES = ("repro", "repro.baselines", "repro.core", "repro.mem",
+            "repro.telemetry", "repro.topo", "repro.control",
+            "repro.experiments", "repro.workloads")
 
 
 def _python(code: str) -> str:
@@ -138,6 +139,63 @@ print(json.dumps([status] + [m in sys.modules for m in (
     "repro.telemetry.attribution")]))
 """)
     assert seen == [0, True, True, True]
+
+
+def test_unobserved_bench_cli_loads_no_health_attribution_or_control():
+    seen = _fresh("""
+import contextlib, io, json, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(["bench", "flit_rtt"])
+print(json.dumps([status] + [m for m in (
+    "repro.telemetry.health", "repro.telemetry.attribution",
+    "repro.control") if m in sys.modules]))
+""")
+    assert seen == [0]
+
+
+def test_bench_cli_reports_health_and_control_errors_from_a_cold_start(
+        tmp_path):
+    """``bench`` catches ``HealthError``/``ControlError`` without
+    importing their modules up front."""
+    missing = str(tmp_path / "missing.json")
+    seen = _fresh(f"""
+import contextlib, io, json, sys
+from repro.cli import main
+statuses = []
+for argv in (["t2", "--observe", "health", "--slo", {missing!r}],
+             ["starvation", "--set", "feedback=" + {missing!r}]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        statuses.append([main(["bench", *argv]),
+                         err.getvalue().split(" ", 3)[:3]])
+print(json.dumps(statuses))
+""")
+    assert seen == [[2, ["error:", "cannot", "read"]]] * 2
+
+
+def test_health_module_leaves_attribution_unloaded():
+    seen = _fresh("""
+import json, sys
+import repro.telemetry.health
+print(json.dumps("repro.telemetry.attribution" in sys.modules))
+""")
+    assert seen is False
+
+
+@pytest.mark.parametrize("name,unused", [
+    ("table2_hierarchy", "repro.mem.coma"),
+    ("sync_vs_async", "repro.core.heap"),
+])
+def test_run_loads_no_model_it_does_not_use(name, unused):
+    seen = _fresh(f"""
+import json, sys
+from repro.experiments import ExperimentSpec, run_experiment
+result = run_experiment(ExperimentSpec({name!r}))
+print(json.dumps([{unused!r} in sys.modules,
+                  all(result["invariants"].values())]))
+""")
+    assert seen == [False, True]
 
 
 @pytest.mark.parametrize("package", PACKAGES)
