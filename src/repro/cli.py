@@ -2,12 +2,6 @@
 
 Commands:
 
-* ``info``    — print the Table 1 fabric catalog and a default rack;
-* ``table2``  — quick calibration check against the paper's Table 2;
-* ``demo``    — a one-minute tour: build a rack, run a workload, print
-  the latency contrast and the heap/migration stats;
-* ``perf``    — kernel microbenchmark + ``Environment.stats`` counters
-  (events processed, events/sec, peak queue depth, pool sizes);
 * ``check``   — fcc-check correctness tooling: ``--lint`` runs the
   static determinism/lifecycle lint over the package (or given paths),
   ``--program`` the whole-program analysis; ``--json`` for
@@ -42,126 +36,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from . import params
-from .fabric import format_table1
-from .infra import ClusterSpec, build_cluster
 from .sim import Environment
 
 __all__ = ["main"]
-
-
-def cmd_info(_args: argparse.Namespace) -> int:
-    print(format_table1())
-    print()
-    env = Environment()
-    cluster = build_cluster(env, ClusterSpec(hosts=2))
-    print(cluster.describe())
-    return 0
-
-
-def cmd_table2(_args: argparse.Namespace) -> int:
-    """Measure the four Table 2 latency rows on a fresh rack."""
-    env = Environment()
-    cluster = build_cluster(env, ClusterSpec(hosts=1))
-    host = cluster.host(0)
-    base = host.remote_base("fam0")
-    rows = []
-
-    def measure():
-        cases = [
-            ("local read", 0x40000, False, params.LOCAL_MEM_READ_NS),
-            ("local write", 0x80000, True, params.LOCAL_MEM_WRITE_NS),
-            ("remote read", base + 0x40000, False,
-             params.REMOTE_MEM_READ_NS),
-            ("remote write", base + 0x80000, True,
-             params.REMOTE_MEM_WRITE_NS),
-        ]
-        for label, addr, is_write, target in cases:
-            start = env.now
-            yield from host.mem.access(addr, is_write)
-            rows.append((label, env.now - start, target))
-        # Warm hits for the cache rows.
-        yield from host.mem.access(0x40000, False)
-        start = env.now
-        yield from host.mem.access(0x40000, False)
-        rows.insert(0, ("L1 read (hit)", env.now - start,
-                        params.L1_READ_NS))
-
-    proc = env.process(measure())
-    env.run(until=10_000_000, until_event=proc)
-    print(f"{'case':<16} {'sim ns':>10} {'paper ns':>10}")
-    status = 0
-    for label, measured, target in rows:
-        marker = ""
-        if abs(measured - target) / target > 0.02:
-            marker = "  <-- off"
-            status = 1
-        print(f"{label:<16} {measured:>10.1f} {target:>10.1f}{marker}")
-    return status
-
-
-def cmd_demo(_args: argparse.Namespace) -> int:
-    from .core import HeapRuntime, MovementOrchestrator, UnifiedHeap
-    env = Environment()
-    cluster = build_cluster(env, ClusterSpec(hosts=1))
-    host = cluster.host(0)
-    engine = MovementOrchestrator(env).attach_host(host)
-    heap = UnifiedHeap(env, host, engine)
-    heap.add_bin("local", start=1 << 20, size=128 * 1024, tier="local",
-                 is_remote=False)
-    heap.add_bin("fam0", start=host.remote_base("fam0"), size=8 << 20,
-                 tier="cpuless-numa", is_remote=True)
-    runtime = HeapRuntime(env, heap, local_bin="local",
-                          interval_ns=5_000.0, promote_threshold=3.0)
-    runtime.start()
-    hot = heap.allocate(4096, prefer_tier="cpuless-numa")
-    before = {}
-    after = {}
-
-    def workload():
-        start = env.now
-        yield from hot.read()
-        before["latency"] = env.now - start
-        before["tier"] = hot.tier
-        for _ in range(60):
-            yield from hot.read()
-            yield env.timeout(500.0)
-        host.mem.flush()   # defeat the cache: show the *placement* win
-        start = env.now
-        yield from hot.read()
-        after["latency"] = env.now - start
-        after["tier"] = hot.tier
-
-    proc = env.process(workload())
-    env.run(until=1_000_000_000, until_event=proc)
-    print("a hot object under the active heap:")
-    print(f"  first access : {before['latency']:8.1f} ns "
-          f"({before['tier']})")
-    print(f"  after warmup : {after['latency']:8.1f} ns "
-          f"({after['tier']}, {runtime.promotions} promotion(s))")
-    return 0
-
-
-def cmd_perf(args: argparse.Namespace) -> int:
-    """Time the kernel's steady-state stepping and print its counters."""
-    env = Environment()
-
-    def looper(steps: int):
-        timeout = env.timeout
-        for _ in range(steps):
-            yield timeout(1.0)
-
-    for _ in range(args.procs):
-        env.process(looper(args.steps))
-    env.run()
-    stats = env.stats
-    print(f"{'counter':<20} {'value':>16}")
-    for key, value in stats.items():
-        if isinstance(value, float):
-            print(f"{key:<20} {value:>16,.1f}")
-        else:
-            print(f"{key:<20} {value:>16,}")
-    return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -265,7 +142,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     """fcc-check: the static lint, the whole-program analysis, or a
     rule's explanation."""
     # Deferred import: the analysis package is tooling, not something
-    # `repro info` users should pay to load.
+    # an experiment run should pay to load.
     from . import analysis
 
     if args.explain:
@@ -541,15 +418,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="repro",
         description="UniFabric: Fabric-Centric Computing reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("info", help="fabric catalog + a default rack")
-    sub.add_parser("table2", help="quick Table 2 calibration check")
-    sub.add_parser("demo", help="one-minute heap/migration tour")
-    perf = sub.add_parser(
-        "perf", help="kernel microbenchmark + Environment.stats counters")
-    perf.add_argument("--procs", type=int, default=200,
-                      help="concurrent ticking processes (default 200)")
-    perf.add_argument("--steps", type=int, default=1000,
-                      help="timeout steps per process (default 1000)")
     check = sub.add_parser(
         "check", help="fcc-check: static lint + whole-program analysis "
                       "(runtime sanitizers: repro bench --observe "
@@ -672,9 +540,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="worker processes (default 1; any count "
                             "yields a byte-identical merged report)")
     args = parser.parse_args(argv)
-    handler = {"info": cmd_info, "table2": cmd_table2,
-               "demo": cmd_demo, "perf": cmd_perf,
-               "check": cmd_check, "compare": cmd_compare, "list": cmd_list,
+    handler = {"check": cmd_check, "compare": cmd_compare, "list": cmd_list,
                "bench": cmd_bench, "sweep": cmd_sweep,
                "topo": cmd_topo}[args.command]
     return handler(args)

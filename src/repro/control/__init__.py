@@ -10,11 +10,9 @@ The observe→decide→act loop over a running fabric simulation:
   to an actuator);
 * **act** — the :class:`ControlPlane` applies validated settings
   through uniform :class:`Actuator`\\ s wrapping the paper's
-  mechanisms: credit QoS (:class:`CreditActuator`), link credit
-  allocation (:class:`LinkActuator`), heap placement
-  (:class:`HeapActuator`) and movement pacing
-  (:class:`MovementActuator`), each action stamped with the window's
-  closing sim time and logged.
+  mechanisms: credit QoS (:class:`CreditActuator`) and link credit
+  allocation (:class:`LinkActuator`), each action stamped with the
+  window's closing sim time and logged.
 
 Everything stays deterministic: actions apply at window-close edges
 inside the sampler tick, so closed-loop runs are bit-identical across
@@ -26,8 +24,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "actuator": ("Actuator", "ControlError", "Knob"),
-    "actuators": ("CreditActuator", "HeapActuator", "LinkActuator",
-                  "MovementActuator"),
+    "actuators": ("CreditActuator", "LinkActuator"),
     "plane": ("ControlPlane",),
     "policy": ("FeedbackPolicy", "FeedbackRule", "default_feedback_policy"),
 })

@@ -1,11 +1,12 @@
 """The uniform actuation surface the control plane drives.
 
 An :class:`Actuator` wraps one runtime-reconfigurable mechanism — a
-credit domain's allocation policy, the heap runtime's thresholds, the
-movement service's pacing — behind the same three verbs:
+credit domain's allocation policy or a link VC's sender credits —
+behind the same three verbs:
 
 * :meth:`Actuator.describe` — the knob schema plus current settings,
-  so ``repro health --feedback`` can print what a policy may touch;
+  which the health document's ``control`` section lists so a reader
+  sees what a policy may touch;
 * :meth:`Actuator.current` — the live settings (captured before and
   after every apply, so the action log doubles as an audit trail);
 * :meth:`Actuator.apply` — validate a settings object against the

@@ -1,11 +1,12 @@
-"""The shipped actuators: credits, links, heap placement, movement.
+"""The shipped actuators: credit QoS and link credit allocation.
 
-Each wraps one mechanism's runtime-reconfiguration surface (added for
-this control plane) behind the :class:`~repro.control.actuator.Actuator`
-protocol.  None of them schedules kernel events of its own: applying a
-setting mutates attributes the mechanism's loops re-read, or performs
-the same immediate pool puts/gets a periodic rebalance would — so a
-closed-loop run stays deterministic across reruns.
+Each wraps one mechanism's runtime-reconfiguration surface behind the
+:class:`~repro.control.actuator.Actuator` protocol; experiments
+register them through ``ctx.add_actuator``.  Neither schedules kernel
+events of its own: applying a setting mutates attributes the
+mechanism's loops re-read, or performs the same immediate pool
+puts/gets a periodic rebalance would — so a closed-loop run stays
+deterministic across reruns.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from typing import Any, Dict
 from ..pcie.credits import CreditDomain, WeightedSharePolicy
 from .actuator import Actuator, ControlError, Knob
 
-__all__ = ["CreditActuator", "HeapActuator", "LinkActuator",
-           "MovementActuator"]
+__all__ = ["CreditActuator", "LinkActuator"]
 
 
 class CreditActuator(Actuator):
@@ -110,101 +110,3 @@ class LinkActuator(Actuator):
             self.link.grant_credits(self.vc, delta)
         elif delta < 0:
             self.link.revoke_credits(self.vc, -delta)
-
-
-class HeapActuator(Actuator):
-    """Retunes a :class:`~repro.core.heap.HeapRuntime` policy loop."""
-
-    def __init__(self, runtime, name: str = "heap") -> None:
-        super().__init__()
-        self.runtime = runtime
-        self.name = name
-
-    def knobs(self) -> Dict[str, Knob]:
-        return {
-            "interval_ns": Knob(
-                "interval_ns", "float",
-                "promote/demote pass cadence (sim ns)", positive=True),
-            "promote_threshold": Knob(
-                "promote_threshold", "float",
-                "temperature at/above which a remote object promotes",
-                positive=True),
-            "demote_threshold": Knob(
-                "demote_threshold", "float",
-                "temperature at/below which a local object may demote",
-                minimum=0.0),
-        }
-
-    def current(self) -> Dict[str, Any]:
-        return {"interval_ns": self.runtime.interval_ns,
-                "promote_threshold": self.runtime.promote_threshold,
-                "demote_threshold": self.runtime.demote_threshold}
-
-    def _validate(self, settings: Dict[str, Any]) -> None:
-        promote = settings.get("promote_threshold",
-                               self.runtime.promote_threshold)
-        demote = settings.get("demote_threshold",
-                              self.runtime.demote_threshold)
-        if promote <= demote:
-            raise ControlError(
-                f"{self.name}: promote_threshold ({promote:g}) must "
-                f"exceed demote_threshold ({demote:g})")
-
-    def _apply(self, settings: Dict[str, Any]) -> None:
-        self.runtime.reconfigure(
-            interval_ns=settings.get("interval_ns"),
-            promote_threshold=settings.get("promote_threshold"),
-            demote_threshold=settings.get("demote_threshold"))
-
-
-class MovementActuator(Actuator):
-    """Throttles a :class:`~repro.core.movement.MovementOrchestrator`.
-
-    ``pacing_ns`` inserts a per-transaction delay in every migration
-    agent (0 removes it); ``remote_bw_bytes_per_us`` retunes the
-    token-bucket refill rate (only on orchestrators built with a
-    bandwidth budget); ``burst_bytes`` caps the per-chunk token spend.
-    """
-
-    def __init__(self, orchestrator, name: str = "movement") -> None:
-        super().__init__()
-        self.orchestrator = orchestrator
-        self.name = name
-
-    def knobs(self) -> Dict[str, Knob]:
-        return {
-            "pacing_ns": Knob(
-                "pacing_ns", "float",
-                "per-transaction pacing delay across all agents "
-                "(0 removes pacing)", minimum=0.0),
-            "remote_bw_bytes_per_us": Knob(
-                "remote_bw_bytes_per_us", "float",
-                "token-bucket refill rate", positive=True),
-            "burst_bytes": Knob(
-                "burst_bytes", "int",
-                "maximum tokens one chunk may spend", minimum=1),
-        }
-
-    def current(self) -> Dict[str, Any]:
-        return {"pacing_ns": self.orchestrator.pacing_ns,
-                "remote_bw_bytes_per_us":
-                    self.orchestrator.remote_bw_bytes_per_us,
-                "burst_bytes": self.orchestrator.burst_bytes}
-
-    def _validate(self, settings: Dict[str, Any]) -> None:
-        if "remote_bw_bytes_per_us" in settings \
-                and not self.orchestrator._buckets:
-            raise ControlError(
-                f"{self.name}.remote_bw_bytes_per_us: the "
-                "orchestrator was built without a bandwidth budget; "
-                "construct it with remote_bw_bytes_per_us= to "
-                "throttle")
-
-    def _apply(self, settings: Dict[str, Any]) -> None:
-        if "remote_bw_bytes_per_us" in settings:
-            self.orchestrator.set_remote_bw(
-                settings["remote_bw_bytes_per_us"])
-        if "burst_bytes" in settings:
-            self.orchestrator.burst_bytes = settings["burst_bytes"]
-        if "pacing_ns" in settings:
-            self.orchestrator.set_pacing(settings["pacing_ns"])

@@ -393,29 +393,6 @@ class HeapRuntime:
             self._running = True
             self.env.process(self._loop(), name="heap-runtime", daemon=True)
 
-    def reconfigure(self, interval_ns: Optional[float] = None,
-                    promote_threshold: Optional[float] = None,
-                    demote_threshold: Optional[float] = None) -> None:
-        """Retune the policy loop mid-run (the actuator path).
-
-        Omitted fields keep their current values; the merged result
-        must satisfy the same invariants as ``__init__``.  The running
-        loop re-reads ``interval_ns`` each wakeup, so a new cadence
-        takes effect after the next pass without restarting it.
-        """
-        interval = self.interval_ns if interval_ns is None else interval_ns
-        promote = self.promote_threshold if promote_threshold is None \
-            else promote_threshold
-        demote = self.demote_threshold if demote_threshold is None \
-            else demote_threshold
-        if interval <= 0:
-            raise ValueError(f"interval_ns must be > 0, got {interval}")
-        if promote <= demote:
-            raise ValueError("promote threshold must exceed demote")
-        self.interval_ns = interval
-        self.promote_threshold = promote
-        self.demote_threshold = demote
-
     def _loop(self) -> Generator[Event, None, None]:
         while True:
             yield self.env.timeout(self.interval_ns)

@@ -3,7 +3,8 @@
 Three cooperating pieces:
 
 * :class:`MovementOrchestrator` — the central control-plane module: it
-  owns per-host remote-bandwidth budgets (token buckets), records the
+  owns per-host remote-bandwidth budgets (closed-form token buckets:
+  a wait costs one timeout and an idle budget no event), records the
   rack-scale traffic matrix the paper says memory fabrics create, and
   hosts one migration agent per memory domain;
 * :class:`MigrationAgent` — the executor for delegated transactions in
@@ -20,7 +21,7 @@ import itertools
 from typing import Dict, Generator, Optional, Tuple
 
 from .. import params
-from ..sim import Container, Environment, Event, PriorityStore
+from ..sim import Environment, Event, PriorityStore
 from ..telemetry import span
 from ..telemetry.causal import QUEUEING
 from .etrans import ETrans, ETransHandle, ElasticTransactionEngine, _finish
@@ -39,11 +40,6 @@ class MigrationAgent:
         self._queue = PriorityStore(env)
         self._seq = itertools.count()
         self.executed = 0
-        #: Per-transaction pacing delay (ns) inserted before service;
-        #: 0.0 (the default) yields no timeout at all, so an unpaced
-        #: agent schedules exactly the events it always did.  Set via
-        #: :meth:`MovementOrchestrator.set_pacing` (the actuator path).
-        self.pacing_ns = 0.0
         tel = env.telemetry
         self._causal = tel.causal if tel is not None else None
         if self._causal is not None:
@@ -68,8 +64,6 @@ class MigrationAgent:
     def _worker(self) -> Generator[Event, None, None]:
         while True:
             _, _, trans, handle = yield self._queue.get()
-            if self.pacing_ns > 0.0:
-                yield self.env.timeout(self.pacing_ns)
             if self._causal is not None:
                 open_span = trans.attributes.pop("_cspan", None)
                 if open_span is not None:
@@ -91,10 +85,11 @@ class MovementOrchestrator:
         self.env = env
         self.remote_bw_bytes_per_us = remote_bw_bytes_per_us
         self.burst_bytes = burst_bytes
-        self.pacing_ns = 0.0
         self._agents: Dict[str, MigrationAgent] = {}
         self._engines: Dict[str, ElasticTransactionEngine] = {}
-        self._buckets: Dict[str, Container] = {}
+        # host name -> sim time at which its bucket is full again (a
+        # host with no entry has a full bucket)
+        self._full_at: Dict[str, float] = {}
         # (src region name, dst region name) -> bytes moved
         self.traffic_matrix: Dict[Tuple[str, str], int] = {}
         self.bytes_moved = 0
@@ -114,17 +109,10 @@ class MovementOrchestrator:
         self._engines[host.name] = engine
         agent = MigrationAgent(
             self.env, engine, name=f"{host.name}.agent")
-        agent.pacing_ns = self.pacing_ns
         self._agents[host.name] = agent
         if self._tel is not None:
             self._tel.add_probe(f"movement.{host.name}.agent_backlog",
                                 agent.backlog, track="movement")
-        if self.remote_bw_bytes_per_us is not None:
-            bucket = Container(self.env, capacity=self.burst_bytes,
-                               init=self.burst_bytes)
-            self._buckets[host.name] = bucket
-            self.env.process(self._refill(bucket),
-                             name=f"{host.name}.bw-refill", daemon=True)
         return engine
 
     def engine(self, host_name: str) -> ElasticTransactionEngine:
@@ -140,12 +128,26 @@ class MovementOrchestrator:
         self._agents[host.name].enqueue(trans, handle)
 
     def admit(self, host, nbytes: int) -> Generator[Event, None, None]:
-        """Throttle: spend bandwidth tokens before a chunk may move."""
-        bucket = self._buckets.get(host.name)
-        if bucket is None:
+        """Throttle: spend bandwidth tokens before a chunk may move.
+
+        The host's bucket holds ``burst_bytes``, starts full and
+        refills continuously at ``remote_bw_bytes_per_us``; a chunk
+        spends ``min(nbytes, burst_bytes)``.  Its admit time is closed
+        form: the first instant the level covers the spend, and never
+        before a chunk admitted earlier (a waiting chunk empties the
+        bucket, so admission is FIFO in call order).
+        """
+        if self.remote_bw_bytes_per_us is None:
             return
             yield  # pragma: no cover - keeps this a generator
-        yield bucket.get(min(nbytes, self.burst_bytes))
+        rate = self.remote_bw_bytes_per_us / 1000.0   # bytes per ns
+        spend = min(nbytes, self.burst_bytes)
+        now = self.env.now
+        full_at = self._full_at.get(host.name, now)
+        admit_at = max(now, full_at - (self.burst_bytes - spend) / rate)
+        self._full_at[host.name] = max(full_at, admit_at) + spend / rate
+        if admit_at > now:
+            yield self.env.timeout(admit_at - now)
 
     def account(self, host, src_addr: int, dst_addr: int,
                 nbytes: int) -> None:
@@ -163,49 +165,6 @@ class MovementOrchestrator:
             return host.address_map.resolve(addr).name
         except KeyError:
             return "unmapped"
-
-    def set_pacing(self, pacing_ns: float) -> None:
-        """Fan a per-transaction pacing delay out to every agent.
-
-        The closed-loop throttle: a feedback rule that sees movement
-        saturating a window's link budget slows the agents instead of
-        rejecting work.  ``0.0`` removes the pacing (and with it any
-        extra timeout events).
-        """
-        if pacing_ns < 0:
-            raise ValueError(f"pacing_ns must be >= 0, got {pacing_ns}")
-        self.pacing_ns = pacing_ns
-        for agent in self._agents.values():
-            agent.pacing_ns = pacing_ns
-
-    def set_remote_bw(self, bytes_per_us: float) -> None:
-        """Retune the token-bucket refill rate on a throttled service.
-
-        Only valid when the orchestrator was constructed with a
-        bandwidth budget (buckets exist per attached host); the refill
-        loops re-read the rate each quantum, so the new rate takes
-        effect at the next 100 ns refill tick.
-        """
-        if bytes_per_us <= 0:
-            raise ValueError(
-                f"bytes_per_us must be > 0, got {bytes_per_us}")
-        if not self._buckets:
-            raise ValueError(
-                "orchestrator has no bandwidth buckets to retune; "
-                "construct it with remote_bw_bytes_per_us= to throttle")
-        self.remote_bw_bytes_per_us = bytes_per_us
-
-    def _refill(self, bucket: Container) -> Generator[Event, None, None]:
-        quantum_ns = 100.0
-        while True:
-            yield self.env.timeout(quantum_ns)
-            # Re-read the rate each quantum so set_remote_bw() acts at
-            # the next tick rather than whatever rate start-up saw.
-            per_quantum = self.remote_bw_bytes_per_us \
-                * quantum_ns / 1000.0
-            space = bucket.capacity - bucket.level
-            if space > 0:
-                yield bucket.put(min(per_quantum, space))
 
     def format_traffic_matrix(self) -> str:
         lines = ["traffic matrix (src region -> dst region, bytes):"]

@@ -7,11 +7,12 @@ regressions:
   an experiment whose ``events_per_sec`` dropped by the threshold (10%
   by default) is a perf regression; newly failing invariants always
   are;
-* **attribution payloads** (``repro why --json``): a category's share
-  of total critical-path time drifting by more than the threshold
-  (absolute), or a route's p95 latency growing by more than the
-  threshold (relative), flags a latency-composition regression — the
-  "it got slower *and here is which stage*" signal.
+* **attribution payloads** (the ``<label>.why.json`` document that
+  ``repro bench <exp> --observe why --out DIR`` writes): a category's
+  share of total critical-path time drifting by more than the
+  threshold (absolute), or a route's p95 latency growing by more than
+  the threshold (relative), flags a latency-composition regression —
+  the "it got slower *and here is which stage*" signal.
 
 Both payload types self-identify (``experiments`` vs.
 ``tool == "repro-why"``); mixing types is an error, not a diff.

@@ -19,10 +19,8 @@ from repro.control import (
     ControlPlane,
     CreditActuator,
     FeedbackPolicy,
-    HeapActuator,
     Knob,
     LinkActuator,
-    MovementActuator,
     default_feedback_policy,
 )
 from repro.pcie.credits import (CreditDomain, RampUpPolicy,
@@ -172,27 +170,6 @@ class TestLinkActuator:
     def test_granted_floor_is_one(self):
         with pytest.raises(ControlError, match="granted"):
             LinkActuator(self._link()).apply({"granted": 0}, time=0.0)
-
-
-class TestHeapAndMovementActuators:
-    def test_heap_cross_field_validation(self):
-        class _Runtime:
-            interval_ns = 1000.0
-            promote_threshold = 4.0
-            demote_threshold = 1.0
-        with pytest.raises(ControlError, match="must exceed"):
-            HeapActuator(_Runtime()).apply(
-                {"promote_threshold": 0.5}, time=0.0)
-
-    def test_movement_bw_needs_buckets(self):
-        class _Orch:
-            pacing_ns = 0.0
-            remote_bw_bytes_per_us = None
-            burst_bytes = 4096
-            _buckets = {}
-        with pytest.raises(ControlError, match="bandwidth budget"):
-            MovementActuator(_Orch()).apply(
-                {"remote_bw_bytes_per_us": 64.0}, time=0.0)
 
 
 # --------------------------------------------------------------------------

@@ -62,33 +62,30 @@ class TestClusterBuild:
 
 
 class TestTable2Latencies:
-    def test_remote_read_matches_paper(self):
+    @pytest.mark.parametrize("remote,is_write,warm,target", [
+        (False, False, True, params.L1_READ_NS),
+        (False, False, False, params.LOCAL_MEM_READ_NS),
+        (False, True, False, params.LOCAL_MEM_WRITE_NS),
+        (True, False, False, params.REMOTE_MEM_READ_NS),
+        (True, True, False, params.REMOTE_MEM_WRITE_NS),
+    ], ids=["l1_hit", "local_read", "local_write", "remote_read",
+            "remote_write"])
+    def test_row_matches_paper(self, remote, is_write, warm, target):
+        """Each Table 2 row lands within 2% of its `repro.params` value."""
         env = Environment()
         cluster = build_cluster(env, ClusterSpec(hosts=1))
         host = cluster.host(0)
-        base = host.remote_base("fam0")
+        addr = 0x40000 + (host.remote_base("fam0") if remote else 0)
 
         def go():
+            if warm:
+                yield from host.mem.access(addr, False)
             start = env.now
-            yield from host.mem.access(base + 0x40000, False)
+            yield from host.mem.access(addr, is_write)
             return env.now - start
 
         latency = run_proc(env, go())
-        assert latency == pytest.approx(params.REMOTE_MEM_READ_NS, rel=0.02)
-
-    def test_remote_write_matches_paper(self):
-        env = Environment()
-        cluster = build_cluster(env, ClusterSpec(hosts=1))
-        host = cluster.host(0)
-        base = host.remote_base("fam0")
-
-        def go():
-            start = env.now
-            yield from host.mem.access(base + 0x40000, True)
-            return env.now - start
-
-        latency = run_proc(env, go())
-        assert latency == pytest.approx(params.REMOTE_MEM_WRITE_NS, rel=0.02)
+        assert latency == pytest.approx(target, rel=0.02)
 
     def test_remote_roughly_10x_slower_than_local(self):
         """Section 3: 'nearly 10x slower than its local complex'."""

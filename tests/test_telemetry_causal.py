@@ -446,6 +446,14 @@ class TestCompareCli:
         # identical payloads pass
         assert main(["compare", str(base), str(base)]) == 0
 
+    def test_recorded_why_document_matches_itself(self, tmp_path, capsys):
+        assert main(["bench", "interleave", "--observe", "why",
+                     "--out", str(tmp_path)]) == 0
+        doc = tmp_path / "interleave.why.json"
+        assert json.loads(doc.read_text())["tool"] == "repro-why"
+        assert main(["compare", str(doc), str(doc)]) == 0
+        assert "no regressions" in capsys.readouterr().out
+
     def test_bad_input_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not json")
