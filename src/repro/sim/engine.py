@@ -44,11 +44,12 @@ optimised:
   hook) take ``Process._wait_slow``.
 * ``Environment.run`` is the one dispatch loop, inlined with bound
   locals; :meth:`Environment.step` is one iteration of it.
-* The at-now list: while ``run`` dispatches a bucket it keeps that
-  bucket's NORMAL list in ``_now_normal``.  ``succeed``/``fail``,
-  process completions and the on-arrival grants of
-  ``repro.sim.resources`` append straight to it instead of a method
-  call and a bucket-dict lookup per event.
+* The calendar pays per distinct future instant, not per event: a heap
+  of instants, each with one NORMAL list, while the current instant is
+  two standing lists (see :class:`Environment`).  The at-now list
+  ``_now_normal`` always exists, so ``succeed``/``fail``, process
+  completions and the on-arrival grants of ``repro.sim.resources``
+  append straight to it, with no lookup or fallback.
 * The put marker: a put whose event nobody looks at (a credit return,
   a flit landing in a receive buffer, a mailbox message) calls
   ``Store.put_forget``/``Container.put_forget``.  It grants exactly as
@@ -66,14 +67,15 @@ consume the same sequence numbers as freshly allocated events, so the
 ``(time, priority, seq)`` order of a run is bit-identical to the
 pre-fast-path kernel.  ``Environment.stats`` exposes kernel counters
 (events processed and elided, events/sec of wall-clock, peak queue
-depth, event-pool hits); ``perfbench/`` records them per layer.
+depth, event-pool hits and misses); ``perfbench/`` records them per
+layer.
 
 Callbacks
 ---------
 
 Model code whose process would only say "after ``d``, do X" calls
-:meth:`Environment.call_later` instead: one pooled hook in the bucket
-``env.timeout(d)`` would use, no generator, no start hook, no
+:meth:`Environment.call_later` instead: one pooled hook in the list
+``env.timeout(d)`` would join, no generator, no start hook, no
 completion event.  The fabric's fixed-delay handoffs (link
 propagation, credit return, the switch's port-latency forward) run
 this way on every path, observed and sanitized alike, and credit the
@@ -103,10 +105,6 @@ __all__ = [
     "run_proc",
     "total_events_processed",
 ]
-
-# Scheduling priorities: URGENT fires before NORMAL at the same time.
-URGENT = 0
-NORMAL = 1
 
 _INF = float("inf")
 
@@ -203,10 +201,7 @@ class Event:
             # At-now scheduling, inlined: the hot grant path.
             self._scheduled = True
             env = self.env
-            normal = env._now_normal
-            if normal is None:
-                normal = env._bucket(env._now)[NORMAL]
-            normal.append(self)
+            env._now_normal.append(self)
             env._pending += 1
         return self
 
@@ -288,8 +283,7 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         self._scheduled = True
-        env._bucket(env._now + delay)[NORMAL].append(self)
-        env._pending += 1
+        env._schedule_at(env._now + delay, self)
 
 
 class _Hook(Event):
@@ -336,7 +330,7 @@ class Process(Event):
         #: normal end state, so the sanitizer's drain-time deadlock
         #: report skips them.
         self.daemon = daemon
-        env._schedule_hook(self._resume_cb, URGENT, True, None)
+        env._schedule_hook(self._resume_cb, True, None)
 
     @property
     def is_alive(self) -> bool:
@@ -358,7 +352,7 @@ class Process(Event):
         target = self._target
         if target is not None and target.callbacks is not None:
             self._detach(target)
-        self.env._schedule_hook(self._resume_cb, URGENT, False, Interrupt(cause))
+        self.env._schedule_hook(self._resume_cb, False, Interrupt(cause))
 
     def _detach(self, target: Event) -> None:
         """Detach our resume callback from ``target`` in O(1).
@@ -475,7 +469,7 @@ class Process(Event):
         # None): every pending event attached in _resume, so resume
         # immediately with the stored value.
         self._target = self.env._schedule_hook(
-            self._resume_cb, URGENT, next_event._ok, next_event._value)
+            self._resume_cb, next_event._ok, next_event._value)
 
 
 class _Condition(Event):
@@ -557,26 +551,36 @@ class AnyOf(_Condition):
 class Environment:
     """The simulation clock and event queue.
 
-    The queue is a two-level calendar: a heap of *distinct* event times
-    (``_times``) plus, per time, a bucket of two append-only FIFO lists
-    — one per scheduling priority (``_buckets[t] = (urgent, normal)``).
-    Scheduling an event at an already-pending time is a dict hit and a
-    ``list.append``; the heap is only touched once per distinct
-    timestamp.  Draining a bucket replays exactly the classic
-    ``(time, priority, seq)`` order: bucket times ascend, all URGENT
-    entries at a time fire before all NORMAL ones (URGENT arrivals are
-    re-checked between events, so they preempt the rest of the NORMAL
-    backlog at the same time), and within a priority the append order
-    *is* the sequence order.  Entries are bare event references — no
-    per-event tuple is allocated.
+    An event is scheduled at one of two priorities: URGENT (kernel
+    wakeups) fires before NORMAL (everything else) at the same time.
+    The queue keeps the current instant apart from the future:
+
+    * ``_urgent``, the standing URGENT list.  URGENT entries (process
+      starts, interrupts, re-fired events) are only ever scheduled at
+      the current instant, so one list serves every instant.
+    * ``_now_normal``, the at-now list: the current instant's NORMAL
+      entries.  ``succeed``/``fail``, process completions, the
+      on-arrival grants of ``repro.sim.resources`` and any timeout whose
+      ``now + delay == now`` append straight to it.
+    * ``_future``, one NORMAL list per future instant, and ``_times``,
+      a heap of those instants.  Scheduling at an already-pending
+      instant is a dict hit and a ``list.append``; the heap is touched
+      once per distinct instant.  Advancing the clock pops the heap,
+      and the instant's list becomes the at-now list.
+
+    Dispatch replays exactly the classic ``(time, priority, seq)``
+    order: instants ascend, URGENT entries are re-checked between
+    events so they preempt the rest of the NORMAL backlog at the same
+    time, and within a priority the append order *is* the sequence
+    order.  Entries are bare event references — no per-event tuple is
+    allocated.
     """
 
-    __slots__ = ("_now", "_times", "_buckets", "_bucket_pool",
-                 "_active_process", "_timeout_pool", "_hook_pool",
-                 "_last_time", "_last_normal", "_now_normal",
-                 "_pending", "_events_processed", "_peak_queue",
-                 "_busy_seconds", "_sanitizer", "_telemetry",
-                 "_pool_hits", "_pool_misses", "_elided")
+    __slots__ = ("_now", "_times", "_future", "_urgent", "_now_normal",
+                 "_running", "_active_process", "_timeout_pool",
+                 "_hook_pool", "_pending", "_events_processed",
+                 "_peak_queue", "_busy_seconds", "_sanitizer",
+                 "_telemetry", "_pool_hits", "_pool_misses", "_elided")
 
     def __init__(self, initial_time: float = 0.0, *,
                  sanitize: bool = False,
@@ -585,21 +589,16 @@ class Environment:
         if not self._now == self._now:
             raise ValueError(f"initial_time {initial_time!r} is NaN")
         self._times: List[float] = []
-        self._buckets: Dict[float, tuple] = {}
-        self._bucket_pool: List[tuple] = []
+        self._future: Dict[float, list] = {}
+        self._urgent: list = []
+        self._now_normal: list = []
+        # Set for the whole of a run()/step() call: a callback that runs
+        # its own environment again is refused, not left to re-fire the
+        # slots the outer loop has consumed.
+        self._running = False
         self._active_process: Optional[Process] = None
         self._timeout_pool: List[Timeout] = []
         self._hook_pool: List[_Hook] = []
-        # One-entry bucket cache: synchronized models schedule many
-        # events at the same future time back to back.  Caches the
-        # NORMAL list directly — the only consumer is timeout().
-        self._last_time: Optional[float] = None
-        self._last_normal: Optional[list] = None
-        # The at-now list: while run() dispatches a bucket, its NORMAL
-        # list, so work scheduled at the current time (succeed/fail,
-        # process completions, on-arrival grants) appends straight to
-        # it; None outside a dispatch.
-        self._now_normal: Optional[list] = None
         self._pending = 0
         self._events_processed = 0
         self._peak_queue = 0
@@ -665,11 +664,14 @@ class Environment:
 
         ``events_per_sec`` is events over the wall-clock time spent
         inside :meth:`run`/:meth:`step` (simulated time never touches a
-        wall clock); it is the perf-harness headline number.
+        wall clock).  It is a kernel throughput figure only: perfbench
+        judges wall time per simulated transaction, which events/sec
+        cannot show (a change that elides events lowers it).
         ``events_processed`` includes elided-but-credited events (see
         :meth:`credit_elided`), so it counts what a process-per-handoff
         model would have dispatched; ``events_elided`` says how many
-        were credited.
+        were credited.  ``peak_queue_depth`` is sampled each time the
+        clock advances.
         """
         busy = self._busy_seconds
         return {
@@ -686,34 +688,37 @@ class Environment:
 
     # -- scheduling ------------------------------------------------------
 
-    def _bucket(self, time: float) -> tuple:
-        """The (urgent, normal) bucket for ``time``, creating if absent."""
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            pool = self._bucket_pool
-            bucket = pool.pop() if pool else ([], [])
-            self._buckets[time] = bucket
-            heappush(self._times, time)
-        return bucket
+    def _schedule_at(self, time: float, entry: Any) -> None:
+        """Schedule ``entry`` at NORMAL priority at ``time`` (>= now).
+
+        The one insertion rule of timeouts and :meth:`call_later`: the
+        at-now list when ``time`` is the current instant (a zero delay,
+        or one the clock absorbs), else ``time``'s future list, which
+        its first entry creates.  :meth:`timeout` and :meth:`call_later`
+        inline it; the sanitized ``Timeout`` constructor calls it.
+        """
+        if time == self._now:
+            self._now_normal.append(entry)
+        else:
+            future = self._future.get(time)
+            if future is None:
+                self._future[time] = [entry]
+                heappush(self._times, time)
+            else:
+                future.append(entry)
+        self._pending += 1
 
     def _schedule_now(self, event: Event) -> None:
-        """Schedule ``event`` at NORMAL priority at the current time.
-
-        Appends to the at-now list when a dispatch holds one, else to
-        the current time's bucket; either is the same list.
-        """
+        """Schedule ``event`` at NORMAL priority at the current time."""
         if event._scheduled:
             return
         event._scheduled = True
-        normal = self._now_normal
-        if normal is None:
-            normal = self._bucket(self._now)[NORMAL]
-        normal.append(event)
+        self._now_normal.append(event)
         self._pending += 1
 
     def _schedule_hook(self, callback: Callable[[Event], None],
-                       priority: int, ok: bool, value: Any) -> "_Hook":
-        """Schedule a pooled single-callback wakeup at the current time.
+                       ok: bool, value: Any) -> "_Hook":
+        """Schedule a pooled single-callback URGENT wakeup now.
 
         Takes the same slot in scheduling order as the fresh ``Event``
         (or ``Initialize``) the seed kernel allocated here, so event
@@ -737,7 +742,7 @@ class Environment:
             hook._processed = False
             hook._scheduled = True
             self._pool_misses += 1
-        self._bucket(self._now)[priority].append(hook)
+        self._urgent.append(hook)
         self._pending += 1
         return hook
 
@@ -747,8 +752,8 @@ class Environment:
         The fabric's fixed-delay handoffs run as :meth:`call_later`
         callbacks on every path instead of processes, so they skip
         events whose number is known exactly (each elides a start hook
-        and a completion).  Each caller credits the elided events in
-        the time bucket where the process-per-handoff model dispatched
+        and a completion).  Each caller credits the elided events at
+        the instant where the process-per-handoff model dispatched
         them, so ``events_processed`` (and the process-wide total) keep
         that model's count, on every path and in runs cut short by a
         horizon, while the wall clock drops.
@@ -762,13 +767,13 @@ class Environment:
                    *args: Any) -> None:
         """Call ``fn(*args)`` once, ``delay`` from now, without a process.
 
-        One pooled hook lands in the NORMAL list of the bucket
-        ``timeout(delay)`` would use, in insertion order with it, so
-        the call runs exactly where a process's ``yield
-        env.timeout(delay)`` would have resumed.  Costs one event
-        instead of a process's start hook, Timeout and completion.
-        ``fn`` runs with no active process; sanitized callers that
-        write to stores name a writer (``RuntimeSanitizer.writer``).
+        One pooled hook is scheduled where ``timeout(delay)`` would be,
+        in insertion order with it, so the call runs exactly where a
+        process's ``yield env.timeout(delay)`` would have resumed.
+        Costs one event instead of a process's start hook, Timeout and
+        completion.  ``fn`` runs with no active process; sanitized
+        callers that write to stores name a writer
+        (``RuntimeSanitizer.writer``).
         """
         if not delay >= 0:
             raise _bad_delay(delay)
@@ -786,20 +791,18 @@ class Environment:
         hook._waiter = _call
         hook._ok = True
         hook._value = (fn, args)
-        # timeout()'s bucket insertion, inlined as there: hot path.
-        time = self._now + delay
-        if time == self._last_time:
-            self._last_normal.append(hook)
+        # _schedule_at, inlined as in timeout(): hot path.
+        now = self._now
+        time = now + delay
+        if time == now:
+            self._now_normal.append(hook)
         else:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                pool = self._bucket_pool
-                bucket = pool.pop() if pool else ([], [])
-                self._buckets[time] = bucket
+            future = self._future.get(time)
+            if future is None:
+                self._future[time] = [hook]
                 heappush(self._times, time)
-            self._last_time = time
-            self._last_normal = bucket[1]
-            bucket[1].append(hook)
+            else:
+                future.append(hook)
         self._pending += 1
 
     # -- factories -------------------------------------------------------
@@ -832,19 +835,18 @@ class Environment:
             timeout._scheduled = True
             self._pool_misses += 1
         timeout.delay = delay
-        time = self._now + delay
-        if time == self._last_time:
-            self._last_normal.append(timeout)   # NORMAL priority
+        # _schedule_at, inlined: the hottest scheduling call.
+        now = self._now
+        time = now + delay
+        if time == now:
+            self._now_normal.append(timeout)
         else:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                pool = self._bucket_pool
-                bucket = pool.pop() if pool else ([], [])
-                self._buckets[time] = bucket
+            future = self._future.get(time)
+            if future is None:
+                self._future[time] = [timeout]
                 heappush(self._times, time)
-            self._last_time = time
-            self._last_normal = bucket[1]
-            bucket[1].append(timeout)
+            else:
+                future.append(timeout)
         self._pending += 1
         return timeout
 
@@ -860,31 +862,12 @@ class Environment:
 
     # -- execution -------------------------------------------------------
 
-    def _retire_bucket(self, time: float, bucket: tuple) -> None:
-        """Drop a fully drained bucket and recycle its list pair."""
-        del self._buckets[time]
-        heappop(self._times)
-        if time == self._last_time:
-            self._last_time = None
-            self._last_normal = None
-        if len(self._bucket_pool) < 64:
-            self._bucket_pool.append(bucket)
-
     def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if queue is empty.
-
-        Sweeps any bucket a previous early-stopped run drained but did
-        not retire, so the reported time always has a live event.
-        """
+        """Time of the next scheduled event, or +inf if queue is empty."""
+        if self._urgent or self._now_normal:
+            return self._now
         times = self._times
-        buckets = self._buckets
-        while times:
-            time = times[0]
-            bucket = buckets[time]
-            if bucket[0] or bucket[1]:
-                return time
-            self._retire_bucket(time, bucket)
-        return _INF
+        return times[0] if times else _INF
 
     def step(self) -> None:
         """Process the single next event.
@@ -893,42 +876,53 @@ class Environment:
         loop, minus event recycling (stepping is a debug/test path; the
         free lists only fill from :meth:`run`).
         """
-        if self.peek() == _INF:
-            raise SimulationError("no scheduled events")
+        if self._running:
+            raise _reentrant("step")
+        urgent = self._urgent
+        normal = self._now_normal
+        if urgent:
+            event = urgent.pop(0)
+        elif normal:
+            event = normal.pop(0)
+        else:
+            times = self._times
+            if not times:
+                raise SimulationError("no scheduled events")
+            time = heappop(times)
+            normal = self._now_normal = self._future.pop(time)
+            self._now = time
+            event = normal.pop(0)
         t0 = perf_counter()
-        time = self._times[0]
-        bucket = self._buckets[time]
-        urgent, normal = bucket
-        event = urgent.pop(0) if urgent else normal.pop(0)
-        if not urgent and not normal:
-            self._retire_bucket(time, bucket)
-        self._now = time
         self._pending -= 1
+        # Counted before firing, as run() counts it: a raising callback
+        # still consumed the event.
+        self._events_processed += 1
         global _total_events
+        _total_events += 1
         if event is _PUT_MARK:
-            self._events_processed += 1
-            _total_events += 1
             self._busy_seconds += perf_counter() - t0
             return
         callbacks = event.callbacks
         event.callbacks = None
-        waiter = event._waiter
-        if waiter is not None:
-            event._waiter = None
-            waiter(event)
-            fired = True
-        else:
-            fired = False
-        for callback in callbacks:
-            if callback is not None:
-                callback(event)
+        self._running = True
+        try:
+            waiter = event._waiter
+            if waiter is not None:
+                event._waiter = None
+                waiter(event)
                 fired = True
+            else:
+                fired = False
+            for callback in callbacks:
+                if callback is not None:
+                    callback(event)
+                    fired = True
+        finally:
+            self._running = False
+            self._busy_seconds += perf_counter() - t0
         event._processed = True
         if self._sanitizer is not None:
             self._sanitizer.on_processed(event)
-        self._events_processed += 1
-        _total_events += 1
-        self._busy_seconds += perf_counter() - t0
         if not fired and not event._ok and not isinstance(event, Process):
             # A failed event nobody waited for: surface the error.
             raise event._value
@@ -941,13 +935,18 @@ class Environment:
         ``until`` is given the clock always lands exactly on ``until``
         when the run stops early — including when the queue drains
         first — so wall-clock-style bookkeeping against ``env.now`` is
-        branch-independent.
+        branch-independent.  A callback may not run or step the
+        environment that is dispatching it.
         """
+        if self._running:
+            raise _reentrant("run")
         if until is not None and not until >= self._now:
             raise _bad_time(f"until={until}", until, self._now)
         stop = until if until is not None else _INF
         times = self._times
-        buckets = self._buckets
+        future = self._future
+        urgent = self._urgent
+        normal = self._now_normal
         timeout_pool = self._timeout_pool
         hook_pool = self._hook_pool
         timeout_cls = Timeout
@@ -960,126 +959,128 @@ class Environment:
         check_event = until_event is not None
         processed = 0
         done = False
+        ui = 0
+        ni = 0
+        self._running = True
         t0 = perf_counter()
         try:
-            while times:
+            if (urgent or normal) and self._pending > self._peak_queue:
+                # Peak depth is sampled at time-advance granularity;
+                # entering a run at an instant with work counts as one.
+                self._peak_queue = self._pending
+            while True:
+                nlen = len(normal)
+                while True:
+                    if check_event and \
+                            until_event._value is not pending_sentinel:
+                        done = True
+                        break
+                    # URGENT is re-checked every iteration so a
+                    # just-scheduled urgent event preempts the remaining
+                    # NORMAL backlog at this time.
+                    if ui < len(urgent):
+                        event = urgent[ui]
+                        ui += 1
+                    elif ni < nlen:
+                        event = normal[ni]
+                        ni += 1
+                        if event is put_mark:
+                            processed += 1
+                            continue
+                    else:
+                        # The cursor caught up with the cached length:
+                        # re-measure once in case dispatch appended
+                        # same-time events, then stop.
+                        nlen = len(normal)
+                        if ni >= nlen:
+                            break
+                        event = normal[ni]
+                        ni += 1
+                        if event is put_mark:
+                            processed += 1
+                            continue
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    processed += 1
+                    waiter = event._waiter
+                    if waiter is not None:
+                        # Single waiter in the slot — the overwhelmingly
+                        # common case.
+                        event._waiter = None
+                        waiter(event)
+                        fired = True
+                        if callbacks:
+                            for callback in callbacks:
+                                if callback is not None:
+                                    callback(event)
+                    else:
+                        fired = False
+                        for callback in callbacks:
+                            if callback is not None:
+                                callback(event)
+                                fired = True
+                    event._processed = True
+                    if not fired and not event._ok and \
+                            not isinstance(event, Process):
+                        # A failed event nobody waited for: surface the
+                        # error.
+                        raise event._value
+                    if san is not None:
+                        # Sanitized runs trade recycling for full
+                        # lifecycle tracking (and dead-event callback
+                        # guards); scheduling order is unaffected.
+                        san.on_processed(event)
+                        continue
+                    # Recycle the event if the kernel holds the last
+                    # references (the list slot, local `event`, and
+                    # getrefcount's argument).
+                    cls = event.__class__
+                    if cls is timeout_cls:
+                        if len(timeout_pool) < max_pooled and \
+                                refcount(event) == 3:
+                            if callbacks:
+                                callbacks.clear()
+                            event.callbacks = callbacks
+                            timeout_pool.append(event)
+                    elif cls is hook_cls:
+                        if len(hook_pool) < max_pooled and \
+                                refcount(event) == 3:
+                            if callbacks:
+                                callbacks.clear()
+                            event.callbacks = callbacks
+                            hook_pool.append(event)
+                if done or not times:
+                    break
                 time = times[0]
                 if time > stop:
                     self._now = stop
                     break
-                bucket = buckets[time]
-                urgent = bucket[0]
-                normal = bucket[1]
+                # The instant is drained: advance the clock.
+                if ui:
+                    urgent.clear()
+                    ui = 0
+                heappop(times)
+                normal = self._now_normal = future.pop(time)
+                ni = 0
                 self._now = time
-                self._now_normal = normal
                 live = self._pending - processed
                 if live > self._peak_queue:
-                    # Peak depth is sampled at time-advance granularity.
                     self._peak_queue = live
-                ui = 0
-                ni = 0
-                nlen = len(normal)
-                try:
-                    while True:
-                        if check_event and \
-                                until_event._value is not pending_sentinel:
-                            done = True
-                            break
-                        # URGENT is re-checked every iteration so a
-                        # just-scheduled urgent event preempts the
-                        # remaining NORMAL backlog at this time.
-                        if ui < len(urgent):
-                            event = urgent[ui]
-                            ui += 1
-                        elif ni < nlen:
-                            event = normal[ni]
-                            ni += 1
-                            if event is put_mark:
-                                processed += 1
-                                continue
-                        else:
-                            # The cursor caught up with the cached
-                            # length: re-measure once in case dispatch
-                            # appended same-time events, then stop.
-                            nlen = len(normal)
-                            if ni >= nlen:
-                                break
-                            event = normal[ni]
-                            ni += 1
-                            if event is put_mark:
-                                processed += 1
-                                continue
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        processed += 1
-                        waiter = event._waiter
-                        if waiter is not None:
-                            # Single waiter in the slot — the
-                            # overwhelmingly common case.
-                            event._waiter = None
-                            waiter(event)
-                            fired = True
-                            if callbacks:
-                                for callback in callbacks:
-                                    if callback is not None:
-                                        callback(event)
-                        else:
-                            fired = False
-                            for callback in callbacks:
-                                if callback is not None:
-                                    callback(event)
-                                    fired = True
-                        event._processed = True
-                        if not fired and not event._ok and \
-                                not isinstance(event, Process):
-                            # A failed event nobody waited for: surface
-                            # the error.
-                            raise event._value
-                        if san is not None:
-                            # Sanitized runs trade recycling for full
-                            # lifecycle tracking (and dead-event
-                            # callback guards); scheduling order is
-                            # unaffected.
-                            san.on_processed(event)
-                            continue
-                        # Recycle the event if the kernel holds the last
-                        # references (the bucket slot, local `event`,
-                        # and getrefcount's argument).
-                        cls = event.__class__
-                        if cls is timeout_cls:
-                            if len(timeout_pool) < max_pooled and \
-                                    refcount(event) == 3:
-                                if callbacks:
-                                    callbacks.clear()
-                                event.callbacks = callbacks
-                                timeout_pool.append(event)
-                        elif cls is hook_cls:
-                            if len(hook_pool) < max_pooled and \
-                                    refcount(event) == 3:
-                                if callbacks:
-                                    callbacks.clear()
-                                event.callbacks = callbacks
-                                hook_pool.append(event)
-                finally:
-                    # On any exit — drained, until_event, or a raising
-                    # callback — drop consumed slots so re-entry never
-                    # re-fires a processed event.
-                    self._now_normal = None
-                    if ui:
-                        del urgent[:ui]
-                    if ni:
-                        del normal[:ni]
-                if not urgent and not normal:
-                    self._retire_bucket(time, bucket)
-                if done:
-                    break
         finally:
+            # On any exit — drained, stopped, or a raising callback —
+            # drop consumed slots so the next run or step never
+            # re-fires a processed event.
+            if ui:
+                del urgent[:ui]
+            if ni:
+                del normal[:ni]
+            self._running = False
             self._busy_seconds += perf_counter() - t0
             self._events_processed += processed
             self._pending -= processed
             global _total_events
             _total_events += processed
-        if san is not None and not times:
+        if san is not None and not times and not urgent and not normal:
             # The queue drained: report blocked processes (deadlocks),
             # never-triggered events, and credit-conservation drift.
             san.on_drain()
@@ -1099,6 +1100,13 @@ class Environment:
         if until is not None and stop != _INF:
             self._now = stop
         return None
+
+
+def _reentrant(call: str) -> SimulationError:
+    """The error for run()/step() called from inside a dispatch."""
+    return SimulationError(
+        f"re-entrant {call}(): a callback called {call}() on the "
+        "environment that is dispatching it")
 
 
 def _call(hook: _Hook) -> None:

@@ -56,7 +56,7 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional
 
-from .engine import NORMAL, _PENDING, _PUT_MARK, Environment, Event
+from .engine import _PENDING, _PUT_MARK, Environment, Event
 
 __all__ = [
     "Resource",
@@ -107,10 +107,7 @@ class Request(Event):
             users.append(self)
             self._value = None
             self._scheduled = True
-            normal = env._now_normal
-            if normal is None:
-                normal = env._bucket(env._now)[NORMAL]
-            normal.append(self)
+            env._now_normal.append(self)
             env._pending += 1
         else:
             self._value = _PENDING
@@ -258,8 +255,6 @@ class StorePut(Event):
         self._value = None
         self._scheduled = True
         normal = env._now_normal
-        if normal is None:
-            normal = env._bucket(env._now)[NORMAL]
         normal.append(self)
         env._pending += 1
         getters = store._get_waiters
@@ -299,10 +294,7 @@ class StoreGet(Event):
         if items and filter is None and not store._get_waiters:
             self._value = store._take(None)
             self._scheduled = True
-            normal = env._now_normal
-            if normal is None:
-                normal = env._bucket(env._now)[NORMAL]
-            normal.append(self)
+            env._now_normal.append(self)
             env._pending += 1
             if store._put_waiters:
                 store._trigger()
@@ -363,8 +355,6 @@ class Store:
         if san is not None:
             san.on_write(self, "put")
         normal = env._now_normal
-        if normal is None:
-            normal = env._bucket(env._now)[NORMAL]
         normal.append(_PUT_MARK)
         env._pending += 1
         getters = self._get_waiters
@@ -514,10 +504,7 @@ class ContainerPut(Event):
             container.level += amount
             self._value = None
             self._scheduled = True
-            normal = env._now_normal
-            if normal is None:
-                normal = env._bucket(env._now)[NORMAL]
-            normal.append(self)
+            env._now_normal.append(self)
             env._pending += 1
             if container._get_waiters:
                 container._serve_gets()
@@ -547,10 +534,7 @@ class ContainerGet(Event):
             container.level -= amount
             self._value = None
             self._scheduled = True
-            normal = env._now_normal
-            if normal is None:
-                normal = env._bucket(env._now)[NORMAL]
-            normal.append(self)
+            env._now_normal.append(self)
             env._pending += 1
             if container._put_waiters:
                 container._serve_puts()
@@ -600,10 +584,7 @@ class Container:
             return
         self.level += amount
         env = self.env
-        normal = env._now_normal
-        if normal is None:
-            normal = env._bucket(env._now)[NORMAL]
-        normal.append(_PUT_MARK)
+        env._now_normal.append(_PUT_MARK)
         env._pending += 1
         if self._get_waiters:
             self._serve_gets()

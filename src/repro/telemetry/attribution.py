@@ -290,7 +290,7 @@ def collect_transactions(recorder: CausalRecorder
 
 
 # --------------------------------------------------------------------------
-# the aggregate report (the `repro why` payload)
+# the aggregate report (the `repro bench <exp> --observe why` payload)
 # --------------------------------------------------------------------------
 
 def build_report(scenario: str, recorder: CausalRecorder,
@@ -388,11 +388,12 @@ def build_report(scenario: str, recorder: CausalRecorder,
 # --------------------------------------------------------------------------
 
 def validate_attribution(payload: Dict[str, Any]) -> int:
-    """Validate a ``repro why --json`` payload; returns the txn count.
+    """Validate one ``repro bench <exp> --observe why`` document.
 
-    Raises :class:`AttributionError` on any schema or accounting
-    violation: unknown categories, shares not summing to one, or a
-    waterfall that does not contiguously tile its transaction window.
+    Returns the transaction count.  Raises :class:`AttributionError`
+    on any schema or accounting violation: unknown categories, shares
+    not summing to one, or a waterfall that does not contiguously tile
+    its transaction window.
     """
     def fail(message: str) -> None:
         raise AttributionError(message)

@@ -1,4 +1,4 @@
-"""Self-contained HTML dashboard for ``repro health`` reports.
+"""Self-contained HTML dashboard for ``repro bench <exp> --observe health``.
 
 :func:`render_dashboard` turns one ``repro-health`` payload into a
 single static HTML file: stat tiles, SVG line charts of burn rates and
@@ -308,7 +308,7 @@ def render_dashboard(report: Dict[str, Any]) -> str:
         alert_tile = ('<span class="icon" style="color:var(--good)">'
                       '&#10003;</span> 0')
     body: List[str] = []
-    body.append(f'<h1>repro health &mdash; '
+    body.append(f'<h1>repro bench --observe health &mdash; '
                 f'{html.escape(report["scenario"])}</h1>')
     policy = report["policy"]
     body.append('<p class="sub">'
@@ -445,7 +445,7 @@ def render_dashboard(report: Dict[str, Any]) -> str:
             "<meta charset=\"utf-8\">\n"
             "<meta name=\"viewport\" "
             "content=\"width=device-width, initial-scale=1\">\n"
-            f"<title>repro health &mdash; "
+            f"<title>repro bench --observe health &mdash; "
             f"{html.escape(report['scenario'])}</title>\n"
             f"<style>{_CSS}</style>\n</head>\n<body>\n"
             + "\n".join(body)

@@ -160,8 +160,9 @@ class Histogram:
 
     def to_dict(self) -> Dict[str, Any]:
         # p50/p95/p99 ride along so EXPERIMENTS.md numbers come
-        # straight from `repro metrics --json` (bucket upper bounds,
-        # the same ±2x grain as the buckets themselves).
+        # straight from `repro bench <exp> --observe metrics --json`
+        # (bucket upper bounds, the same ±2x grain as the buckets
+        # themselves).
         return {"kind": self.kind, "count": self.count,
                 "sum": self.total,
                 "mean": self.total / self.count if self.count else None,

@@ -852,3 +852,47 @@ def test_put_marker_counted_by_step():
     env.step()
     assert got.processed and got.value == "a"
     assert env.peek() == float("inf")
+
+
+# -- re-entrant dispatch ------------------------------------------------------
+
+@pytest.mark.parametrize("outer", ["run", "step"])
+@pytest.mark.parametrize("inner", ["run", "step"])
+def test_reentrant_run_or_step_is_refused(outer, inner):
+    # A callback that dispatches its own environment again would
+    # re-fire the slots the outer call has consumed: refuse it, name
+    # the call, and leave the environment usable.
+    env = Environment()
+    fired = []
+
+    def callback():
+        fired.append(env.now)
+        getattr(env, inner)()
+
+    env.call_later(1.0, callback)
+    env.call_later(2.0, fired.append, "after")
+    with pytest.raises(SimulationError, match=rf"re-entrant {inner}\(\)"):
+        getattr(env, outer)()
+    assert fired == [1.0]
+    env.run()
+    assert fired == [1.0, "after"] and env.now == 2.0
+    assert env.stats["events_processed"] == 2
+
+
+def test_other_environment_may_run_inside_a_callback():
+    outer, inner = Environment(), Environment()
+    inner.call_later(5.0, lambda: None)
+    outer.call_later(1.0, inner.run)
+    outer.run()
+    assert (outer.now, inner.now) == (1.0, 5.0)
+
+
+def test_run_until_fired_event_leaves_the_clock_alone():
+    # Nothing is dispatched, so the clock does not move to the next
+    # pending instant.
+    env = Environment()
+    done = env.event().succeed("done")
+    env.run()
+    env.call_later(5.0, lambda: None)
+    assert env.run(until_event=done) == "done"
+    assert env.now == 0.0 and env.peek() == 5.0

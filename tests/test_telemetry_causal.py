@@ -1,6 +1,6 @@
 """Tests for causal transaction tracing: the flight recorder, the
-critical-path analyzer, percentile digests, the `repro why` / `repro
-compare` CLI, and the tracing-on/off bit-identity guarantee."""
+critical-path analyzer, percentile digests, the `repro bench --observe
+why` / `repro compare` CLI, and the tracing-on/off bit-identity guarantee."""
 
 import json
 
