@@ -221,12 +221,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         result, wall_full, _ = _timed(
             lambda: run_scenario(scenario, causal=True))
         if full_best is None or wall_full < full_best:
-            full_best, roots_full = wall_full, result.causal.started
+            full_best, roots_full = wall_full, result.telemetry.started
         result, wall_sampled, _ = _timed(
             lambda: run_scenario(scenario, causal=True, causal_sample=16))
         if sampled_best is None or wall_sampled < sampled_best:
             sampled_best = wall_sampled
-            roots_sampled = result.causal.started
+            roots_sampled = result.telemetry.started
     full_ratio = full_best / on_best if on_best > 0 else 0.0
     sampled_ratio = sampled_best / on_best if on_best > 0 else 0.0
     record("causal_overhead", full_best, on_events, {

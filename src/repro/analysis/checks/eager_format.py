@@ -1,9 +1,10 @@
 """FCC006: eager string formatting in per-event telemetry calls.
 
-Telemetry and trace sinks — ``tracer.record(...)``, ``span(env, ...)``,
-``telemetry.instant(...)``, ``counter.inc(...)``,
-``histogram.observe(...)`` — sit on simulation hot paths and run once
-*per event*.  Formatting a string argument at the call site
+Telemetry sinks — the recording calls ``telemetry.begin(...)``,
+``telemetry.end(...)``, ``telemetry.instant(...)``,
+``telemetry.wait(...)`` and ``span(env, ...)``, and the metric updates
+``counter.inc(...)`` and ``histogram.observe(...)`` — sit on simulation
+hot paths and run once *per event*.  Formatting a string argument at the call site
 (an f-string, ``"%" %`` or ``"...".format(...)``) pays the formatting
 cost on every event even though the sink just stores the value, and on
 the telemetry-off path it defeats the one-``is None``-branch design.
@@ -11,8 +12,9 @@ the telemetry-off path it defeats the one-``is None``-branch design.
 The blessed idiom is to format once, at component construction time:
 metric names are built there (``registry.counter(f"link.{name}.flits")``
 — ``counter``/``gauge``/``histogram`` lookups are deliberately *not*
-flagged), span/instant names are constant strings, and event payloads
-pass raw values (``flow=flow``) the exporter serializes lazily.
+flagged), as are stage-interval site names (``self._site_txq``);
+span/instant names are constant strings, and event payloads pass raw
+values (``flow=flow``) the exporter serializes lazily.
 
 The rule flags a formatted argument only when it actually interpolates
 something — a placeholder-free f-string is constant and harmless.
@@ -27,8 +29,11 @@ from ..lint import LintCheck, SourceFile, Violation
 
 __all__ = ["EagerFormatCheck"]
 
-#: method names that record one telemetry/trace event per call
-_SINK_METHODS = frozenset({"record", "span", "instant", "inc", "observe"})
+#: method names that record one telemetry event per call: the
+#: recording API of :class:`~repro.telemetry.core.Telemetry` and the
+#: metric updates
+_SINK_METHODS = frozenset({"begin", "end", "instant", "wait", "span",
+                           "inc", "observe"})
 
 #: bare function names with the same per-event contract
 _SINK_FUNCS = frozenset({"span"})
@@ -70,16 +75,17 @@ class EagerFormatCheck(LintCheck):
                "call; format once at construction or pass raw values")
     rationale = (
         "An f-string / %-format / .format argument inside a per-event "
-        "telemetry call (record/span/instant/inc/observe) is built on "
-        "every event even when telemetry is off, turning a one-branch "
+        "telemetry call (begin/end/instant/wait/span/inc/observe) is "
+        "built on every event even when telemetry is off, turning a "
+        "one-branch "
         "no-op into allocation on the hot path.  Hoist the formatting to "
         "construction time or pass the raw value.")
     example_fix = (
-        "bad:   tracer.record(env.now, f\"fwd {flit!r}\")   # per-event "
-        "repr\n"
-        "good:  self._site = f\"pcie.{name}.egress\"         # once, in "
+        "bad:   tel.begin(f\"pcie.{name}.egress\", trace, QUEUEING)  "
+        "# per event\n"
+        "good:  self._site = f\"pcie.{name}.egress\"       # once, in "
         "__init__\n"
-        "       tracer.record(env.now, self._site)")
+        "       tel.begin(self._site, trace, QUEUEING)")
 
     def violations(self, source: SourceFile,
                    tree: ast.Module) -> Iterator[Violation]:

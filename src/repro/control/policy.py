@@ -38,7 +38,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..telemetry.causal import CATEGORIES
+from ..telemetry.core import CATEGORIES
 from .actuator import ControlError
 
 __all__ = ["FeedbackPolicy", "FeedbackRule", "default_feedback_policy"]

@@ -30,7 +30,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 from .. import params
 from ..sim import Environment, Event, Resource
 from ..telemetry import span
-from ..telemetry.causal import QUEUEING
+from ..telemetry.core import QUEUEING, ROOT
 from .etrans import ETrans
 
 __all__ = ["FreeList", "MemoryBin", "HeapObject", "SmartPointer",
@@ -226,10 +226,6 @@ class UnifiedHeap:
             self._m_allocations = registry.counter("heap.allocations")
             self._m_accesses = registry.counter("heap.accesses")
             self._m_migrations = registry.counter("heap.migrations")
-        # Causal tracing: heap accesses and migrations are transaction
-        # roots (sampled); the context then rides down through the
-        # memory hierarchy into the fabric.
-        self._causal = tel.causal if tel is not None else None
 
     # -- bins -----------------------------------------------------------------
 
@@ -309,21 +305,24 @@ class UnifiedHeap:
                 f"of {obj.size} bytes")
         if self._tel is not None:
             self._m_accesses.inc(time=self.env.now)
-        causal = self._causal
-        context = causal.sample_root() if causal is not None else None
+        # Heap accesses and migrations are transaction roots (sampled);
+        # the context then rides down through the memory hierarchy
+        # into the fabric.
+        tel = self._tel
+        context = tel.sample_root() if tel is not None else None
         if context is not None:
-            causal.txn_begin(context, self.env.now,
-                             "heap.write" if is_write else "heap.read",
-                             f"heap:{obj.bin.name}")
+            route = f"heap:{obj.bin.name}"
+            tel.begin("heap.write" if is_write else "heap.read", context,
+                      track=route)
         with self._locks[oid].request() as grant:
             if context is not None:
-                causal.wait(context, grant, QUEUEING, "heap.lock")
+                tel.wait("heap.lock", context, QUEUEING, grant)
             yield grant
             self.profiler.record(oid)
             yield from self.host.mem.access(obj.addr + offset, is_write,
                                             nbytes, trace=context)
         if context is not None:
-            causal.txn_end(context, self.env.now)
+            tel.end(ROOT, context)
 
     # -- migration -------------------------------------------------------------
 
@@ -337,16 +336,16 @@ class UnifiedHeap:
             new_addr = target_bin.freelist.allocate(obj.size)
         except HeapError:
             return False
-        causal = self._causal
-        context = causal.sample_root() if causal is not None else None
+        tel = self._tel
+        context = tel.sample_root() if tel is not None else None
         if context is not None:
-            causal.txn_begin(context, self.env.now, "heap.migrate",
-                             f"heap:{obj.bin.name}->{target_bin.name}")
+            route = f"heap:{obj.bin.name}->{target_bin.name}"
+            tel.begin("heap.migrate", context, track=route)
         with span(self.env, "heap.migrate", track="heap", oid=oid,
                   nbytes=obj.size, dst=target_bin.name):
             with self._locks[oid].request() as grant:
                 if context is not None:
-                    causal.wait(context, grant, QUEUEING, "heap.lock")
+                    tel.wait("heap.lock", context, QUEUEING, grant)
                 yield grant
                 attributes = {"reason": "heap-migration"}
                 if context is not None:
@@ -364,7 +363,7 @@ class UnifiedHeap:
             if self._tel is not None:
                 self._m_migrations.inc(time=self.env.now)
         if context is not None:
-            causal.txn_end(context, self.env.now)
+            tel.end(ROOT, context)
         return True
 
 

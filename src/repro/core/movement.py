@@ -23,7 +23,7 @@ from typing import Dict, Generator, Optional, Tuple
 from .. import params
 from ..sim import Environment, Event, PriorityStore
 from ..telemetry import span
-from ..telemetry.causal import QUEUEING
+from ..telemetry.core import QUEUEING
 from .etrans import ETrans, ETransHandle, ElasticTransactionEngine, _finish
 
 __all__ = ["MovementOrchestrator", "MigrationAgent", "SequentialPrefetcher"]
@@ -40,21 +40,20 @@ class MigrationAgent:
         self._queue = PriorityStore(env)
         self._seq = itertools.count()
         self.executed = 0
-        tel = env.telemetry
-        self._causal = tel.causal if tel is not None else None
-        if self._causal is not None:
+        self._tel = tel = env.telemetry
+        if tel is not None:
             self._site_queue = f"movement.{name}.queue"
         env.process(self._worker(), name=f"{name}.worker", daemon=True)
 
     def enqueue(self, trans: ETrans,
                 handle: Optional[ETransHandle]) -> None:
-        if self._causal is not None:
+        if self._tel is not None:
             trace = trans.attributes.get("trace")
             if trace is not None:
                 # Residency in the agent's priority queue; closed by
                 # the worker when the transaction enters service.
-                trans.attributes["_cspan"] = self._causal.begin(
-                    trace, self.env.now, QUEUEING, self._site_queue)
+                trans.attributes["_cspan"] = self._tel.begin(
+                    self._site_queue, trace, QUEUEING)
         self._queue.put_forget(
             (trans.priority, next(self._seq), trans, handle))
 
@@ -64,11 +63,10 @@ class MigrationAgent:
     def _worker(self) -> Generator[Event, None, None]:
         while True:
             _, _, trans, handle = yield self._queue.get()
-            if self._causal is not None:
+            if self._tel is not None:
                 open_span = trans.attributes.pop("_cspan", None)
                 if open_span is not None:
-                    self._causal.end(trans.attributes["trace"],
-                                     self.env.now, open_span)
+                    self._tel.end(open_span, trans.attributes["trace"])
             with span(self.env, "movement.execute", track=self.name,
                       prio=trans.priority, nbytes=trans.total_src_bytes):
                 yield from self.engine.execute(trans)

@@ -31,8 +31,7 @@ from ...infra import ClusterSpec, build_cluster
 from ...pcie.credits import (CreditDomain, RampUpPolicy,
                              StaticEqualPolicy)
 from ...sim import run_proc
-from ...telemetry.causal import SERIALIZATION
-from ...telemetry.core import span
+from ...telemetry.core import ROOT, SERIALIZATION, span
 from ...topo import compile_topology, load_shape
 from ..registry import ExperimentError, Param, experiment
 
@@ -154,29 +153,28 @@ def run_starvation(ctx) -> Dict[str, Any]:
     ctx.add_actuator(env, CreditActuator(domain))
     stalled: Dict[str, float] = {"hot": 0.0, "quiet": 0.0}
     tel = env.telemetry
-    causal = tel.causal if tel is not None else None
     site_serialize = "egress0.serialize"
 
     def worker(flow: str, remaining):
         # One of _WINDOW pipelined issuers: the concurrency is what
-        # makes a floor-sized grant visibly starve the flow.  On causal
-        # runs each flit is a sampled transaction root: route = flow,
-        # credit waits recorded by the domain, serialization by us.
+        # makes a floor-sized grant visibly starve the flow.  On sampled
+        # runs each flit is a transaction root: route = flow, credit
+        # waits recorded by the domain, serialization by us.
         while remaining[0] > 0:
             remaining[0] -= 1
-            context = causal.sample_root() if causal is not None else None
+            context = tel.sample_root() if tel is not None else None
             if context is not None:
-                causal.txn_begin(context, env.now, "flit", flow)
+                tel.begin("flit", context, track=flow)
             start = env.now
             yield domain.acquire(flow, trace=context)
             stalled[flow] += env.now - start
             if context is not None:
-                serialize = causal.begin(context, env.now, SERIALIZATION,
-                                         site_serialize)
+                serialize = tel.begin(site_serialize, context,
+                                      SERIALIZATION)
             yield env.timeout(_SERIALIZE_NS)
             if context is not None:
-                causal.end(context, env.now, serialize)
-                causal.txn_end(context, env.now)
+                tel.end(serialize, context)
+                tel.end(ROOT, context)
             domain.release(flow)
 
     def run_flow(flow: str, flits: int):

@@ -5,8 +5,9 @@ Every registered experiment gets its environments from
 itself.  This module is the one place that attaches what a run asks
 for:
 
-* ``trace`` and ``metrics`` — telemetry plus the timeline sampler;
-* ``why`` — the same plus a causal recorder;
+* ``metrics`` — telemetry plus the timeline sampler;
+* ``trace`` and ``why`` — the same, sampling transactions into the
+  telemetry record stream;
 * ``health`` — the same plus a
   :class:`~repro.telemetry.health.HealthMonitor` with its SLO spec;
 * ``sanitize`` — the runtime sanitizers;
@@ -42,7 +43,7 @@ from .registry import OBSERVERS, ExperimentError, get
 __all__ = ["Observation", "RunContext", "run_health", "run_scenario"]
 
 _TELEMETRY = frozenset(("trace", "metrics", "why", "health"))
-_CAUSAL = frozenset(("why", "health"))
+_CAUSAL = frozenset(("trace", "why", "health"))
 
 
 class Observation:
@@ -64,11 +65,6 @@ class Observation:
     @property
     def telemetry(self):
         return self.env.telemetry
-
-    @property
-    def causal(self):
-        telemetry = self.env.telemetry
-        return telemetry.causal if telemetry is not None else None
 
     def finish(self, summary: Dict[str, Any]) -> None:
         """The run is over: flush the last window, audit the drain."""
@@ -96,12 +92,13 @@ class Observation:
     def attribution_report(self,
                            max_transactions: int = 32) -> Dict[str, Any]:
         """Critical paths + latency buckets (the ``why`` document)."""
-        if self.causal is None:
+        telemetry = self.telemetry
+        if telemetry is None or telemetry.causal_sample is None:
             raise ValueError(
                 f"scenario {self.name!r} ran without causal tracing; "
                 f"re-run with causal=True")
         from ..telemetry.attribution import build_report
-        return build_report(self.name, self.causal, summary=self.summary,
+        return build_report(self.name, telemetry, summary=self.summary,
                             max_transactions=max_transactions)
 
     def health_report(self) -> Dict[str, Any]:
@@ -193,7 +190,6 @@ class RunContext:
             return env
         monitor = plane = telemetry = None
         if observe & _TELEMETRY:
-            from ..telemetry.causal import CausalRecorder
             from ..telemetry.core import Telemetry
             from ..telemetry.health import HealthMonitor, check_cadence
             from ..telemetry.sampler import TimelineSampler
@@ -204,14 +200,13 @@ class RunContext:
                 window_ns = self.params.get("window_ns", HEALTH_WINDOW_NS)
             check_cadence(interval_ns,
                           window_ns if "health" in observe else None)
-            causal = None
+            sample = None
             if observe & _CAUSAL:
                 sample = self.params.get("causal_sample", 1)
                 if sample < 1:
                     raise ExperimentError(
                         f"causal_sample must be >= 1, got {sample}")
-                causal = CausalRecorder(sample=sample)
-            telemetry = Telemetry(causal=causal)
+            telemetry = Telemetry(causal_sample=sample)
             if "health" in observe:
                 monitor = HealthMonitor(telemetry, scenario=label,
                                         window_ns=window_ns,
@@ -304,8 +299,9 @@ def _run_one(name: str, params: Dict[str, Any], observe,
 def run_scenario(name: str, interval_ns: Optional[float] = None,
                  telemetry: bool = True, causal: bool = False,
                  causal_sample: int = 1) -> Observation:
-    """Run one experiment with telemetry (``causal``: and a causal
-    recorder); returns its first environment's :class:`Observation`.
+    """Run one experiment with telemetry (``causal``: sampling 1 in
+    ``causal_sample`` transactions); returns its first environment's
+    :class:`Observation`.
     ``telemetry=False`` runs the identical model bare."""
     if causal and not telemetry:
         raise ValueError("causal tracing needs telemetry=True")

@@ -78,7 +78,7 @@ class Packet:
     the fabric manager).  ``tag`` pairs a response with its request.
     ``meta`` carries model-level annotations (ownership, QoS class...)
     that a real fabric would encode in header bits.  ``trace`` is the
-    causal :class:`~repro.telemetry.causal.TraceContext` riding with a
+    :class:`~repro.telemetry.core.TraceContext` riding with a
     sampled transaction (None for untraced packets — the common case),
     and responses inherit it so end-to-end latency attributes to one
     trace id.
@@ -129,7 +129,7 @@ class Flit:
     ``index``/``total`` locate the flit within its parent packet;
     reassembly completes when all ``total`` flits arrived.  ``flow`` is
     stamped by switches with the ingress-port flow name for per-flow
-    credit accounting.  ``cspan`` holds the open causal span id while
+    credit accounting.  ``cspan`` holds the open stage interval's id while
     the flit sits in a queue whose enqueue and dequeue sides are
     different code paths (tx queue, egress scheduler); stages are
     sequential per flit so one slot suffices.

@@ -22,7 +22,7 @@ from typing import Any, Callable, Generator, List, Optional
 
 from .. import params
 from ..sim import Container, Environment, Event, SimRng, Store
-from ..telemetry.causal import CREDIT_STALL, QUEUEING, SERIALIZATION, WIRE
+from ..telemetry.core import CREDIT_STALL, QUEUEING, SERIALIZATION, WIRE
 from .flit import Channel, Flit
 from .phys import PhysicalLayer
 
@@ -78,14 +78,12 @@ class LinkLayer:
         # Telemetry is cached once; every hot-path hook below is a
         # single `is None` branch when observability is off.
         self._tel = tel = env.telemetry
-        self._causal = tel.causal if tel is not None else None
-        if self._causal is not None:
+        if tel is not None:
             # Sites are formatted once here, never per event.
             self._site_txq = f"link.{name}.txq"
             self._site_credit = f"link.{name}.credit"
             self._site_serialize = f"link.{name}.serialize"
             self._site_wire = f"link.{name}.wire"
-        if tel is not None:
             registry = tel.registry
             self._m_flits = registry.counter(f"link.{name}.flits")
             self._m_bytes = registry.counter(f"link.{name}.bytes")
@@ -131,11 +129,11 @@ class LinkLayer:
             queue = self._tx_queues[flit.vc]
         else:
             raise ValueError(f"flit VC {flit.vc} out of range")
-        if self._causal is not None and flit.packet.trace is not None:
+        if self._tel is not None and flit.packet.trace is not None:
             # Residency in the tx queue, closed by the transmit loop
             # when it dequeues the flit (HoL time behind earlier flits).
-            flit.cspan = self._causal.begin(
-                flit.packet.trace, self.env.now, QUEUEING, self._site_txq)
+            flit.cspan = self._tel.begin(self._site_txq, flit.packet.trace,
+                                         QUEUEING)
         return queue.put(flit)
 
     def tx_backlog(self, vc: int) -> int:
@@ -166,7 +164,6 @@ class LinkLayer:
         with the next flit.
         """
         env = self.env
-        causal = self._causal
         tel = self._tel
         control_lane = self.control_lane_enabled
         pools = self._credit_pools
@@ -176,9 +173,9 @@ class LinkLayer:
                 flit = taken(flit)
                 if flit is None:
                     continue
-            trace = flit.packet.trace if causal is not None else None
-            if causal is not None and flit.cspan is not None:
-                causal.end(trace, env.now, flit.cspan)
+            trace = flit.packet.trace if tel is not None else None
+            if trace is not None and flit.cspan is not None:
+                tel.end(flit.cspan, trace)
                 flit.cspan = None
             if control_lane and flit.packet.channel is Channel.CONTROL:
                 phys = self._control_phys
@@ -186,14 +183,14 @@ class LinkLayer:
                 phys = self.phys
                 credit = pools[flit.vc].get(1)
                 if trace is not None:
-                    causal.wait(trace, credit, CREDIT_STALL,
-                                self._site_credit)
+                    tel.wait(self._site_credit, trace, CREDIT_STALL,
+                             credit)
                 yield credit
             serialize = None
             if trace is not None:
                 # Retries included: NAK round-trips are serialization cost.
-                serialize = causal.begin(trace, env.now, SERIALIZATION,
-                                         self._site_serialize)
+                serialize = tel.begin(self._site_serialize, trace,
+                                      SERIALIZATION)
             wire = phys.wire
             while True:
                 request = wire.request()
@@ -222,7 +219,7 @@ class LinkLayer:
                 counter.value += flit.size_bytes
                 counter.last_time = now
             if serialize is not None:
-                causal.end(trace, env.now, serialize)
+                tel.end(serialize, trace)
             self._propagate(flit)
             if done is not None:
                 done(flit)
@@ -230,16 +227,15 @@ class LinkLayer:
     def _propagate(self, flit: Flit) -> None:
         """Put a serialized flit on the wire; it arrives by callback.
 
-        The causal wire span opens now and closes on arrival.  The
+        A traced flit's wire interval opens now and closes on arrival.  The
         callback stands in for a propagation process: its start hook
         is credited here and its completion on arrival (see
         ``Environment.credit_elided``).
         """
         env = self.env
         wire = None
-        if self._causal is not None and flit.packet.trace is not None:
-            wire = self._causal.begin(flit.packet.trace, env.now,
-                                      WIRE, self._site_wire)
+        if self._tel is not None and flit.packet.trace is not None:
+            wire = self._tel.begin(self._site_wire, flit.packet.trace, WIRE)
         arrive = self._arrive
         if self._san is not None:
             arrive = self._san.writer("_propagate").wrap(arrive)
@@ -248,7 +244,7 @@ class LinkLayer:
 
     def _arrive(self, flit: Flit, wire: Optional[int]) -> None:
         if wire is not None:
-            self._causal.end(flit.packet.trace, self.env.now, wire)
+            self._tel.end(wire, flit.packet.trace)
         self._deliver(flit)
         self.env.credit_elided(1)
 

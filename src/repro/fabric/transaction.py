@@ -37,7 +37,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..sim import Environment, Event, SimulationError, Store
-from ..telemetry.causal import QUEUEING
+from ..telemetry.core import QUEUEING, ROOT
 from .flit import (
     Channel,
     Flit,
@@ -119,17 +119,14 @@ class TransactionPort:
         self.requests_sent = 0
         self.responses_received = 0
         self.orphan_responses = 0
-        # Causal tracing: ports are where fabric transactions *root* —
-        # a request arriving with no trace context asks the recorder
-        # to sample one.  Cached like telemetry: one is-None branch
-        # per request when tracing is off.
+        # Ports are where fabric transactions *root*: a request with no
+        # trace context asks telemetry to sample one.  Cached: one
+        # is-None branch per request when telemetry is off.
         tel = env.telemetry
         self._tel = tel
-        self._causal = tel.causal if tel is not None else None
         if tel is not None:
             self._h_latency = tel.registry.histogram(
                 f"port.{name}.request_ns")
-        if self._causal is not None:
             self._site_tags = f"port.{name}.tags"
             self._route_prefix = f"{name}:"
         env.process(self._receiver(), name=f"{name}.rx", daemon=True)
@@ -143,27 +140,26 @@ class TransactionPort:
         """
         if packet.kind not in REQUEST_KINDS:
             raise ValueError(f"{packet.kind} is not a request kind")
-        causal = self._causal
+        tel = self._tel
         rooted = False
-        if causal is not None and packet.trace is None:
-            context = causal.sample_root()
+        if tel is not None and packet.trace is None:
+            context = tel.sample_root()
             if context is not None:
                 packet.trace = context
                 rooted = True
-                causal.txn_begin(context, self.env.now, packet.kind.value,
-                                 self._route_prefix + packet.kind.value)
+                route = self._route_prefix + packet.kind.value
+                tel.begin(packet.kind.value, context, track=route)
         issued = self.env.now
         tag_wait = None
-        if causal is not None and packet.trace is not None \
+        if tel is not None and packet.trace is not None \
                 and not self.tags.available:
-            tag_wait = causal.begin(packet.trace, self.env.now,
-                                    QUEUEING, self._site_tags)
+            tag_wait = tel.begin(self._site_tags, packet.trace, QUEUEING)
         while not self.tags.available:
             # Outstanding-request window full: queue for the next
             # completion, then re-check (another waiter may win the tag).
             yield self._block()
         if tag_wait is not None:
-            causal.end(packet.trace, self.env.now, tag_wait)
+            tel.end(tag_wait, packet.trace)
         packet.tag = self.tags.allocate()
         packet.src = self.port_id
         packet.birth_ns = self.env.now
@@ -177,10 +173,10 @@ class TransactionPort:
             self._rehook.append(done)
         response = yield done
         now = self.env.now
-        if self._tel is not None:
+        if tel is not None:
             self._h_latency.observe(now - issued, time=now)
         if rooted:
-            causal.txn_end(packet.trace, now)
+            tel.end(ROOT, packet.trace, now)
         return response
 
     def _block(self) -> Event:
@@ -272,9 +268,9 @@ class TransactionPort:
                     hook.limit = self._joins
             self.tags.free(packet.tag)
             self.responses_received += 1
-            if self._causal is not None and packet.trace is not None:
-                self._causal.mark(packet.trace, self.env.now,
-                                  "deliver", self.name)
+            if self._tel is not None and packet.trace is not None:
+                self._tel.instant("deliver", packet.trace,
+                                  track=self.name)
             waiter.succeed(packet)
             return
         if packet.kind in REQUEST_KINDS:

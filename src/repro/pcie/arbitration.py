@@ -25,7 +25,7 @@ import itertools
 from typing import Dict, Hashable, Optional, Tuple
 
 from ..sim import Environment, Event, Store
-from ..telemetry.causal import ARBITRATION, QUEUEING
+from ..telemetry.core import ARBITRATION, QUEUEING
 
 __all__ = ["EgressScheduler", "FifoScheduler", "FairVcScheduler",
            "PriorityScheduler", "make_scheduler"]
@@ -53,13 +53,15 @@ class EgressScheduler:
         self._arrival: Optional[Event] = None
         self._taking: Optional[Hashable] = None  # queue of the pending take
         self.enqueued = 0
-        # Causal tracing (cached, one is-None branch when off).  The
-        # switch stamps `site` at attach time; `_head_ts` remembers,
-        # per queue, when its current head reached the head — the
-        # boundary between time-in-queue (queueing) and time-at-head
-        # losing grants (arbitration).  Maintained only on traced runs.
+        # The telemetry hub when it samples transactions (cached, one
+        # is-None branch when off).  The switch stamps `site` at attach
+        # time; `_head_ts` remembers, per queue, when its current head
+        # reached the head — the boundary between time-in-queue
+        # (queueing) and time-at-head losing grants (arbitration).
+        # Maintained only on sampled runs.
         tel = env.telemetry
-        self._causal = tel.causal if tel is not None else None
+        self._tel = tel if tel is not None \
+            and tel.causal_sample is not None else None
         self.site = "sched"
         self._head_ts: Dict[Hashable, float] = {}
 
@@ -74,7 +76,7 @@ class EgressScheduler:
             self._queues[queue_id] = queue
         put_event = queue.put(entry)
         put_event.callbacks.append(self._notify_arrival)
-        if self._causal is not None:
+        if self._tel is not None:
             trace = flit.packet.trace
 
             def _staged(event, self=self, queue=queue, queue_id=queue_id,
@@ -83,8 +85,8 @@ class EgressScheduler:
                 if len(queue.items) == 1:
                     self._head_ts[queue_id] = now
                 if trace is not None:
-                    flit.cspan = self._causal.begin(trace, now, QUEUEING,
-                                                    self.site)
+                    flit.cspan = self._tel.begin(self.site, trace, QUEUEING,
+                                                 now)
 
             put_event.callbacks.append(_staged)
         return put_event
@@ -119,7 +121,7 @@ class EgressScheduler:
             self._arrival = None
             return None
         self._on_pop(value)
-        if self._causal is not None:
+        if self._tel is not None:
             self._record_grant(self._taking, value[2])
         return value[2]
 
@@ -131,17 +133,18 @@ class EgressScheduler:
         trace = flit.packet.trace
         if trace is None:
             return
-        causal = self._causal
+        tel = self._tel
         if flit.cspan is not None:
             # Queue residency ends when the flit reached the head; the
             # analyzer clamps if the head estimate predates the enqueue
             # (possible only across same-instant callback orderings).
-            causal.end(trace, head_since, flit.cspan)
+            tel.end(flit.cspan, trace, head_since)
             flit.cspan = None
         if now - head_since > 0.0:
-            causal.interval(trace, head_since, now, ARBITRATION,
-                            self.site)
-        causal.mark(trace, now, "arb.grant", self.site)
+            # Recorded after the fact: both edges are known only now.
+            tel.end(tel.begin(self.site, trace, ARBITRATION, head_since),
+                    trace, now)
+        tel.instant("arb.grant", trace, now, self.site)
 
     def __len__(self) -> int:
         return sum(len(q) for q in self._queues.values())

@@ -31,7 +31,7 @@ from typing import Dict, Generator, List, Optional
 
 from .. import params
 from ..sim import Container, Environment, Event
-from ..telemetry.causal import CREDIT_STALL
+from ..telemetry.core import CREDIT_STALL
 
 __all__ = ["CreditDomain", "CreditPolicy", "RampUpPolicy",
            "StaticEqualPolicy", "ReservationPolicy",
@@ -220,11 +220,10 @@ class CreditDomain:
         if tel is not None:
             self._track = f"credits.{name}"
             self._m_stalls = tel.registry.counter(f"credits.{name}.stalls")
-        # Causal tracing: a blocked acquire is the credit_stall the
-        # starvation scenario attributes victim latency to.  Per-flow
-        # site strings are built once, at register time.
-        self._causal = tel.causal if tel is not None else None
-        self._causal_sites: Dict[str, str] = {}
+        # A traced blocked acquire is the credit_stall the starvation
+        # scenario attributes victim latency to.  Per-flow site strings
+        # are built once, at register time.
+        self._stall_sites: Dict[str, str] = {}
 
     # -- flow registry -----------------------------------------------------
 
@@ -239,9 +238,8 @@ class CreditDomain:
         self._retire_debt[flow] = 0
         self._pending_gets[flow] = []
         self._order.append(flow)
-        if self._causal is not None:
-            self._causal_sites[flow] = f"credits.{self.name}.{flow}"
         if self._tel is not None:
+            self._stall_sites[flow] = f"credits.{self.name}.{flow}"
             pool = self._pools[flow]
             self._tel.add_probe(f"credits.{self.name}.{flow}.available",
                                 lambda p=pool: p.level, track=self._track)
@@ -267,8 +265,8 @@ class CreditDomain:
     def acquire(self, flow: str, trace=None) -> Event:
         """Take one credit for ``flow`` (blocks while its pool is dry).
 
-        ``trace`` is an optional causal
-        :class:`~repro.telemetry.causal.TraceContext`; a blocked
+        ``trace`` is an optional
+        :class:`~repro.telemetry.core.TraceContext`; a blocked
         acquire then records a ``credit_stall`` interval closing the
         instant the credit is granted.
         """
@@ -279,9 +277,9 @@ class CreditDomain:
             # timeline scenarios visualize.
             self._m_stalls.inc(time=self.env.now)
             self._tel.instant("credits.stall", track=self._track, flow=flow)
-        if self._causal is not None and trace is not None:
-            self._causal.wait(trace, event, CREDIT_STALL,
-                              self._causal_sites[flow])
+        if self._tel is not None and trace is not None:
+            self._tel.wait(self._stall_sites[flow], trace, CREDIT_STALL,
+                           event)
         if self._san is not None:
             if event.triggered:
                 self._in_flight[flow] += 1

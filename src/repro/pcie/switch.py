@@ -33,7 +33,7 @@ from .. import params
 from ..fabric.flit import Flit
 from ..fabric.link import LinkLayer
 from ..sim import Environment, Event, Resource
-from ..telemetry.causal import QUEUEING
+from ..telemetry.core import QUEUEING
 from .arbitration import EgressScheduler, make_scheduler
 from .credits import CreditDomain
 from .routing import RoutingTable
@@ -59,7 +59,7 @@ class SwitchPort:
     flits_in: int = 0
     flits_out: int = 0
     pending: int = 0      # flits routed here but not yet on the wire
-    buffer_site: str = "" # causal site label for ingress-buffer waits
+    buffer_site: str = "" # stage-interval site of ingress-buffer waits
     flow: str = ""        # flow name of flits entering here: "in<N>"
 
 
@@ -89,7 +89,6 @@ class FabricSwitch:
         # Cached telemetry: the per-flit hooks below are one is-None
         # branch when observability is off.
         self._tel = tel = env.telemetry
-        self._causal = tel.causal if tel is not None else None
         self._san = env.sanitizer
         if tel is not None:
             registry = tel.registry
@@ -114,11 +113,10 @@ class FabricSwitch:
             scheduler=make_scheduler(self.scheduler_kind, self.env,
                                      capacity=self.scheduler_capacity),
             peer=peer, flow=f"in{index}")
-        if self._causal is not None:
-            port.buffer_site = f"pcie.{self.name}.in{index}.buffer"
-            port.scheduler.site = f"pcie.{self.name}.p{index}.egress"
         self.ports[index] = port
         if self._tel is not None:
+            port.buffer_site = f"pcie.{self.name}.in{index}.buffer"
+            port.scheduler.site = f"pcie.{self.name}.p{index}.egress"
             # The issue-shaped hierarchical names: queue_depth counts
             # flits routed to this egress but not yet on the wire.
             self._tel.add_probe(
@@ -151,11 +149,11 @@ class FabricSwitch:
         while True:
             flit: Flit = yield port.in_link.rx.get()
             request = slots.request()
-            if self._causal is not None and flit.packet.trace is not None:
+            if self._tel is not None and flit.packet.trace is not None:
                 # Waiting for switch buffering while still holding the
                 # upstream credit — the C7 back-propagation stage.
-                self._causal.wait(flit.packet.trace, request, QUEUEING,
-                                  port.buffer_site)
+                self._tel.wait(port.buffer_site, flit.packet.trace,
+                               QUEUEING, request)
             yield request
             # Credit returns upstream only once the flit found switch
             # buffering; a full switch therefore stalls the upstream
@@ -207,11 +205,11 @@ class FabricSwitch:
     def _stage(self, flit: Flit, egress: SwitchPort, slots: Resource,
                request, _acquired: Optional[Event] = None) -> None:
         push = egress.scheduler.push(flit)
-        if self._causal is not None and flit.packet.trace is not None:
+        if self._tel is not None and flit.packet.trace is not None:
             # Blocked at a full staging queue: still queueing, charged
             # to the egress scheduler's site.
-            self._causal.wait(flit.packet.trace, push, QUEUEING,
-                              egress.scheduler.site)
+            self._tel.wait(egress.scheduler.site, flit.packet.trace,
+                           QUEUEING, push)
         self._then(push, partial(self._staged, slots, request))
 
     def _staged(self, slots: Resource, request, _pushed: Event) -> None:

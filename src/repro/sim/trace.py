@@ -2,7 +2,7 @@
 
 :class:`StatSeries` accumulates scalar samples for the mean /
 percentile / rate queries experiments report.  Event tracing lives in
-:mod:`repro.telemetry` (spans, instants, the causal recorder).
+:mod:`repro.telemetry` (one record stream per environment).
 """
 
 from __future__ import annotations

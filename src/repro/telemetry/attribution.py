@@ -1,14 +1,19 @@
-"""Offline analysis of the causal flight recorder: where latency went.
+"""Where latency went: transactions rebuilt from the record stream.
 
-Consumes a :class:`~repro.telemetry.causal.CausalRecorder` and
-produces, per traced transaction, a *critical path* — the transaction's
-[begin, end) interval cut into contiguous segments, each attributed to
-exactly one category — and, across transactions, aggregate attribution
-tables with t-digest percentile summaries per category and per route.
+Reads a :class:`~repro.telemetry.core.Telemetry`'s record stream and
+produces, per sampled transaction, a *critical path* — the
+transaction's [begin, end) interval cut into contiguous segments, each
+attributed to exactly one category — and, across transactions,
+aggregate attribution tables with t-digest percentile summaries per
+category and per route.  :class:`TransactionBuilder` does the
+rebuilding incrementally, from a cursor into the stream: the ``why``
+document runs it once over the whole run, the health monitor at every
+window close, and the ``trace`` document draws what it rebuilds as one
+track per transaction.
 
 Attribution rule: at every instant of a transaction's lifetime the
-highest-precedence *open* typed interval claims the time (precedence
-is the :data:`~repro.telemetry.causal.CATEGORIES` order — a flit
+highest-precedence *open* stage interval claims the time (precedence
+is the :data:`~repro.telemetry.core.CATEGORIES` order — a flit
 blocked on a credit is charged to ``credit_stall`` even while it also
 sits in a staging queue).  Instants covered by no interval are the
 model doing modelled work: ``processing``.  The segments therefore
@@ -19,13 +24,15 @@ sum to end − begin, with nothing double-counted.
 from __future__ import annotations
 
 import dataclasses
+import heapq
+from itertools import islice
 from typing import Any, Dict, List, Optional, Tuple
 
-from .causal import CATEGORIES, CausalRecorder, PROCESSING
+from .core import CATEGORIES, PROCESSING
 
 __all__ = ["AttributionError", "TDigest", "SpanRecord",
-           "TransactionTrace", "collect_transactions", "build_report",
-           "validate_attribution"]
+           "TransactionTrace", "TransactionBuilder", "collect_transactions",
+           "build_report", "validate_attribution"]
 
 #: category -> precedence rank (lower wins)
 _PRECEDENCE = {category: rank for rank, category in enumerate(CATEGORIES)}
@@ -143,10 +150,9 @@ class TDigest:
 
 @dataclasses.dataclass
 class SpanRecord:
-    """One typed interval inside a transaction."""
+    """One stage interval inside a transaction."""
 
     sid: int
-    parent: int
     category: str
     site: str
     t0: float
@@ -155,13 +161,16 @@ class SpanRecord:
 
 @dataclasses.dataclass
 class TransactionTrace:
-    """One reconstructed transaction: its window, intervals, marks."""
+    """One reconstructed transaction: its window, intervals, marks.
+
+    ``end`` is ``None`` while the transaction is still open.
+    """
 
     trace_id: int
     kind: str
     route: str
     begin: float
-    end: float
+    end: Optional[float]
     spans: List[SpanRecord]
     marks: List[Tuple[float, str, str]]
 
@@ -170,29 +179,37 @@ class TransactionTrace:
         return self.end - self.begin
 
     def critical_path(self) -> List[Dict[str, Any]]:
-        """Contiguous attributed segments covering [begin, end)."""
+        """Contiguous attributed segments covering [begin, end).
+
+        One sweep over the interval edges: the intervals open on a
+        segment sit in a heap keyed by (precedence, start, sid), so the
+        top is the winner once the intervals that ended are popped.
+        """
         if self.end - self.begin <= _EPS:
             return []
         bounds = {self.begin, self.end}
-        clamped: List[SpanRecord] = []
+        starts: Dict[float, List[Tuple]] = {}
         for span in self.spans:
             t0 = min(max(span.t0, self.begin), self.end)
             t1 = min(max(span.t1, self.begin), self.end)
             if t1 - t0 > _EPS:
-                clamped.append(dataclasses.replace(span, t0=t0, t1=t1))
+                starts.setdefault(t0, []).append(
+                    (_PRECEDENCE[span.category], t0, span.sid, t1,
+                     span.category, span.site))
                 bounds.add(t0)
                 bounds.add(t1)
         points = sorted(bounds)
+        open_spans: List[Tuple] = []
         segments: List[Dict[str, Any]] = []
         for left, right in zip(points, points[1:]):
+            for entry in starts.get(left, ()):
+                heapq.heappush(open_spans, entry)
             if right - left <= _EPS:
                 continue
-            active = [span for span in clamped
-                      if span.t0 <= left + _EPS and span.t1 >= right - _EPS]
-            if active:
-                winner = min(active, key=lambda span:
-                             (_PRECEDENCE[span.category], span.t0, span.sid))
-                category, site = winner.category, winner.site
+            while open_spans and open_spans[0][3] <= left:
+                heapq.heappop(open_spans)
+            if open_spans:
+                category, site = open_spans[0][4:]
             else:
                 category, site = PROCESSING, "model"
             if segments and segments[-1]["category"] == category \
@@ -212,92 +229,91 @@ class TransactionTrace:
             totals[segment["category"]] += segment["ns"]
         return totals
 
-    def dag(self) -> Dict[str, Any]:
-        """The transaction's event DAG (spans nested under parents)."""
-        children: Dict[int, List[SpanRecord]] = {}
-        for span in sorted(self.spans, key=lambda s: (s.t0, s.sid)):
-            children.setdefault(span.parent, []).append(span)
-
-        def _node(span: SpanRecord) -> Dict[str, Any]:
-            return {"sid": span.sid, "category": span.category,
-                    "site": span.site, "t0": span.t0, "t1": span.t1,
-                    "children": [_node(child)
-                                 for child in children.get(span.sid, [])]}
-
-        return {"trace_id": self.trace_id, "kind": self.kind,
-                "route": self.route, "t0": self.begin, "t1": self.end,
-                "spans": [_node(span) for span in children.get(0, [])],
-                "marks": [{"ts": ts, "name": name, "site": site}
-                          for ts, name, site in self.marks]}
 
 
-def collect_transactions(recorder: CausalRecorder
-                         ) -> List[TransactionTrace]:
-    """Rebuild completed transactions from the flight recorder.
+class TransactionBuilder:
+    """Rebuilds sampled transactions from one telemetry record stream.
 
-    Transactions whose begin fell off the ring, or which never
-    finished, are skipped; intervals missing their end (a wait still
-    blocked at run end) clamp to the transaction end.
+    Reads the stream from a cursor, so each record is read once however
+    often :meth:`finished` is called.  A stage interval still open when
+    its transaction is taken (a wait still blocked at the transaction's
+    end) clamps to the transaction end; records of a transaction
+    already taken are ignored.
     """
-    txns: Dict[int, Dict[str, Any]] = {}
-    open_spans: Dict[int, SpanRecord] = {}
-    for record in recorder.events:
-        tag = record[0]
-        if tag == "T":
-            _, ts, tid, kind, route = record
-            txns[tid] = {"begin": ts, "end": None, "kind": kind,
-                         "route": route, "spans": [], "marks": []}
-        elif tag == "F":
-            _, ts, tid = record
-            txn = txns.get(tid)
-            if txn is not None:
-                txn["end"] = ts
-        elif tag == "B":
-            _, ts, tid, sid, parent, category, site = record
-            txn = txns.get(tid)
-            if txn is not None:
-                span = SpanRecord(sid=sid, parent=parent,
-                                  category=category, site=site,
-                                  t0=ts, t1=ts)
-                open_spans[sid] = span
-                txn["spans"].append(span)
-        elif tag == "E":
-            _, ts, tid, sid = record
-            span = open_spans.pop(sid, None)
-            if span is not None:
-                span.t1 = ts
-        elif tag == "M":
-            _, ts, tid, name, site = record
-            txn = txns.get(tid)
-            if txn is not None:
-                txn["marks"].append((ts, name, site))
-    results: List[TransactionTrace] = []
-    for tid in sorted(txns):
-        txn = txns[tid]
-        if txn["end"] is None:
-            continue
-        for span in txn["spans"]:
-            if span.t1 < span.t0:
-                span.t1 = span.t0
-            if span.sid in open_spans:      # never closed: the wait was
-                span.t1 = max(span.t0, txn["end"])   # still blocked at
-                del open_spans[span.sid]             # transaction end
-        results.append(TransactionTrace(
-            trace_id=tid, kind=txn["kind"], route=txn["route"],
-            begin=txn["begin"], end=txn["end"],
-            spans=txn["spans"], marks=txn["marks"]))
-    return results
+
+    def __init__(self, telemetry) -> None:
+        self._events = telemetry.events
+        self._cursor = 0
+        self._txns: Dict[int, TransactionTrace] = {}
+        self._open: Dict[int, SpanRecord] = {}
+
+    @property
+    def pending(self) -> int:
+        """Transactions begun and not yet taken."""
+        return len(self._txns)
+
+    def finished(self, until: Optional[float] = None
+                 ) -> List[TransactionTrace]:
+        """Take every transaction that ended (by ``until``, if given),
+        in trace-id order."""
+        txns, open_spans = self._txns, self._open
+        events = self._events
+        for record in islice(events, self._cursor, None):
+            tag = record[0]
+            if tag == "b":
+                _, ts, tid, sid, category, site = record
+                txn = txns.get(tid)
+                if txn is not None:
+                    span = SpanRecord(sid, category, site, ts, ts)
+                    open_spans[sid] = span
+                    txn.spans.append(span)
+            elif tag == "e":
+                span = open_spans.pop(record[3], None)
+                if span is not None:
+                    span.t1 = record[1]
+            elif tag == "T":
+                _, ts, tid, kind, route = record
+                txns[tid] = TransactionTrace(tid, kind, route, ts, None,
+                                             [], [])
+            elif tag == "F":
+                txn = txns.get(record[2])
+                if txn is not None:
+                    txn.end = record[1]
+            elif tag == "m":
+                _, ts, tid, name, site = record
+                txn = txns.get(tid)
+                if txn is not None:
+                    txn.marks.append((ts, name, site))
+        self._cursor = len(events)
+        done = sorted([tid for tid, txn in txns.items()
+                       if txn.end is not None
+                       and (until is None or txn.end <= until + _EPS)])
+        results: List[TransactionTrace] = []
+        for tid in done:
+            txn = txns.pop(tid)
+            for span in txn.spans:
+                if span.t1 < span.t0:
+                    span.t1 = span.t0
+                if open_spans.pop(span.sid, None) is not None:
+                    span.t1 = max(span.t0, txn.end)
+            results.append(txn)
+        return results
+
+
+def collect_transactions(telemetry) -> List[TransactionTrace]:
+    """Every finished transaction in ``telemetry``'s record stream."""
+    return TransactionBuilder(telemetry).finished()
 
 
 # --------------------------------------------------------------------------
 # the aggregate report (the `repro bench <exp> --observe why` payload)
 # --------------------------------------------------------------------------
 
-def build_report(scenario: str, recorder: CausalRecorder,
+def build_report(scenario: str, telemetry,
                  summary: Optional[Dict[str, Any]] = None,
                  max_transactions: int = 32) -> Dict[str, Any]:
     """Aggregate attribution + per-transaction waterfalls as JSON."""
-    transactions = collect_transactions(recorder)
+    transactions = collect_transactions(telemetry)
     total_ns = {category: 0.0 for category in CATEGORIES}
     digests = {category: TDigest() for category in CATEGORIES}
     routes: Dict[str, Dict[str, Any]] = {}
@@ -335,12 +351,14 @@ def build_report(scenario: str, recorder: CausalRecorder,
         "tool": "repro-why",
         "scenario": scenario,
         "trace": {
-            "sample": recorder.sample,
-            "roots_seen": recorder.roots_seen,
-            "started": recorder.started,
-            "finished": recorder.finished,
+            "sample": telemetry.causal_sample,
+            "roots_seen": telemetry.roots_seen,
+            "started": telemetry.started,
+            "finished": telemetry.finished,
             "analyzed": len(transactions),
-            "saturated": recorder.saturated,
+            # Nothing is ever dropped from the stream; the key stays
+            # so the document keeps its schema.
+            "saturated": False,
         },
         "total_ns": round(grand_total, 3),
         "attribution": _table(total_ns, include_percentiles=True),

@@ -24,7 +24,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
-from .causal import CATEGORIES
+from .core import CATEGORIES
 
 __all__ = ["ComparisonError", "load_payload", "payload_kind",
            "compare_payloads"]

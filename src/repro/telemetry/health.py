@@ -11,10 +11,11 @@ subscribe to:
   deltas (so p50/p95/p99 are *of the window*, not cumulative), via
   :meth:`~repro.telemetry.metrics.Histogram.snapshot_delta`;
 * **incremental attribution** — per-window credit_stall / arbitration /
-  queueing shares per route, streamed from the causal flight recorder
-  through its ``tap`` hook and finalized as windows close, reusing
-  :class:`~repro.telemetry.attribution.TransactionTrace`'s precedence
-  sweep — summed across windows the numbers equal the offline
+  queueing shares per route: at each window close the monitor reads
+  the telemetry record stream on from where the last close stopped,
+  through the same
+  :class:`~repro.telemetry.attribution.TransactionBuilder` the ``why``
+  document uses — summed across windows the numbers equal the
   ``why`` report exactly (pinned by tests);
 * **SLOs + burn-rate alerts** — a declarative JSON SloSpec (objective,
   target, alert rules); each window updates the error-budget burn rate
@@ -23,12 +24,12 @@ subscribe to:
 * **anomaly detection** — deterministic EWMA + threshold rules over
   any windowed series.
 
-Determinism contract (the same one telemetry, causal and sanitize
-honor): the monitor is a *pure observer*.  Windows close from a
+Determinism contract (the same one telemetry and sanitize honor): the
+monitor is a *pure observer*.  Windows close from a
 :meth:`~repro.telemetry.core.Telemetry.add_ticker` callback inside the
-TimelineSampler's existing daemon process, and the flight-recorder tap
-only mirrors appends — health on/off never schedules a kernel event,
-so ``events_processed`` and every scenario summary are bit-identical
+TimelineSampler's existing daemon process and only read the record
+stream — health on/off never schedules a kernel event, so
+``events_processed`` and every scenario summary are bit-identical
 either way (pinned by tests).
 
 Subscribing a policy: ``monitor.subscribe(fn)`` delivers each
@@ -46,12 +47,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..params import HEALTH_WINDOW_NS as DEFAULT_WINDOW_NS
 from ..params import SAMPLER_INTERVAL_NS as DEFAULT_INTERVAL_NS
-from .causal import CATEGORIES
-from .core import Telemetry
+from .core import CATEGORIES, Telemetry
 from .metrics import Counter, Gauge, Histogram
 
 __all__ = ["HealthError", "SloSpec", "HealthMonitor", "run_health",
@@ -419,11 +419,10 @@ def default_slo_spec(scenario: str) -> Dict[str, Any]:
 class HealthMonitor:
     """Closes tumbling windows over one telemetry-instrumented run.
 
-    Construct against a :class:`Telemetry` (with a causal recorder)
-    *before* the model is built, so the recorder tap sees every causal
-    record.  Windows close from the TimelineSampler's ticker hook;
-    ``window_ns`` must be a multiple of the sampler interval so window
-    edges land exactly on tick times.  Call :meth:`finalize` after the
+    Construct against a :class:`Telemetry` that samples transactions
+    (``causal_sample`` set).  Windows close from the TimelineSampler's
+    ticker hook; ``window_ns`` must be a multiple of the sampler
+    interval so window edges land exactly on tick times.  Call :meth:`finalize` after the
     run to flush the trailing partial window.
     """
 
@@ -433,10 +432,10 @@ class HealthMonitor:
         if window_ns <= 0:
             raise ValueError(
                 f"window_ns must be > 0, got {window_ns}")
-        if telemetry.causal is None:
+        if telemetry.causal_sample is None:
             raise ValueError(
-                "HealthMonitor needs a causal recorder; construct "
-                "Telemetry(causal=CausalRecorder(...))")
+                "HealthMonitor needs sampled transactions; construct "
+                "Telemetry(causal_sample=N)")
         self.telemetry = telemetry
         self.scenario = scenario
         self.window_ns = window_ns
@@ -448,13 +447,8 @@ class HealthMonitor:
         self._boundary = window_ns
         self._prev_counters: Dict[str, float] = {}
         self._prev_hists: Dict[str, Dict[str, Any]] = {}
-        # Incremental flight-recorder state: mirrors
-        # attribution.collect_transactions, fed by the tap instead of
-        # an end-of-run ring scan.
-        self._txns: Dict[int, Dict[str, Any]] = {}
-        self._open_spans: Dict[int, "SpanRecord"] = {}
-        self._pending: List[Tuple] = []
-        telemetry.causal.tap = self._pending.append
+        from .attribution import TransactionBuilder
+        self._builder = TransactionBuilder(telemetry)
         telemetry.add_ticker(self._tick)
         self._finalized = False
 
@@ -484,38 +478,7 @@ class HealthMonitor:
             self._close_window(now, final=True)
         self._finalized = True
 
-    def _drain_pending(self) -> None:
-        from .attribution import SpanRecord
-        txns, open_spans = self._txns, self._open_spans
-        for record in self._pending:
-            tag = record[0]
-            if tag == "B":
-                _, ts, tid, sid, parent, category, site = record
-                txn = txns.get(tid)
-                if txn is not None:
-                    span = SpanRecord(sid=sid, parent=parent,
-                                      category=category, site=site,
-                                      t0=ts, t1=ts)
-                    open_spans[sid] = span
-                    txn["spans"].append(span)
-            elif tag == "E":
-                _, ts, tid, sid = record
-                span = open_spans.pop(sid, None)
-                if span is not None:
-                    span.t1 = ts
-            elif tag == "T":
-                _, ts, tid, kind, route = record
-                txns[tid] = {"begin": ts, "end": None, "kind": kind,
-                             "route": route, "spans": []}
-            elif tag == "F":
-                _, ts, tid = record
-                txn = txns.get(tid)
-                if txn is not None:
-                    txn["end"] = ts
-        self._pending.clear()
-
     def _close_window(self, t1: float, final: bool = False) -> None:
-        from .attribution import TransactionTrace
         index = len(self.windows)
         t0 = index * self.window_ns
         registry = self.telemetry.registry
@@ -534,29 +497,14 @@ class HealthMonitor:
                 histograms[name] = metric.snapshot_delta(
                     self._prev_hists.get(name))
                 self._prev_hists[name] = metric.to_dict()
-        self._drain_pending()
         attribution: Dict[str, Dict[str, Any]] = {}
-        done = [tid for tid in sorted(self._txns)
-                if self._txns[tid]["end"] is not None
-                and self._txns[tid]["end"] <= t1 + _EPS]
-        for tid in done:
-            txn = self._txns.pop(tid)
-            for span in txn["spans"]:
-                if span.t1 < span.t0:
-                    span.t1 = span.t0
-                if span.sid in self._open_spans:   # wait still blocked
-                    span.t1 = max(span.t0, txn["end"])   # at txn end:
-                    del self._open_spans[span.sid]       # clamp, like
-            trace = TransactionTrace(                    # offline
-                trace_id=tid, kind=txn["kind"], route=txn["route"],
-                begin=txn["begin"], end=txn["end"],
-                spans=txn["spans"], marks=[])
+        for txn in self._builder.finished(until=t1):
             route = attribution.setdefault(
-                txn["route"],
+                txn.route,
                 {"txns": 0,
                  "ns": {category: 0.0 for category in CATEGORIES}})
             route["txns"] += 1
-            for category, ns in trace.attribution().items():
+            for category, ns in txn.attribution().items():
                 route["ns"][category] += ns
             self.analyzed += 1
         window = {"index": index, "t0": t0, "t1": t1, "final": final,
@@ -579,7 +527,7 @@ class HealthMonitor:
                      ) -> Dict[str, Any]:
         """The schema-stable ``health`` observer document.  ``policy``
         names the run's credit policy (None when the run has none)."""
-        recorder = self.telemetry.causal
+        telemetry = self.telemetry
         windows = [{"index": w["index"], "t0": round(w["t0"], 3),
                     "t1": round(w["t1"], 3), "final": w["final"]}
                    for w in self.windows]
@@ -648,12 +596,12 @@ class HealthMonitor:
                 for rule in self.spec.anomalies
             ],
             "trace": {
-                "sample": recorder.sample,
-                "roots_seen": recorder.roots_seen,
-                "started": recorder.started,
-                "finished": recorder.finished,
+                "sample": telemetry.causal_sample,
+                "roots_seen": telemetry.roots_seen,
+                "started": telemetry.started,
+                "finished": telemetry.finished,
                 "analyzed": self.analyzed,
-                "pending": len(self._txns),
+                "pending": self._builder.pending,
             },
         }
         if control is not None:

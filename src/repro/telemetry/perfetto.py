@@ -10,7 +10,16 @@ entries carry ``ph`` (phase), ``ts`` (microseconds), ``pid``/``tid``,
 * ``B``/``E`` duration events for spans;
 * ``i`` instant events (thread scope);
 * ``C`` counter events for sampled probe timelines, one counter track
-  per probe name.
+  per probe name;
+* one thread per sampled transaction (``txn 7 reader:MemRd``) holding
+  an ``X`` slice per segment of its critical path, named for the
+  category that claimed the time, plus its marks as instants.
+
+Stage intervals are drawn through the critical path, not as B/E pairs:
+intervals of different flits overlap at one site, and intervals
+recorded after the fact (an arbitration wait) are out of time order in
+the stream.  Critical-path segments tile their transaction without
+overlap, so each transaction track nests trivially.
 
 Sim time is nanoseconds; Chrome ``ts`` is microseconds, so exported
 timestamps are ``ns / 1000`` (floats are allowed by the format and
@@ -26,6 +35,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from .attribution import collect_transactions
+
 __all__ = ["to_chrome_trace", "validate_chrome_trace",
            "ChromeTraceError", "PID"]
 
@@ -40,13 +51,18 @@ class ChromeTraceError(ValueError):
 
 
 def to_chrome_trace(telemetry) -> Dict[str, Any]:
-    """Build the Chrome trace-event payload from a Telemetry's events."""
+    """Build the Chrome trace-event payload from a Telemetry's records."""
     trace_events: List[Dict[str, Any]] = [{
         "ph": "M", "pid": PID, "name": "process_name",
         "args": {"name": "repro simulation"},
     }]
-    for track_name, tid in sorted(telemetry.track_names().items(),
-                                  key=lambda item: item[1]):
+    tracks = sorted(telemetry.track_names().items(),
+                    key=lambda item: item[1])
+    transactions = collect_transactions(telemetry)
+    first_txn_tid = len(tracks) + 1
+    tracks += [(f"txn {txn.trace_id} {txn.route}", first_txn_tid + index)
+               for index, txn in enumerate(transactions)]
+    for track_name, tid in tracks:
         trace_events.append({
             "ph": "M", "pid": PID, "tid": tid, "name": "thread_name",
             "args": {"name": track_name},
@@ -75,9 +91,24 @@ def to_chrome_trace(telemetry) -> Dict[str, Any]:
             record = {"ph": "C", "ts": ts / _NS_PER_US, "pid": PID,
                       "name": name, "cat": "sim",
                       "args": {"value": value}}
-        else:  # pragma: no cover - new phases must extend the exporter
-            raise ChromeTraceError(f"unknown internal phase {phase!r}")
+        else:       # transaction records: drawn per transaction below
+            continue
         trace_events.append(record)
+
+    for index, txn in enumerate(transactions):
+        tid = first_txn_tid + index
+        records = [(segment["t0"], 1, {
+            "ph": "X", "ts": segment["t0"] / _NS_PER_US,
+            "dur": segment["ns"] / _NS_PER_US, "pid": PID, "tid": tid,
+            "name": segment["category"], "cat": "txn",
+            "args": {"site": segment["site"]}})
+            for segment in txn.critical_path()]
+        records += [(ts, 0, {
+            "ph": "i", "ts": ts / _NS_PER_US, "pid": PID, "tid": tid,
+            "name": name, "cat": "txn", "s": "t", "args": {"site": site}})
+            for ts, name, site in txn.marks]
+        records.sort(key=lambda item: item[:2])
+        trace_events.extend(record for _ts, _order, record in records)
 
     return {
         "displayTimeUnit": "ns",
@@ -100,6 +131,7 @@ def validate_chrome_trace(payload: Any) -> int:
         raise ChromeTraceError("traceEvents must be a non-empty list")
 
     open_spans: Dict[Any, List[str]] = {}
+    slice_ends: Dict[Any, List[float]] = {}
     last_ts: Dict[Any, float] = {}
     for index, event in enumerate(events):
         where = f"traceEvents[{index}]"
@@ -124,7 +156,7 @@ def validate_chrome_trace(payload: Any) -> int:
             raise ChromeTraceError(f"{where}: bad ts {ts!r}")
         if phase in ("B", "i", "C", "X") and not event.get("name"):
             raise ChromeTraceError(f"{where}: missing name")
-        if phase in ("B", "E", "i") and "tid" not in event:
+        if phase in ("B", "E", "i", "X") and "tid" not in event:
             raise ChromeTraceError(f"{where}: missing tid")
         if phase == "C" and "args" not in event:
             raise ChromeTraceError(f"{where}: counter missing args")
@@ -141,6 +173,20 @@ def validate_chrome_trace(payload: Any) -> int:
                 raise ChromeTraceError(
                     f"{where}: E without a matching B on track {key}")
             stack.pop()
+        elif phase == "X":
+            dur = event.get("dur")
+            if not isinstance(dur, (int, float)) or dur < 0:
+                raise ChromeTraceError(f"{where}: bad dur {dur!r}")
+            # Slices on one track must nest: each ends before any
+            # enclosing slice it starts inside of.
+            ends = slice_ends.setdefault(key, [])
+            while ends and ends[-1] <= ts + 1e-6:
+                ends.pop()
+            if ends and ts + dur > ends[-1] + 1e-6:
+                raise ChromeTraceError(
+                    f"{where}: X slice overlaps an enclosing slice on "
+                    f"track {key}")
+            ends.append(ts + dur)
 
     unclosed = {key: stack for key, stack in open_spans.items() if stack}
     if unclosed:

@@ -5,8 +5,8 @@ depths, credit pool levels, heap bin occupancy) with their
 environment's :class:`~repro.telemetry.core.Telemetry`; the
 :class:`TimelineSampler` is a daemon process that polls every probe at
 a configurable sim-time interval, updating the probe's gauge in the
-metric registry and appending a Chrome counter event so the timeline
-is visible in Perfetto.
+metric registry and appending a counter record to the telemetry
+stream, so the timeline is visible in Perfetto.
 
 The sampler is a *pure observer*: it never blocks on model resources,
 acquires nothing, and only ever yields its own timeout — so model
@@ -27,16 +27,14 @@ __all__ = ["TimelineSampler"]
 class TimelineSampler:
     """Samples every registered probe each ``interval_ns`` of sim time."""
 
-    def __init__(self, env, interval_ns: float = DEFAULT_INTERVAL_NS,
-                 telemetry=None) -> None:
+    def __init__(self, env, interval_ns: float = DEFAULT_INTERVAL_NS) -> None:
         if interval_ns <= 0:
             raise ValueError(f"interval_ns must be > 0, got {interval_ns}")
-        telemetry = telemetry if telemetry is not None else env.telemetry
+        telemetry = env.telemetry
         if telemetry is None:
             raise ValueError(
                 "TimelineSampler needs telemetry; construct the "
-                "environment with Environment(telemetry=True) or pass "
-                "telemetry= explicitly")
+                "environment with Environment(telemetry=True)")
         self.env = env
         self.telemetry = telemetry
         self.interval_ns = interval_ns

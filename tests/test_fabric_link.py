@@ -5,8 +5,7 @@ import pytest
 from repro import params
 from repro.fabric import Channel, LinkLayer, Packet, PacketKind, PhysicalLayer, bifurcate, fragment
 from repro.sim import Environment, SimRng
-from repro.telemetry import Telemetry
-from repro.telemetry.causal import CausalRecorder, TraceContext
+from repro.telemetry import Telemetry, TraceContext
 
 
 def mem_write(nbytes=64, channel=Channel.CXL_MEM):
@@ -246,13 +245,13 @@ class TestLinkLayerCfc:
     def test_traced_bad_vc_send_opens_no_span(self):
         # The VC is checked before the tx-queue span opens: a rejected
         # flit leaves no dangling begin record and no open span id.
-        recorder = CausalRecorder()
-        env = Environment(telemetry=Telemetry(causal=recorder))
+        telemetry = Telemetry(causal_sample=1)
+        env = Environment(telemetry=telemetry)
         link = LinkLayer(env, vcs=2)
         packet = mem_write()
         packet.trace = TraceContext(1)
         flit = fragment(packet, vc=2)[0]
         with pytest.raises(ValueError, match="VC 2 out of range"):
             link.send(flit)
-        assert len(recorder.events) == 0
+        assert telemetry.events == []
         assert flit.cspan is None

@@ -23,8 +23,7 @@ from repro.fabric import Channel, LinkLayer, Packet, PacketKind, fragment
 from repro.pcie import FabricManager, FabricSwitch, PbrId, PortRole, Topology
 from repro.experiments import RunContext, get
 from repro.sim import Environment, SimRng
-from repro.telemetry import Telemetry
-from repro.telemetry.causal import CausalRecorder, TraceContext
+from repro.telemetry import Telemetry, TraceContext
 
 
 # -- telemetry scenarios: summaries and event counts ---------------------
@@ -86,7 +85,7 @@ def _environment(mode):
     if mode == "telemetry":
         return Environment(telemetry=Telemetry())
     if mode == "causal":
-        return Environment(telemetry=Telemetry(causal=CausalRecorder()))
+        return Environment(telemetry=Telemetry(causal_sample=1))
     assert mode == "plain"
     return Environment()
 
@@ -243,8 +242,8 @@ def test_lossy_control_lane_switch_pinned(mode):
     env = _environment(mode)
     assert _run_lossy_switch(env) == _LOSSY_PINNED
     if mode == "causal":
-        records = env.telemetry.causal.events
+        records = env.telemetry.events
         assert len(records) == _LOSSY_CAUSAL_RECORDS
-        opened = {r[3] for r in records if r[0] == "B"}
-        closed = {r[3] for r in records if r[0] == "E"}
+        opened = {r[3] for r in records if r[0] == "b"}
+        closed = {r[3] for r in records if r[0] == "e"}
         assert opened == closed

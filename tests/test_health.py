@@ -11,7 +11,6 @@ import pytest
 from repro.experiments import ExperimentError, RunContext, get, run_scenario
 from repro.sim import Environment
 from repro.telemetry import (
-    CausalRecorder,
     HealthError,
     HealthMonitor,
     SloSpec,
@@ -22,7 +21,7 @@ from repro.telemetry import (
     validate_health_report,
 )
 from repro.telemetry.attribution import collect_transactions
-from repro.telemetry.causal import CATEGORIES
+from repro.telemetry.core import CATEGORIES
 
 #: The golden-pinned §3 C5 alert edge: quiet flow bursts at 12,000 ns,
 #: the first whole window containing its stall closes at 14,000 ns.
@@ -210,7 +209,7 @@ class TestMonitorWiring:
         assert len(seen) >= 2
 
     def test_finalize_is_idempotent(self):
-        telemetry = Telemetry(causal=CausalRecorder())
+        telemetry = Telemetry(causal_sample=1)
         monitor = HealthMonitor(telemetry, scenario="t2",
                                 window_ns=2_000.0)
         env = Environment(telemetry=telemetry)
@@ -267,7 +266,7 @@ class TestBitIdentity:
     def test_streamed_attribution_equals_offline(self):
         result, report = run_health("starvation")
         offline = {}
-        for trace in collect_transactions(result.causal):
+        for trace in collect_transactions(result.telemetry):
             route = offline.setdefault(
                 trace.route, {c: 0.0 for c in CATEGORIES})
             for category, ns in trace.attribution().items():

@@ -90,7 +90,7 @@ def _remote_read_spans():
         yield from host.mem.access(host.remote_base("fam0"), False)
 
     run(env, go())
-    (txn,) = collect_transactions(env.telemetry.causal)
+    (txn,) = collect_transactions(env.telemetry)
     return sorted(txn.spans, key=lambda span: span.t0), txn.marks
 
 

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro.experiments import names, run_scenario
+from repro.experiments import (ExperimentSpec, names, run_experiment,
+                               run_scenario)
 from repro.sim import Environment, Store
 from repro.telemetry import (ChromeTraceError, Counter, Gauge, Histogram,
                              MetricRegistry, Telemetry, TimelineSampler,
@@ -355,6 +356,66 @@ class TestPerfettoExport:
         ]
         with pytest.raises(ChromeTraceError, match="backwards"):
             validate_chrome_trace({"traceEvents": events})
+
+    def test_validator_checks_x_slices(self):
+        def x(ts, dur):
+            return {"ph": "X", "ts": ts, "dur": dur, "pid": 1, "tid": 1,
+                    "name": "s"}
+        nested = [x(0.0, 10.0), x(2.0, 3.0), x(5.0, 5.0), x(10.0, 1.0)]
+        assert validate_chrome_trace({"traceEvents": nested}) == 4
+        with pytest.raises(ChromeTraceError, match="overlaps"):
+            validate_chrome_trace({"traceEvents": [x(0.0, 5.0),
+                                                   x(3.0, 5.0)]})
+        with pytest.raises(ChromeTraceError, match="bad dur"):
+            validate_chrome_trace({"traceEvents": [x(0.0, -1.0)]})
+
+
+class TestTransactionTracks:
+    """The ``trace`` document draws each sampled transaction's
+    critical path on its own track."""
+
+    @pytest.fixture(scope="class")
+    def interleave(self):
+        result = run_scenario("interleave", causal=True)
+        return result, result.chrome_trace()
+
+    def test_one_track_per_transaction_of_x_slices(self, interleave):
+        result, payload = interleave
+        validate_chrome_trace(payload)
+        events = payload["traceEvents"]
+        tracks = {e["tid"]: e["args"]["name"] for e in events
+                  if e["ph"] == "M" and e["args"]["name"].startswith("txn ")}
+        assert len(tracks) == result.telemetry.finished > 0
+        assert all(name.endswith("reader:MemRd")
+                   for name in tracks.values())
+        slices = [e for e in events if e["ph"] == "X"]
+        assert {e["tid"] for e in slices} == set(tracks)
+
+    def test_slices_are_the_why_critical_paths(self, interleave):
+        result, payload = interleave
+        report = result.attribution_report()
+        first = report["transactions"][0]
+        tid = next(e["tid"] for e in payload["traceEvents"]
+                   if e["ph"] == "M" and e["args"]["name"]
+                   == f"txn {first['trace_id']} {first['route']}")
+        slices = [e for e in payload["traceEvents"]
+                  if e["ph"] == "X" and e["tid"] == tid]
+        assert [(e["name"], e["args"]["site"]) for e in slices] == [
+            (seg["category"], seg["site"])
+            for seg in first["critical_path"]]
+        assert sum(e["dur"] for e in slices) * 1000.0 == pytest.approx(
+            first["duration_ns"], abs=1e-3)
+
+    def test_trace_observer_samples_transactions(self):
+        result = run_experiment(ExperimentSpec(
+            "interleave", outputs=("summary", "trace")))
+        payload = result["outputs"]["trace"]["interleave"]
+        validate_chrome_trace(payload)
+        assert any(e["ph"] == "X" for e in payload["traceEvents"])
+
+    def test_untraced_run_has_no_transaction_tracks(self):
+        payload = run_scenario("interleave").chrome_trace()
+        assert not [e for e in payload["traceEvents"] if e["ph"] == "X"]
 
 
 class TestTimelineSampler:

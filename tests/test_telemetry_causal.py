@@ -1,79 +1,102 @@
-"""Tests for causal transaction tracing: the flight recorder, the
-critical-path analyzer, percentile digests, the `repro bench --observe
-why` / `repro compare` CLI, and the tracing-on/off bit-identity guarantee."""
+"""Tests for causal transaction tracing: sampling and recording
+transactions on the telemetry record stream, the critical-path
+analyzer, percentile digests, the `repro bench --observe why` / `repro
+compare` CLI, and the tracing-on/off bit-identity guarantee."""
 
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.pcie.credits import CreditDomain
 from repro.pcie.switch import FabricSwitch
 from repro.sim import Container, Environment, run_proc
-from repro.telemetry import (AttributionError, CausalRecorder, TDigest,
-                             TimelineSampler, TraceContext, build_report,
-                             validate_attribution)
-from repro.telemetry.attribution import (SpanRecord, TransactionTrace,
+from repro.telemetry import (AttributionError, TDigest, Telemetry,
+                             TimelineSampler, validate_attribution)
+from repro.telemetry.attribution import (SpanRecord, TransactionBuilder,
+                                         TransactionTrace,
                                          collect_transactions)
-from repro.telemetry.causal import (ARBITRATION, CATEGORIES, CREDIT_STALL,
-                                    PROCESSING, QUEUEING, SERIALIZATION)
+from repro.telemetry.core import (ARBITRATION, CATEGORIES, CREDIT_STALL,
+                                  PROCESSING, QUEUEING, ROOT, SERIALIZATION)
 from repro.telemetry.compare import ComparisonError, compare_payloads
 from repro.experiments import run_scenario
 
 
 # --------------------------------------------------------------------------
-# recorder
+# sampling and recording transactions on the telemetry stream
 # --------------------------------------------------------------------------
+
+def _sampling(sample=1):
+    """A sampling Telemetry bound to a fresh environment."""
+    telemetry = Telemetry(causal_sample=sample)
+    return Environment(telemetry=telemetry), telemetry
+
 
 class TestCausalRecorder:
     def test_sample_every_root_by_default(self):
-        recorder = CausalRecorder()
-        contexts = [recorder.sample_root() for _ in range(5)]
+        _env, telemetry = _sampling()
+        contexts = [telemetry.sample_root() for _ in range(5)]
         assert all(ctx is not None for ctx in contexts)
         assert [ctx.trace_id for ctx in contexts] == [1, 2, 3, 4, 5]
 
     def test_sampling_keeps_one_in_n(self):
-        recorder = CausalRecorder(sample=4)
-        contexts = [recorder.sample_root() for _ in range(12)]
+        _env, telemetry = _sampling(4)
+        contexts = [telemetry.sample_root() for _ in range(12)]
         kept = [ctx for ctx in contexts if ctx is not None]
         assert len(kept) == 3
         assert contexts[0] is not None          # the first root is kept
-        assert recorder.roots_seen == 12
+        assert telemetry.roots_seen == 12
+
+    def test_sampling_off_by_default(self):
+        telemetry = Telemetry()
+        assert telemetry.sample_root() is None
+        assert telemetry.roots_seen == 0
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError, match="sample"):
-            CausalRecorder(sample=0)
-        with pytest.raises(ValueError, match="capacity"):
-            CausalRecorder(capacity=0)
+        with pytest.raises(ValueError, match="causal_sample"):
+            Telemetry(causal_sample=0)
 
     def test_interval_records_both_edges(self):
-        recorder = CausalRecorder()
-        ctx = recorder.sample_root()
-        recorder.txn_begin(ctx, 0.0, "read", "routeA")
-        recorder.interval(ctx, 10.0, 30.0, QUEUEING, "site")
-        recorder.txn_end(ctx, 50.0)
-        [txn] = collect_transactions(recorder)
+        _env, telemetry = _sampling()
+        ctx = telemetry.sample_root()
+        telemetry.begin("read", ctx, ts=0.0, track="routeA")
+        telemetry.end(telemetry.begin("site", ctx, QUEUEING, 10.0), ctx,
+                      30.0)
+        telemetry.end(ROOT, ctx, 50.0)
+        [txn] = collect_transactions(telemetry)
         assert (txn.begin, txn.end) == (0.0, 50.0)
         [span] = txn.spans
         assert (span.t0, span.t1, span.category) == (10.0, 30.0, QUEUEING)
+        assert (telemetry.started, telemetry.finished) == (1, 1)
+
+    def test_one_stream_holds_spans_and_transactions(self):
+        _env, telemetry = _sampling()
+        ctx = telemetry.sample_root()
+        with telemetry.span("app.work"):
+            telemetry.begin("read", ctx, track="r")
+            telemetry.instant("deliver", ctx, track="port")
+            telemetry.end(ROOT, ctx)
+        assert [record[0] for record in telemetry.events] \
+            == ["B", "T", "m", "F", "E"]
+        [txn] = collect_transactions(telemetry)
+        assert txn.marks == [(0.0, "deliver", "port")]
 
     def test_wait_on_satisfied_event_records_nothing(self):
-        env = Environment()
-        recorder = CausalRecorder()
-        ctx = recorder.sample_root()
+        env, telemetry = _sampling()
+        ctx = telemetry.sample_root()
         pool = Container(env, capacity=4, init=4)
-        recorder.wait(ctx, pool.get(1), CREDIT_STALL, "site")
-        assert len(recorder) == 0
+        telemetry.wait("site", ctx, CREDIT_STALL, pool.get(1))
+        assert telemetry.events == []
 
     def test_wait_on_blocked_event_closes_at_grant_instant(self):
-        env = Environment()
-        recorder = CausalRecorder()
-        ctx = recorder.sample_root()
+        env, telemetry = _sampling()
+        ctx = telemetry.sample_root()
         pool = Container(env, capacity=4, init=0)
 
         def taker():
             get = pool.get(1)
-            recorder.wait(ctx, get, CREDIT_STALL, "site")
+            telemetry.wait("site", ctx, CREDIT_STALL, get)
             yield get
 
         def giver():
@@ -83,20 +106,10 @@ class TestCausalRecorder:
         env.process(taker())
         env.process(giver())
         env.run()
-        begin = next(e for e in recorder.events if e[0] == "B")
-        end = next(e for e in recorder.events if e[0] == "E")
+        begin = next(e for e in telemetry.events if e[0] == "b")
+        end = next(e for e in telemetry.events if e[0] == "e")
         assert begin[1] == 0.0
         assert end[1] == 25.0
-
-    def test_bounded_capacity_evicts_oldest(self):
-        recorder = CausalRecorder(capacity=8)
-        ctx = recorder.sample_root()
-        assert not recorder.saturated
-        for i in range(20):
-            recorder.mark(ctx, float(i), "tick", "site")
-        assert len(recorder) == 8
-        assert recorder.saturated
-        assert recorder.events[0][1] == 12.0    # oldest 12 dropped
 
 
 # --------------------------------------------------------------------------
@@ -161,8 +174,8 @@ class TestCriticalPath:
 
     def test_precedence_credit_beats_queueing(self):
         txn = _txn([
-            SpanRecord(1, 0, QUEUEING, "q", 0.0, 50.0),
-            SpanRecord(2, 0, CREDIT_STALL, "c", 20.0, 40.0),
+            SpanRecord(1, QUEUEING, "q", 0.0, 50.0),
+            SpanRecord(2, CREDIT_STALL, "c", 20.0, 40.0),
         ])
         path = txn.critical_path()
         assert [(s["category"], s["t0"], s["t1"]) for s in path] == [
@@ -174,23 +187,23 @@ class TestCriticalPath:
 
     def test_adjacent_same_category_segments_merge(self):
         txn = _txn([
-            SpanRecord(1, 0, QUEUEING, "q", 0.0, 10.0),
-            SpanRecord(2, 0, QUEUEING, "q", 10.0, 30.0),
+            SpanRecord(1, QUEUEING, "q", 0.0, 10.0),
+            SpanRecord(2, QUEUEING, "q", 10.0, 30.0),
         ])
         path = txn.critical_path()
         assert (path[0]["t0"], path[0]["t1"]) == (0.0, 30.0)
         assert len(path) == 2                   # merged + trailing model
 
     def test_spans_clamped_to_transaction_window(self):
-        txn = _txn([SpanRecord(1, 0, SERIALIZATION, "s", -10.0, 250.0)])
+        txn = _txn([SpanRecord(1, SERIALIZATION, "s", -10.0, 250.0)])
         [segment] = txn.critical_path()
         assert (segment["t0"], segment["t1"]) == (0.0, 100.0)
 
     def test_attribution_sums_exactly_to_duration(self):
         txn = _txn([
-            SpanRecord(1, 0, QUEUEING, "q", 0.0, 60.0),
-            SpanRecord(2, 0, ARBITRATION, "a", 30.0, 45.0),
-            SpanRecord(3, 0, SERIALIZATION, "s", 60.0, 80.0),
+            SpanRecord(1, QUEUEING, "q", 0.0, 60.0),
+            SpanRecord(2, ARBITRATION, "a", 30.0, 45.0),
+            SpanRecord(3, SERIALIZATION, "s", 60.0, 80.0),
         ])
         totals = txn.attribution()
         assert sum(totals.values()) == pytest.approx(txn.duration)
@@ -200,36 +213,88 @@ class TestCriticalPath:
     def test_zero_duration_transaction_has_empty_path(self):
         assert _txn([], begin=5.0, end=5.0).critical_path() == []
 
-    def test_dag_nests_children_under_parents(self):
-        txn = _txn([
-            SpanRecord(1, 0, QUEUEING, "q", 0.0, 50.0),
-            SpanRecord(2, 1, CREDIT_STALL, "c", 10.0, 20.0),
-        ])
-        dag = txn.dag()
-        [root] = dag["spans"]
-        assert root["sid"] == 1
-        assert [child["sid"] for child in root["children"]] == [2]
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(CATEGORIES[:-1]), st.sampled_from("xyz"),
+        st.sampled_from([-5.0, 0.0, 1e-10, 2.0, 2.0 + 1e-10, 3.5, 7.0,
+                         10.0, 10.0 - 1e-10, 12.0]),
+        st.sampled_from([0.0, 1e-10, 0.5, 1.5, 3.0, 8.0, 20.0])),
+        max_size=8))
+    def test_sweep_matches_the_brute_force_rule(self, raw):
+        spans = [SpanRecord(sid, category, site, t0, t0 + length)
+                 for sid, (category, site, t0, length)
+                 in enumerate(raw, start=1)]
+        txn = _txn(spans, begin=0.0, end=10.0)
+        assert txn.critical_path() == _brute_force_path(txn)
+
+
+def _brute_force_path(txn):
+    """The attribution rule, segment by segment, as plainly as it is
+    stated: the highest-precedence interval open over a segment wins."""
+    eps = 1e-9
+    bounds = {txn.begin, txn.end}
+    clamped = []
+    for span in txn.spans:
+        t0 = min(max(span.t0, txn.begin), txn.end)
+        t1 = min(max(span.t1, txn.begin), txn.end)
+        if t1 - t0 > eps:
+            clamped.append((t0, t1, span))
+            bounds |= {t0, t1}
+    points = sorted(bounds)
+    segments = []
+    for left, right in zip(points, points[1:]):
+        if right - left <= eps:
+            continue
+        active = [(CATEGORIES.index(span.category), t0, span.sid, span)
+                  for t0, t1, span in clamped
+                  if t0 <= left + eps and t1 >= right - eps]
+        category, site = (min(active)[3].category, min(active)[3].site) \
+            if active else (PROCESSING, "model")
+        if segments and (segments[-1]["category"], segments[-1]["site"]) \
+                == (category, site):
+            segments[-1]["t1"] = right
+            segments[-1]["ns"] = right - segments[-1]["t0"]
+        else:
+            segments.append({"t0": left, "t1": right, "ns": right - left,
+                             "category": category, "site": site})
+    return segments
 
 
 class TestCollectTransactions:
     def test_unfinished_transactions_skipped(self):
-        recorder = CausalRecorder()
-        done, pending = recorder.sample_root(), recorder.sample_root()
-        recorder.txn_begin(done, 0.0, "read", "r")
-        recorder.txn_end(done, 10.0)
-        recorder.txn_begin(pending, 5.0, "read", "r")
-        txns = collect_transactions(recorder)
+        _env, telemetry = _sampling()
+        done, pending = telemetry.sample_root(), telemetry.sample_root()
+        telemetry.begin("read", done, ts=0.0, track="r")
+        telemetry.end(ROOT, done, 10.0)
+        telemetry.begin("read", pending, ts=5.0, track="r")
+        txns = collect_transactions(telemetry)
         assert [txn.trace_id for txn in txns] == [done.trace_id]
 
     def test_never_closed_span_clamps_to_transaction_end(self):
-        recorder = CausalRecorder()
-        ctx = recorder.sample_root()
-        recorder.txn_begin(ctx, 0.0, "read", "r")
-        recorder.begin(ctx, 2.0, QUEUEING, "q")    # never ended
-        recorder.txn_end(ctx, 10.0)
-        [txn] = collect_transactions(recorder)
+        _env, telemetry = _sampling()
+        ctx = telemetry.sample_root()
+        telemetry.begin("read", ctx, ts=0.0, track="r")
+        telemetry.begin("q", ctx, QUEUEING, 2.0)     # never ended
+        telemetry.end(ROOT, ctx, 10.0)
+        [txn] = collect_transactions(telemetry)
         [span] = txn.spans
         assert span.t1 == 10.0
+
+    def test_builder_reads_each_record_once_and_takes_by_end(self):
+        _env, telemetry = _sampling()
+        builder = TransactionBuilder(telemetry)
+        first, second = telemetry.sample_root(), telemetry.sample_root()
+        telemetry.begin("read", first, ts=0.0, track="r")
+        telemetry.begin("read", second, ts=1.0, track="r")
+        telemetry.end(ROOT, first, 10.0)
+        telemetry.end(ROOT, second, 30.0)
+        assert [txn.trace_id for txn in builder.finished(until=20.0)] \
+            == [first.trace_id]
+        assert builder.pending == 1
+        assert [txn.trace_id for txn in builder.finished()] \
+            == [second.trace_id]
+        assert builder.pending == 0 and builder.finished() == []
 
 
 # --------------------------------------------------------------------------
@@ -245,11 +310,12 @@ class TestBitIdentity:
         assert plain.summary == full.summary == sampled.summary
         events = lambda r: r.env.stats["events_processed"]   # noqa: E731
         assert events(plain) == events(full) == events(sampled)
-        assert 0 < sampled.causal.started < full.causal.started
+        assert 0 < sampled.telemetry.started < full.telemetry.started
 
     def test_untraced_run_has_no_recorder(self):
         result = run_scenario("t2", telemetry=True)
-        assert result.causal is None
+        assert result.telemetry.causal_sample is None
+        assert result.telemetry.started == 0
         with pytest.raises(ValueError, match="causal"):
             result.attribution_report()
 
